@@ -49,13 +49,13 @@ class BesovParams:
     role: str = "generator"
 
     def __post_init__(self):
-        if self.sigma < 0.0:
-            raise ValueError("smoothness must be nonnegative")
+        if not self.sigma >= 0.0:  # also rejects NaN
+            raise ValueError(f"smoothness must be nonnegative, got {self.sigma}")
         for name, v in (("p", self.p), ("q", self.q)):
             if not (1.0 <= v):
                 raise ValueError(f"{name} must lie in [1, inf], got {v}")
-        if self.L <= 0.0:
-            raise ValueError("ball radius must be positive")
+        if not self.L > 0.0:  # also rejects NaN
+            raise ValueError(f"ball radius must be positive, got {self.L}")
         if self.role not in _ROLES:
             raise ValueError(f"role must be one of {_ROLES}")
 

@@ -52,7 +52,14 @@ from .estimators import (
     estimate_linear,
     estimate_thresholded,
 )
-from .harness import RiskReport, benchmark_suite, breakdown_curve, run_sweep, theoretical_exponents
+from .harness import (
+    RiskReport,
+    benchmark_suite,
+    breakdown_curve,
+    resolve_jobs,
+    run_sweep,
+    theoretical_exponents,
+)
 from .wavelets import WaveletIndex, wavelet_family
 
 COMMANDS = ("estimate", "risk-sweep", "rate-check", "breakdown", "adversary")
@@ -518,6 +525,10 @@ def validate(cfg: ExperimentConfig) -> _Plan:
     if not cfg.out:
         raise ConfigError("out", "the output directory name is empty")
     try:
+        resolve_jobs(cfg.jobs)
+    except ValueError as err:
+        raise ConfigError("jobs", str(err)) from None
+    try:
         plan.family = wavelet_family(cfg.family)
     except ValueError as err:
         raise ConfigError("family", str(err)) from None
@@ -915,7 +926,10 @@ def run(cfg: ExperimentConfig) -> int:
     """Validate, then write artifacts into cfg.out and return the exit code."""
     plan = validate(cfg)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError("out", f"cannot create the output directory: {err}") from None
     _write(out / "config.json", _dumps(dataclasses.asdict(cfg)))
     if cfg.command == "estimate":
         return _run_estimate(cfg, plan, out)

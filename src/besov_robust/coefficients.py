@@ -15,7 +15,6 @@ for smooth factors.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -26,6 +25,7 @@ import numpy as np
 from .errors import (
     EmptySample,
     IncompatibleTrees,
+    MalformedTree,
     OutOfDomain,
     QuadratureFailure,
     RejectionBudgetExceeded,
@@ -35,6 +35,7 @@ from .wavelets import (
     WaveletIndex,
     eval_wavelet,
     orientations,
+    pl_lookup,
     wavelet_family,
 )
 
@@ -69,6 +70,28 @@ class CoefficientTree:
                 del self.beta[j]
         else:
             lev[(k, e)] = float(value)
+
+    def set_level(self, j: int, e, values) -> None:
+        """Store the whole (level j, orientation e) array, indexed by translate k.
+
+        Same effect as `set` on every k in row-major order: entries below
+        PRUNE_TOL are stored as absent, and new keys are inserted in row-major
+        k order, so `items` and `to_jsonl` see the order a loop of `set`
+        calls would give.
+        """
+        e = tuple(int(v) for v in e)
+        arr = np.asarray(values, dtype=float)
+        if j < 0 or len(e) != self.dim or not any(e):
+            raise ValueError(f"bad level {j} / orientation {e} for dimension {self.dim}")
+        if arr.shape != (2**j,) * self.dim:
+            raise ValueError(f"level {j} needs shape {(2**j,) * self.dim}, got {arr.shape}")
+        keep = np.abs(arr) >= PRUNE_TOL
+        lev = self.beta.setdefault(j, {})
+        for key in [ke for ke in lev if ke[1] == e and not keep[ke[0]]]:
+            del lev[key]
+        lev.update(zip(((tuple(k), e) for k in np.argwhere(keep).tolist()), arr[keep].tolist()))
+        if not lev:
+            del self.beta[j]
 
     def get(self, index: WaveletIndex) -> float:
         return self.beta.get(index.j, {}).get((tuple(index.k), tuple(index.e)), 0.0)
@@ -151,15 +174,23 @@ class CoefficientTree:
                 text = fp.read()
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
-            raise ValueError("empty tree file")
-        header = json.loads(lines[0])
-        if header.get("format") != "besov-robust-tree" or header.get("version") != 1:
-            raise ValueError(f"unrecognized tree header: {lines[0][:80]}")
-        fam = wavelet_family(header["family"], header["cascade_depth"])
-        out = cls(fam, header["dim"], header["alpha"])
-        for ln in lines[1:]:
-            rec = json.loads(ln)
-            out.set(WaveletIndex(rec["j"], tuple(rec["k"]), tuple(rec["e"])), rec["v"])
+            raise MalformedTree("empty tree file")
+        line = lines[0]
+        try:
+            header = json.loads(line)
+            if header.get("format") != "besov-robust-tree" or header.get("version") != 1:
+                raise MalformedTree(f"unrecognized tree header: {line[:80]}")
+            fam = wavelet_family(header["family"], header["cascade_depth"])
+            out = cls(fam, header["dim"], header["alpha"])
+            for line in lines[1:]:
+                rec = json.loads(line)
+                out.set(WaveletIndex(rec["j"], tuple(rec["k"]), tuple(rec["e"])), rec["v"])
+        except MalformedTree:
+            raise
+        except KeyError as err:
+            raise MalformedTree(f"record lacks field {err}: {line[:80]}") from None
+        except (AttributeError, TypeError, ValueError) as err:
+            raise MalformedTree(f"bad record ({err}): {line[:80]}") from None
         return out
 
 
@@ -455,12 +486,35 @@ def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng) -> np.ndarra
 # -- empirical coefficients -------------------------------------------------
 
 
+# Rows of the sample handled per pass of the Daubechies transform. About 2k
+# rows keep every per-block temporary in cache and under the allocator's
+# mmap threshold.
+_BLOCK_ROWS = 2048
+# Cap on the floats held by one orientation's per-shift sums; levels whose
+# W^D shift rows of 2^{Dj} bins exceed it are summed a group of rows at a time.
+_SUM_CELLS = 2**20
+
+
 def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int) -> CoefficientTree:
     """Sample-mean coefficients beta_hat = (1/n) sum psi(X_i) for levels 0..j1.
 
     The father coefficient is exactly 1 (the periodized father is constant).
     j0 is validated against j1 but all levels from 0 are computed, since every
     estimator keeps the low levels.
+
+    The result is fixed bit for bit, independent of blocking. For each level,
+    orientation e and shift vector t in {0..W-1}^D (W the support width,
+    product order), the terms prod_i f_{e_i}(frac_i + t_i) go to bin
+    k = (c - t) mod 2^j and are summed one at a time in sample order,
+    starting from 0.0; the W^D per-shift arrays are then added in shift order
+    onto zeros and scaled by 2^{Dj/2}/n. Daubechies families get there by
+    walking the sample in blocks of _BLOCK_ROWS rows with `np.add.at`, which
+    adds repeated indices one at a time in index order, so block after block
+    continues each bin's sample-order sum. For Haar every term is 0 or +-1,
+    so every such sum is an exact integer in floating point; the Haar path
+    counts the points per cell at level j1+1 once and forms every level from
+    integer pair sums (father) and differences (mother), which are the same
+    integers.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -473,42 +527,96 @@ def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int) -> Coeffi
         raise ValueError(f"need 0 <= j0 <= j1, got ({j0}, {j1})")
     x = _fold_points(x)
     n, d = x.shape
-    w = family.support_width
     tree = CoefficientTree(family, d, alpha=1.0)
-
+    if family.is_haar:
+        sums = _haar_count_sums(x, j1)
+    else:
+        xt = np.ascontiguousarray(x.T)
+        sums = {j: _shift_sums(xt, family, j) for j in range(j1 + 1)}
     for j in range(0, j1 + 1):
-        two_j = 2**j
-        c = (x * two_j).astype(np.int64)
-        np.minimum(c, two_j - 1, out=c)
-        frac = x * two_j - c
-        # raw factor values per axis and offset: u = frac + t in [0, W)
-        vals: dict[tuple[int, int], np.ndarray] = {}
-
-        def factor(axis: int, mother: int) -> np.ndarray:
-            key = (axis, mother)
-            if key not in vals:
-                u = frac[:, axis, None] + np.arange(w)[None, :]
-                f = family.mother_values if mother else family.father_values
-                vals[key] = f(u)
-            return vals[key]
-
-        for e in orientations(d):
-            acc = np.zeros(two_j**d)
-            for t_vec in itertools.product(range(w), repeat=d):
-                prod = np.ones(n)
-                k_lin = np.zeros(n, dtype=np.int64)
-                for i in range(d):
-                    prod = prod * factor(i, e[i])[:, t_vec[i]]
-                    k_lin = k_lin * two_j + (c[:, i] - t_vec[i]) % two_j
-                acc += np.bincount(k_lin, weights=prod, minlength=two_j**d)
+        for e, acc in zip(orientations(d), sums[j]):
             acc *= 2.0 ** (d * j / 2.0) / n
-            nz = np.nonzero(np.abs(acc) >= PRUNE_TOL)[0]
-            for k_flat in nz:
-                k = tuple(
-                    int(k_flat // two_j ** (d - 1 - i)) % two_j for i in range(d)
-                )
-                tree.set(WaveletIndex(j, k, e), float(acc[k_flat]))
+            tree.set_level(j, e, acc.reshape((2**j,) * d))
     return tree
+
+
+def _shift_sums(xt: np.ndarray, family: WaveletFamily, j: int) -> list[np.ndarray]:
+    """Unscaled level-j sums of the sample given as xt, shape (D, n): one flat
+    array of 2^{Dj} bins per orientation."""
+    d, n = xt.shape
+    w = family.support_width
+    two_j = 2**j
+    bins = two_j**d
+    rows = w**d
+    per_pass = max(1, min(rows, _SUM_CELLS // bins))
+    es = list(orientations(d))
+    kinds = sorted({m for e in es for m in e})  # 0 father, 1 mother; D=1 needs only 1
+    tables = (family.phi_values, family.psi_values)
+    # shift-major layout (shift, axis, sample): inner loops run over samples
+    shifts = np.arange(w).reshape(w, 1, 1)
+    accs = [np.zeros(bins) for _ in es]
+    for r0 in range(0, rows, per_pass):
+        r1 = min(rows, r0 + per_pass)
+        row_offset = (np.arange(r1 - r0) * bins)[:, None]
+        parts = [np.zeros((r1 - r0) * bins) for _ in es]
+        for start in range(0, n, _BLOCK_ROWS):
+            scaled = xt[:, start : start + _BLOCK_ROWS] * two_j
+            b = scaled.shape[1]
+            c = scaled.astype(np.int64)
+            np.minimum(c, two_j - 1, out=c)
+            frac = scaled - c
+            vals = {m: pl_lookup(tables[m], frac + shifts, family.cascade_depth) for m in kinds}
+            kb = (c - shifts) & (two_j - 1)  # (c - t) mod 2^j
+            # row r = t_0 W^{D-1} + ... + t_{D-1} is the product order of shift vectors
+            k_lin = kb[:, 0]
+            for i in range(1, d):
+                k_lin = (k_lin[:, None] * two_j + kb[None, :, i]).reshape(-1, b)
+            k_lin = (k_lin[r0:r1] + row_offset).ravel()
+            for e, part in zip(es, parts):
+                prod = vals[e[0]][:, 0]
+                for i in range(1, d):
+                    prod = (prod[:, None] * vals[e[i]][None, :, i]).reshape(-1, b)
+                np.add.at(part, k_lin, prod[r0:r1].ravel())
+        for acc, part in zip(accs, parts):
+            for row in part.reshape(r1 - r0, bins):
+                acc += row
+    return accs
+
+
+def _haar_split(c: np.ndarray, norm) -> dict[tuple[int, ...], np.ndarray]:
+    """One separable Haar analysis step: along every axis, pair entries 2k and
+    2k+1 into (a + b) / norm (orientation bit 0) and (a - b) / norm (bit 1)."""
+    arrs = {(): c}
+    for ax in range(c.ndim):
+        new = {}
+        for bits, arr in arrs.items():
+            a = np.take(arr, np.arange(0, arr.shape[ax], 2), axis=ax)
+            b = np.take(arr, np.arange(1, arr.shape[ax], 2), axis=ax)
+            new[bits + (0,)] = (a + b) / norm
+            new[bits + (1,)] = (a - b) / norm
+        arrs = new
+    return arrs
+
+
+def _haar_count_sums(x: np.ndarray, j1: int) -> dict[int, list[np.ndarray]]:
+    """Unscaled Haar sums for levels 0..j1 from point counts at level j1+1.
+
+    Entries are float64 holding exact integers, one flat array per orientation.
+    """
+    n, d = x.shape
+    top = 2 ** (j1 + 1)
+    c = (x * top).astype(np.int64)
+    np.minimum(c, top - 1, out=c)
+    cell = c[:, 0]
+    for i in range(1, d):
+        cell = cell * top + c[:, i]
+    counts = np.bincount(cell, minlength=top**d).reshape((top,) * d)
+    out = {}
+    for j in range(j1, -1, -1):
+        split = _haar_split(counts, 1)
+        out[j] = [split[e].ravel() for e in orientations(d)]
+        counts = split[(0,) * d]
+    return out
 
 
 # -- exact coefficients -----------------------------------------------------
@@ -521,15 +629,7 @@ def _haar_pyramid(values: np.ndarray, j_max: int) -> tuple[float, dict]:
     c = values.astype(float) * 2.0 ** (-s * d / 2.0)
     levels: dict[int, dict] = {}
     for j in range(s - 1, -1, -1):
-        arrs = {(): c}
-        for ax in range(d):
-            new = {}
-            for bits, arr in arrs.items():
-                a = np.take(arr, np.arange(0, arr.shape[ax], 2), axis=ax)
-                b = np.take(arr, np.arange(1, arr.shape[ax], 2), axis=ax)
-                new[bits + (0,)] = (a + b) / _SQRT2
-                new[bits + (1,)] = (a - b) / _SQRT2
-            arrs = new
+        arrs = _haar_split(c, _SQRT2)
         c = arrs[(0,) * d]
         if j <= j_max:
             levels[j] = {e: arrs[e] for e in arrs if any(e)}
@@ -589,9 +689,7 @@ def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> Co
         _, levels = _haar_pyramid(model.values, j_max)
         for j, per_e in levels.items():
             for e, arr in per_e.items():
-                nz = np.argwhere(np.abs(arr) >= PRUNE_TOL)
-                for k in nz:
-                    tree.set(WaveletIndex(j, tuple(int(v) for v in k), e), float(arr[tuple(k)]))
+                tree.set_level(j, e, arr)
         return tree
     for j in range(0, j_max + 1):
         mats = {
@@ -604,10 +702,7 @@ def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> Co
                 arr = np.tensordot(mats[e[ax]], arr, axes=([1], [ax]))
             # tensordot prepends the contracted axis: axes are reversed overall
             arr = np.transpose(arr, axes=tuple(range(d - 1, -1, -1)))
-            arr = arr * 2.0 ** (d * j / 2.0)
-            nz = np.argwhere(np.abs(arr) >= PRUNE_TOL)
-            for k in nz:
-                tree.set(WaveletIndex(j, tuple(int(v) for v in k), e), float(arr[tuple(k)]))
+            tree.set_level(j, e, arr * 2.0 ** (d * j / 2.0))
     return tree
 
 
@@ -797,10 +892,7 @@ def _bump_tree(model: SmoothBump, family: WaveletFamily, j_max: int) -> Coeffici
                     ax = per_bump_axis[b][(i, e[i])]
                     block = ax if block is None else np.multiply.outer(block, ax)
                 arr = arr + part * block
-            arr = arr * 2.0 ** (d * j / 2.0)
-            nz = np.argwhere(np.abs(arr) >= PRUNE_TOL)
-            for k in nz:
-                tree.set(WaveletIndex(j, tuple(int(v) for v in k), e), float(arr[tuple(k)]))
+            tree.set_level(j, e, arr * 2.0 ** (d * j / 2.0))
     return tree
 
 
@@ -832,9 +924,7 @@ def _generic_tree(
             raise QuadratureFailure(
                 f"level {j} coefficients did not converge to {tol} under panel refinement"
             )
-        vals = vals * 2.0 ** (j / 2.0)
-        for k in np.nonzero(np.abs(vals) >= PRUNE_TOL)[0]:
-            tree.set(WaveletIndex(j, (int(k),), (1,)), float(vals[k]))
+        tree.set_level(j, (1,), vals * 2.0 ** (j / 2.0))
     return tree
 
 

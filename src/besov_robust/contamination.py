@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .besov import BesovParams, besov_norm
 from .coefficients import (
@@ -201,6 +200,8 @@ def verify_indistinguishable(
     level are given, the exact coefficient trees of the two mixtures are also
     compared; the reported tree difference is the largest coefficient gap.
     """
+    from scipy.stats import ks_2samp  # about 1 s to import; only the KS check needs it
+
     pa, ga = pair_a
     pb, gb = pair_b
     kid_a, kid_b = np.random.SeedSequence(seed).spawn(2)

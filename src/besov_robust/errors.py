@@ -24,6 +24,10 @@ class QuadratureFailure(BesovRobustError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+class MalformedTree(BesovRobustError, ValueError):
+    """A coefficient tree file does not follow the besov-robust-tree JSONL format."""
+
+
 class RejectionBudgetExceeded(BesovRobustError):
     """Rejection sampling used up its proposal budget before accepting enough points."""
 

@@ -390,9 +390,14 @@ class RiskReport:
                         w.writerow([c.n, c.eps, name, t, repr(r)])
 
 
-def _resolve_jobs(jobs) -> int:
+def resolve_jobs(jobs=None) -> int:
+    """Requested worker count: `jobs`, else $BESOV_ROBUST_JOBS, else 1; at least 1."""
     if jobs is None:
-        jobs = os.environ.get("BESOV_ROBUST_JOBS", "1") or "1"
+        raw = os.environ.get("BESOV_ROBUST_JOBS", "1") or "1"
+        try:
+            jobs = int(raw)
+        except ValueError:
+            raise ValueError(f"BESOV_ROBUST_JOBS must be an integer, got {raw!r}") from None
     return max(1, int(jobs))
 
 
@@ -444,7 +449,7 @@ def run_sweep(
     if not callable(estimator_for):
         fixed_cfg = estimator_for
         estimator_for = lambda n, e: fixed_cfg
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
 
     grid = [(int(n), float(e)) for n in n_grid for e in eps_grid]
     tree_cache: dict[tuple[int, int], CoefficientTree] = {}
@@ -462,8 +467,9 @@ def run_sweep(
                 + ((model, spec, cfg, disc, n, seed, ci, ti * trials, trials, family, tree_cache[key]),)
             )
 
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_task, [p for _, _, p in tasks]))
     else:
         results = [_sweep_task(p) for _, _, p in tasks]

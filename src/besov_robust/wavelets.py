@@ -123,6 +123,34 @@ def _refine(values: np.ndarray, h: np.ndarray, levels: int) -> np.ndarray:
     return v
 
 
+def pl_lookup(table: np.ndarray, u: np.ndarray, depth: int) -> np.ndarray:
+    """Piecewise-linear interpolant of `table` at u, computed in place.
+
+    `table` holds values on the grid of spacing 2^-depth over [0, W], with
+    W = (table.size - 1) / 2^depth. Every entry of the float array u is
+    overwritten with the interpolant at that point, or with +0.0 when it lies
+    outside the open support (0, W). Each inside value is
+    table[i] * (1 - f) + table[i + 1] * f with t = u * 2^depth, i = floor(t)
+    and f = t - i, in exactly this floating-point order, so the value at a
+    point does not depend on the shape or blocking of the array it arrives
+    in. Returns u.
+    """
+    t = np.multiply(u, 2**depth, out=u)
+    outside = ~((t > 0.0) & (t < table.size - 1))
+    np.copyto(t, 0.0, where=outside)
+    cell = np.floor(t)
+    i0 = cell.astype(np.intp)
+    t -= cell
+    hi = table[1:][i0]
+    hi *= t
+    np.subtract(1.0, t, out=t)
+    lo = table[i0]
+    lo *= t
+    np.add(lo, hi, out=u)
+    np.copyto(u, 0.0, where=outside)
+    return u
+
+
 class WaveletFamily:
     """One 1-d father/mother pair plus everything precomputed for fast evaluation.
 
@@ -190,7 +218,7 @@ class WaveletFamily:
         u = np.asarray(u, dtype=float)
         if self.is_haar:
             return ((u >= 0.0) & (u < 1.0)).astype(float)
-        return self._interp(self.phi_values, u)
+        return pl_lookup(self.phi_values, u.copy(), self.cascade_depth)
 
     def mother_values(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -199,19 +227,7 @@ class WaveletFamily:
             out[(u >= 0.0) & (u < 0.5)] = 1.0
             out[(u >= 0.5) & (u < 1.0)] = -1.0
             return out
-        return self._interp(self.psi_values, u)
-
-    def _interp(self, table: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u, dtype=float)
-        w = self.support_width
-        ok = (u > 0.0) & (u < w)
-        if not np.any(ok):
-            return out
-        t = u[ok] * 2**self.cascade_depth
-        i0 = np.minimum(t.astype(np.int64), table.size - 2)
-        frac = t - i0
-        out[ok] = table[i0] * (1.0 - frac) + table[i0 + 1] * frac
-        return out
+        return pl_lookup(self.psi_values, u.copy(), self.cascade_depth)
 
     def periodized_factor(self, mother: bool, j: int, k: int, x) -> np.ndarray:
         """One axis factor f((2^j x - k) mod-wrapped to the torus), unit normalization."""

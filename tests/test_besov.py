@@ -80,6 +80,10 @@ class TestParams:
             BesovParams(1.0, 2.0, 2.0, L=0.0)
         with pytest.raises(ValueError):
             BesovParams(1.0, 2.0, 2.0, role="judge")
+        with pytest.raises(ValueError):
+            BesovParams(math.nan, 2.0, 2.0)
+        with pytest.raises(ValueError):
+            BesovParams(1.0, 2.0, 2.0, L=math.nan)
 
     def test_sigma_prime(self):
         assert BesovParams(1.0, 2.0, 2.0).sigma_prime(2) == pytest.approx(1.0)

@@ -9,6 +9,8 @@ whole file stays fast; determinism checks compare raw bytes.
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.dom.minidom
 
 import pytest
@@ -21,6 +23,7 @@ from besov_robust.cli import (
     main,
     validate,
 )
+import besov_robust
 from besov_robust.coefficients import CoefficientTree
 
 
@@ -41,6 +44,15 @@ def read_bytes_map(directory):
 
 FAST_RATE_ARGS = ["rate-check", "--preset", "structured-eps-rate", "--trials", "4"]
 FAST_ADV_ARGS = ["adversary", "--preset", "sparse", "--samples", "20000"]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import and only `adversary` needs it
+    src = os.path.dirname(os.path.dirname(besov_robust.__file__))
+    code = "import sys, besov_robust.cli; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert res.stdout.strip() == "False"
 
 
 class TestPresetRegistry:
@@ -135,6 +147,39 @@ class TestConfigErrors:
         rc, text = run_cli([], capsys)
         assert rc == 2
         assert "error" in json.loads(text)
+
+    def test_bad_jobs_env_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("BESOV_ROBUST_JOBS", "abc")
+        out = tmp_path / "o"
+        rc, text = run_cli(FAST_RATE_ARGS + ["--out", str(out)], capsys)
+        assert rc == 2
+        assert text.count("\n") == 1
+        assert json.loads(text)["error"]["precondition"] == "jobs"
+        assert not out.exists()
+
+    def test_out_names_existing_file_exit_2(self, capsys, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("keep me")
+        rc, text = run_cli(FAST_RATE_ARGS + ["--out", str(out)], capsys)
+        assert rc == 2
+        assert text.count("\n") == 1
+        assert json.loads(text)["error"]["precondition"] == "out"
+        assert out.read_text() == "keep me"
+
+    @pytest.mark.parametrize("slot", [0, 3])
+    def test_nan_gen_sigma_or_radius_exit_2(self, capsys, tmp_path, slot):
+        gen = [1.0, "inf", "inf", 2.0]
+        gen[slot] = math.nan
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": "rate-check", "gen": gen}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            FAST_RATE_ARGS + ["--config", str(cfgfile), "--out", str(out)], capsys
+        )
+        assert rc == 2
+        assert text.count("\n") == 1
+        assert json.loads(text)["error"]["precondition"] == "gen"
+        assert not out.exists()
 
     def test_error_json_is_single_line(self, capsys, tmp_path):
         rc, text = run_cli(["rate-check", "--preset", "nope"], capsys)

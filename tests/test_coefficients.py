@@ -6,6 +6,8 @@ aligned to their value grid, where Gauss-Legendre is exact.
 """
 
 import io
+import itertools
+import json
 import math
 
 import numpy as np
@@ -14,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from besov_robust import coefficients
 from besov_robust.coefficients import (
+    PRUNE_TOL,
     CoefficientTree,
     GenericDensity,
     PiecewiseConstant,
@@ -31,6 +35,7 @@ from besov_robust.coefficients import (
 from besov_robust.errors import (
     EmptySample,
     IncompatibleTrees,
+    MalformedTree,
     OutOfDomain,
     QuadratureFailure,
     RejectionBudgetExceeded,
@@ -116,6 +121,37 @@ class TestTreeBasics:
             tree.set(WaveletIndex(1, (0, 0), (0, 0)), 1.0)  # zero orientation
         with pytest.raises(ValueError):
             tree.set(WaveletIndex(-1, (0, 0), (1, 1)), 1.0)
+
+    def test_set_level_matches_set_loop(self):
+        rng = np.random.default_rng(11)
+        arr = rng.normal(size=(4, 4))
+        arr[0, 1] = 1e-15  # pruned
+        arr[2, 3] = 0.0
+        bulk = CoefficientTree(HAAR, 2)
+        looped = CoefficientTree(HAAR, 2)
+        for e in orientations(2):
+            bulk.set_level(2, e, arr)
+            for k in itertools.product(range(4), repeat=2):
+                looped.set(WaveletIndex(2, k, e), float(arr[k]))
+        assert list(bulk.beta[2].items()) == list(looped.beta[2].items())
+        assert bulk.n_coefficients == 3 * 14
+
+    def test_set_level_overwrites_and_prunes(self):
+        tree = CoefficientTree(HAAR, 1)
+        tree.set_level(1, (1,), [0.5, 0.25])
+        tree.set_level(1, (1,), [PRUNE_TOL / 2, 0.75])
+        assert list(tree.beta[1].items()) == [(((1,), (1,)), 0.75)]
+        tree.set_level(1, (1,), [0.0, 0.0])
+        assert tree.levels() == []
+
+    def test_set_level_validates_shape(self):
+        tree = CoefficientTree(HAAR, 2)
+        with pytest.raises(ValueError):
+            tree.set_level(1, (1, 1), np.ones(4))  # flat, not (2, 2)
+        with pytest.raises(ValueError):
+            tree.set_level(1, (0, 0), np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            tree.set_level(-1, (1, 1), np.ones((1, 1)))
 
     def test_items_sorted_and_level_values(self):
         rng = np.random.default_rng(5)
@@ -210,6 +246,23 @@ class TestSerialization:
             CoefficientTree.from_jsonl(io.StringIO('{"format": "something-else"}\n'))
         with pytest.raises(ValueError):
             CoefficientTree.from_jsonl(io.StringIO(""))
+
+    @pytest.mark.parametrize("drop", ["e", "j", "k", "v"])
+    def test_record_missing_field_is_typed_error(self, drop):
+        buf = io.StringIO()
+        tree = CoefficientTree(HAAR, 1, alpha=1.0)
+        tree.set(WaveletIndex(1, (1,), (1,)), 0.5)
+        tree.to_jsonl(buf)
+        header, rec = buf.getvalue().splitlines()
+        rec = json.loads(rec)
+        del rec[drop]
+        with pytest.raises(MalformedTree, match=drop):
+            CoefficientTree.from_jsonl(io.StringIO(header + "\n" + json.dumps(rec) + "\n"))
+
+    def test_header_missing_field_is_typed_error(self):
+        text = json.dumps({"format": "besov-robust-tree", "version": 1, "dim": 1, "alpha": 1.0})
+        with pytest.raises(MalformedTree, match="family"):
+            CoefficientTree.from_jsonl(io.StringIO(text + "\n"))
 
 
 class TestDensityModels:
@@ -390,6 +443,97 @@ class TestEmpiricalCoeffs:
         # x = 1.0 is the torus point 0.0, counted in the first cell
         tree = empirical_coeffs(np.array([[1.0]]), HAAR, 0, 0)
         assert tree.get(WaveletIndex(0, (0,), (1,))) == 1.0
+
+
+def reference_empirical_coeffs(samples, family, j0, j1):
+    """The per-shift `bincount` transform that `empirical_coeffs` replaced,
+    kept verbatim as the bit-exact reference."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    x = np.where(x == 1.0, 0.0, x)
+    n, d = x.shape
+    w = family.support_width
+    tree = CoefficientTree(family, d, alpha=1.0)
+    for j in range(0, j1 + 1):
+        two_j = 2**j
+        c = (x * two_j).astype(np.int64)
+        np.minimum(c, two_j - 1, out=c)
+        frac = x * two_j - c
+        vals = {}
+
+        def factor(axis, mother):
+            key = (axis, mother)
+            if key not in vals:
+                u = frac[:, axis, None] + np.arange(w)[None, :]
+                f = family.mother_values if mother else family.father_values
+                vals[key] = f(u)
+            return vals[key]
+
+        for e in orientations(d):
+            acc = np.zeros(two_j**d)
+            for t_vec in itertools.product(range(w), repeat=d):
+                prod = np.ones(n)
+                k_lin = np.zeros(n, dtype=np.int64)
+                for i in range(d):
+                    prod = prod * factor(i, e[i])[:, t_vec[i]]
+                    k_lin = k_lin * two_j + (c[:, i] - t_vec[i]) % two_j
+                acc += np.bincount(k_lin, weights=prod, minlength=two_j**d)
+            acc *= 2.0 ** (d * j / 2.0) / n
+            nz = np.nonzero(np.abs(acc) >= PRUNE_TOL)[0]
+            for k_flat in nz:
+                k = tuple(int(k_flat // two_j ** (d - 1 - i)) % two_j for i in range(d))
+                tree.set(WaveletIndex(j, k, e), float(acc[k_flat]))
+    return tree
+
+
+def edge_sample(n, dim, seed):
+    """Uniform points with the rounding edge cases written over some rows:
+    0, 1.0, 1 - 2^-53, 0.25 - 2^-54 and dyadic cell edges."""
+    edges = [0.0, 1.0, 1.0 - 2.0**-53, 0.25 - 2.0**-54, 0.5, 0.125, 3 / 8, 1 / 32, 31 / 64]
+    x = np.random.default_rng(seed).random((n, dim))
+    for i in range(dim):
+        vals = edges[i:] + edges[:i]
+        for r, v in enumerate(vals):
+            for row in (r, n // 2 + r, n - 1 - r):
+                if 0 <= row < n:
+                    x[row, i] = v
+    return x
+
+
+def assert_trees_identical(got, want):
+    assert got.alpha == want.alpha
+    assert list(got.beta) == list(want.beta)
+    for j in want.beta:
+        assert list(got.beta[j].items()) == list(want.beta[j].items())
+
+
+BLOCK = coefficients._BLOCK_ROWS
+
+
+class TestEmpiricalBitIdentity:
+    """The blocked and the Haar count transforms against the per-shift reference."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("name", ["haar", "db2", "db3", "db4"])
+    @pytest.mark.parametrize("n", [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_equal_to_reference(self, name, dim, n):
+        fam = wavelet_family(name)
+        j1 = 5 if dim == 1 else 3
+        x = edge_sample(n, dim, seed=n + 10 * dim)
+        assert_trees_identical(empirical_coeffs(x, fam, 0, j1), reference_empirical_coeffs(x, fam, 0, j1))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_row_groups_equal_to_reference(self, monkeypatch, dim):
+        # a tiny sum cap splits every level's shift rows into groups of one
+        monkeypatch.setattr(coefficients, "_SUM_CELLS", 1)
+        fam = wavelet_family("db3")
+        x = edge_sample(BLOCK + 3, dim, seed=3)
+        assert_trees_identical(empirical_coeffs(x, fam, 0, 3), reference_empirical_coeffs(x, fam, 0, 3))
+
+    def test_haar_deep_levels(self):
+        x = edge_sample(3 * BLOCK + 5, 1, seed=4)
+        assert_trees_identical(empirical_coeffs(x, HAAR, 0, 11), reference_empirical_coeffs(x, HAAR, 0, 11))
 
 
 class TestExactCoeffsFrozen:

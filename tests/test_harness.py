@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from besov_robust import harness
 from besov_robust.besov import LOSS_PRESETS, BesovParams, besov_norm, conjugate
 from besov_robust.coefficients import PiecewiseConstant, exact_coeffs, uniform_density
 from besov_robust.contamination import ContaminationSpec
@@ -20,6 +21,7 @@ from besov_robust.harness import (
     fit_rate,
     fit_report_rate,
     mixed_term_ratio,
+    resolve_jobs,
     run_sweep,
     theoretical_exponents,
 )
@@ -297,6 +299,42 @@ class TestRunSweep:
         assert r1.to_json() == r2.to_json() == r3.to_json()
         assert r1.to_json(include_timing=True) != r1.to_json()
         assert json.loads(r1.to_json())["schema"] == "besov-robust-risk/1"
+
+    @pytest.mark.parametrize("jobs,cpus,expect", [(64, 3, 3), (64, 16, 4), (2, 16, 2), (64, 1, None)])
+    def test_worker_pool_capped(self, monkeypatch, jobs, cpus, expect):
+        # a stand-in pool records the requested size and runs tasks in process
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        args = (
+            benchmark_suite(GEN, 1)[:2], None, EstimatorConfig("linear", 2, 2),
+            TV, HAAR, [256, 512], [0.0], 2, 5,
+        )  # 2 cells x 2 truths = 4 tasks
+        rep = run_sweep(*args, jobs=jobs)
+        assert seen == ([] if expect is None else [expect])
+        assert rep.to_json() == run_sweep(*args, jobs=1).to_json()
+
+    def test_jobs_env_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv("BESOV_ROBUST_JOBS", "abc")
+        with pytest.raises(ValueError, match="BESOV_ROBUST_JOBS"):
+            resolve_jobs()
+        monkeypatch.setenv("BESOV_ROBUST_JOBS", "3")
+        assert resolve_jobs() == 3
+        assert resolve_jobs(0) == 1
 
     def test_two_axis_grid_gets_no_autofit(self):
         rep = run_sweep(
