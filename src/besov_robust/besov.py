@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coefficients import CoefficientTree, tree_axpy
+from .coefficients import CoefficientTree, difference_levels
 from .errors import NotSupBounded, RegimeMismatch, ZeroDelta
-from .wavelets import WaveletFamily, WaveletIndex
+from .wavelets import WaveletFamily, WaveletIndex, orientations
 
 _ROLES = ("generator", "discriminator", "contamination")
 
@@ -81,6 +81,7 @@ def loss_params(name: str) -> BesovParams:
 
 
 def _lp(values: np.ndarray, p: float) -> float:
+    """l^p norm of a 1-d array, summed in numpy's pairwise order."""
     if values.size == 0:
         return 0.0
     a = np.abs(values)
@@ -89,15 +90,32 @@ def _lp(values: np.ndarray, p: float) -> float:
     if p == 1.0:
         return float(a.sum())
     if p == 2.0:
-        return float(math.sqrt(np.sum(a * a)))
-    return float(np.sum(a**p) ** (1.0 / p))
+        return math.sqrt(float((a * a).sum()))
+    return float((a**p).sum() ** (1.0 / p))
+
+
+def _level_lp(level: np.ndarray, p: float) -> float:
+    """l^p norm of a level array (zero entries are absent coefficients).
+
+    The fixed sum order: each orientation's 2^{Dj} entries are reduced in
+    row-major k order by numpy's pairwise summation, then the orientation
+    partial sums are added in orientation order. Working one orientation at
+    a time also bounds the temporaries to one orientation's size.
+    """
+    if p == math.inf:
+        return max(max(float(part.max()), -float(part.min())) for part in level)
+    if p == 1.0:
+        return sum(float(np.abs(part).sum()) for part in level)
+    if p == 2.0:
+        return math.sqrt(sum(float(np.square(part).sum()) for part in level))
+    return sum(float((np.abs(part) ** p).sum()) for part in level) ** (1.0 / p)
 
 
 def besov_norm(tree: CoefficientTree, params: BesovParams) -> float:
     """|alpha| + l^q norm over levels of 2^{j(sigma + D/2 - D/p)} ||beta_j||_p."""
     sp = params.sigma_prime(tree.dim)
     terms = np.array(
-        [2.0 ** (j * sp) * _lp(tree.level_values(j), params.p) for j in tree.levels()]
+        [2.0 ** (j * sp) * _level_lp(tree.level_array(j), params.p) for j in tree.levels()]
     )
     return abs(tree.alpha) + _lp(terms, params.q)
 
@@ -108,23 +126,32 @@ def in_ball(tree: CoefficientTree, params: BesovParams, slack: float = 1e-9) -> 
 
 
 def pairing(f: CoefficientTree, g: CoefficientTree) -> float:
-    """The L2 pairing <f, g> computed in coefficient space."""
+    """The L2 pairing <f, g> computed in coefficient space.
+
+    alpha_f alpha_g plus, level by level in increasing j, the pairwise sum of
+    the entrywise products over the level array.
+    """
     f.check_compatible(g)
     total = f.alpha * g.alpha
-    a, b = (f, g) if f.n_coefficients <= g.n_coefficients else (g, f)
-    for idx, v in a.items():
-        total += v * b.get(idx)
+    for j in f.levels():
+        b = g.level_array(j)
+        if b is not None:
+            total += float((f.level_array(j) * b).sum())
     return total
+
+
+def _level_dual_terms(levels, dim: int, disc: BesovParams) -> np.ndarray:
+    """u_j = 2^{-j sigma_d'} ||delta beta_j||_{p'} for the (j, level array)
+    pairs of a difference, in increasing j; all-zero levels are skipped."""
+    pd = conjugate(disc.p)
+    sp = disc.sigma_prime(dim)
+    return np.array([2.0 ** (-j * sp) * _level_lp(lev, pd) for j, lev in levels if lev.any()])
 
 
 def _dual_parts(delta: CoefficientTree, disc: BesovParams) -> tuple[float, float, np.ndarray]:
     """(alpha part, beta part, per-level dual terms) of the dual norm of delta."""
-    pd = conjugate(disc.p)
-    qd = conjugate(disc.q)
-    sp = disc.sigma_prime(delta.dim)
-    levels = delta.levels()
-    u = np.array([2.0 ** (-j * sp) * _lp(delta.level_values(j), pd) for j in levels])
-    return abs(delta.alpha), _lp(u, qd), u
+    u = _level_dual_terms(((j, delta.level_array(j)) for j in delta.levels()), delta.dim, disc)
+    return abs(delta.alpha), _lp(u, conjugate(disc.q)), u
 
 
 def besov_ipm(t1: CoefficientTree, t2: CoefficientTree, disc: BesovParams) -> float:
@@ -132,11 +159,13 @@ def besov_ipm(t1: CoefficientTree, t2: CoefficientTree, disc: BesovParams) -> fl
 
     Equals L * max(|delta alpha|, || {2^{-j sigma_d'} ||delta beta_j||_{p'}}_j ||_{q'})
     with delta the coefficient difference and (p', q') the conjugate exponents.
-    Symmetric, zero iff the trees agree on all stored levels.
+    Symmetric, zero iff the trees agree on all stored levels. The difference
+    is formed one level at a time (`difference_levels`), so no whole
+    difference tree is held.
     """
-    delta = tree_axpy(-1.0, t2, t1)
-    a_part, b_part, _ = _dual_parts(delta, disc)
-    return disc.L * max(a_part, b_part)
+    a_part = abs(-1.0 * t2.alpha + t1.alpha)
+    u = _level_dual_terms(difference_levels(t1, t2), t1.dim, disc)
+    return disc.L * max(a_part, _lp(u, conjugate(disc.q)))
 
 
 def ipm_witness(delta: CoefficientTree, disc: BesovParams) -> CoefficientTree:
@@ -145,7 +174,8 @@ def ipm_witness(delta: CoefficientTree, disc: BesovParams) -> CoefficientTree:
     The witness has Besov norm exactly L and pairing with delta exactly equal
     to the IPM. Finite exponents align coefficients with dual-exponent powers
     of |delta|; infinite exponents concentrate on the argmax; unit exponents
-    spread a sign pattern.
+    spread a sign pattern. Ties for the argmax go to the first entry in
+    (k, e) order.
 
     Raises ZeroDelta when delta has no stored coefficients and zero alpha.
     """
@@ -175,21 +205,20 @@ def ipm_witness(delta: CoefficientTree, disc: BesovParams) -> CoefficientTree:
         if budget == 0.0:
             continue
         target = budget * 2.0 ** (-j * sp)  # the p-norm the level must carry
-        entries = sorted(delta.beta[j].items())
-        vals = np.array([v for _, v in entries])
+        vals = delta.level_array(j)
         if pd == math.inf:
-            i_star = int(np.argmax(np.abs(vals)))
-            ke, v = entries[i_star]
-            out.set(WaveletIndex(j, ke[0], ke[1]), target * math.copysign(1.0, v))
+            # (k..., e) row-major order is the (k, e) sort order
+            by_k = np.moveaxis(vals, 0, -1)
+            pos = np.unravel_index(int(np.argmax(np.abs(by_k))), by_k.shape)
+            k = tuple(int(v) for v in pos[:-1])
+            e = list(orientations(delta.dim))[pos[-1]]
+            out.set(WaveletIndex(j, k, e), target * math.copysign(1.0, float(by_k[pos])))
             continue
-        norm_pd = _lp(vals, pd)
         if pd == 1.0:
             shape = np.sign(vals)
         else:
-            shape = np.sign(vals) * (np.abs(vals) / norm_pd) ** (pd - 1.0)
-        for (ke, _), f in zip(entries, target * shape):
-            if f != 0.0:
-                out.set(WaveletIndex(j, ke[0], ke[1]), float(f))
+            shape = np.sign(vals) * (np.abs(vals) / _level_lp(vals, pd)) ** (pd - 1.0)
+        out.set_level_array(j, target * shape)
     return out
 
 

@@ -49,11 +49,10 @@ from .estimators import (
     EstimatorConfig,
     adaptive_config,
     choose_resolutions,
-    estimate_linear,
-    estimate_thresholded,
 )
 from .harness import (
     RiskReport,
+    _run_estimator,
     benchmark_suite,
     breakdown_curve,
     resolve_jobs,
@@ -524,6 +523,8 @@ def validate(cfg: ExperimentConfig) -> _Plan:
         raise ConfigError("seed", "seed must fit in 64 bits")
     if not cfg.out:
         raise ConfigError("out", "the output directory name is empty")
+    if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0.0):
+        raise ConfigError("tolerance", "tolerance must be a positive finite number")
     try:
         resolve_jobs(cfg.jobs)
     except ValueError as err:
@@ -573,8 +574,6 @@ def validate(cfg: ExperimentConfig) -> _Plan:
         if cfg.command == "rate-check":
             if plan.theory is None:
                 raise ConfigError("regime", "rate-check needs gen and regime for the theory side")
-            if cfg.tolerance <= 0.0:
-                raise ConfigError("tolerance", "tolerance must be positive")
             positives = [e for e in cfg.eps_grid if e > 0.0]
             if len(cfg.n_grid) >= 4 and len(cfg.eps_grid) == 1:
                 plan.axis = "n"
@@ -669,12 +668,6 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _dispatch_estimator(samples, family, config: EstimatorConfig):
-    if config.kind == "linear":
-        return estimate_linear(samples, family, config)
-    return estimate_thresholded(samples, family, config)
-
-
 def _model_dict(model) -> dict:
     if isinstance(model, PiecewiseConstant):
         return {
@@ -731,7 +724,7 @@ def _run_estimate(cfg: ExperimentConfig, plan: _Plan, out: Path) -> int:
     spec = plan.spec_for(cfg.eps)
     pts = sample_huber(model, spec, cfg.samples, cfg.seed)
     est = plan.estimator_for(cfg.samples, cfg.eps)
-    tree = _dispatch_estimator(pts, plan.family, est)
+    tree = _run_estimator(pts, plan.family, est)
     truth_tree = exact_coeffs(model, plan.family, est.j1 + 2)
     ipm = besov_ipm(tree, truth_tree, plan.disc)
     tree.to_jsonl(out / "coeffs.jsonl")
@@ -745,7 +738,7 @@ def _run_estimate(cfg: ExperimentConfig, plan: _Plan, out: Path) -> int:
             "kind": est.kind, "j0": est.j0, "j1": est.j1, "K": est.K,
             "rescale_epsilon": est.rescale_epsilon,
         },
-        "stored_coefficients": sum(1 for _ in tree.items()),
+        "stored_coefficients": tree.n_coefficients,
         "ipm_to_truth": ipm,
     }
     _write(out / "estimate.json", _dumps(payload))

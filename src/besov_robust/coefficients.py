@@ -1,9 +1,14 @@
 """Coefficient trees, density models, exact and empirical coefficients, sampling.
 
 A `CoefficientTree` stores the periodized wavelet coefficients of a function
-on the torus [0,1)^D sparsely: one father coefficient `alpha` (the periodized
-level-0 father is the constant 1, so alpha is the integral of the function)
-plus per-level dictionaries of daughter coefficients keyed by (k, e).
+on the torus [0,1)^D: one father coefficient `alpha` (the periodized level-0
+father is the constant 1, so alpha is the integral of the function) plus one
+float64 array per stored detail level j, of shape (2^D - 1, 2^j, ..., 2^j).
+The first axis runs over the orientations in `wavelets.orientations` order,
+the others over the translate k. A zero entry means "absent": values below
+PRUNE_TOL in magnitude are stored as zero, and a level whose entries are all
+zero is dropped, so `levels`, `n_coefficients` and `items` see only stored
+coefficients, in (j, e, row-major k) order.
 
 Density models (`PiecewiseConstant`, `SmoothBump`, `SpikePerturbation`,
 `GenericDensity`) share a small duck-typed protocol: a `dim` attribute,
@@ -41,10 +46,35 @@ from .wavelets import (
 
 PRUNE_TOL = 1e-14
 _SQRT2 = math.sqrt(2.0)
+# Points handled per pass of `CoefficientTree.evaluate`, and records parsed
+# per `json.loads` call in `CoefficientTree.from_jsonl`.
+_EVAL_ROWS = 4096
+_PARSE_ROWS = 2048
+
+
+def _prune(arr: np.ndarray) -> bool:
+    """Zero the entries of arr below PRUNE_TOL in place; whether any remain."""
+    arr[np.abs(arr) < PRUNE_TOL] = 0.0
+    return bool(arr.any())
+
+
+def _json_float(v: float) -> str:
+    """A float exactly as `json.dumps` writes it."""
+    return repr(v) if math.isfinite(v) else json.dumps(v)
+
+
+# orientation tuple -> position on a level's first axis, per dimension
+_ORIENT_POS: dict[int, dict[tuple[int, ...], int]] = {}
+
+
+def _orientation_positions(dim: int) -> dict[tuple[int, ...], int]:
+    if dim not in _ORIENT_POS:
+        _ORIENT_POS[dim] = {e: o for o, e in enumerate(orientations(dim))}
+    return _ORIENT_POS[dim]
 
 
 class CoefficientTree:
-    """Sparse periodized wavelet coefficients of a function on [0,1)^D."""
+    """Periodized wavelet coefficients of a function on [0,1)^D, one array per level."""
 
     def __init__(self, family: WaveletFamily, dim: int, alpha: float = 0.0):
         if dim < 1:
@@ -52,73 +82,126 @@ class CoefficientTree:
         self.family = family
         self.dim = int(dim)
         self.alpha = float(alpha)
-        self.beta: dict[int, dict[tuple[tuple[int, ...], tuple[int, ...]], float]] = {}
+        self._opos = _orientation_positions(self.dim)
+        self._orients = list(self._opos)
+        self._levels: dict[int, np.ndarray] = {}
+
+    def _shape(self, j: int) -> tuple[int, ...]:
+        return (len(self._orients),) + (2**j,) * self.dim
+
+    def _adopt(self, j: int, arr: np.ndarray) -> None:
+        """Store arr (float64, level shape, owned by the tree from now on) as
+        level j. Pruning one orientation at a time bounds the temporaries."""
+        if any([_prune(part) for part in arr]):
+            self._levels[j] = arr
+        else:
+            self._levels.pop(j, None)
 
     # -- mutation and access ------------------------------------------------
 
     def set(self, index: WaveletIndex, value: float) -> None:
         """Store one coefficient; magnitudes below 1e-14 are stored as absent."""
-        j, k, e = index.j, tuple(index.k), tuple(index.e)
-        if j < 0 or len(k) != self.dim or len(e) != self.dim or not any(e):
+        j, k = index.j, tuple(index.k)
+        o = self._opos.get(tuple(index.e))
+        if j < 0 or len(k) != self.dim or o is None:
             raise ValueError(f"bad index {index} for dimension {self.dim}")
-        if not all(0 <= kk < 2**j for kk in k):
-            raise ValueError(f"translate out of range in {index}")
-        lev = self.beta.setdefault(j, {})
+        size = 2**j
+        for kk in k:
+            if not (isinstance(kk, (int, np.integer)) and 0 <= kk < size):
+                raise ValueError(f"translate out of range in {index}")
+        lev = self._levels.get(j)
         if abs(value) < PRUNE_TOL:
-            lev.pop((k, e), None)
-            if not lev:
-                del self.beta[j]
-        else:
-            lev[(k, e)] = float(value)
+            if lev is not None:
+                lev[(o,) + k] = 0.0
+                if not lev.any():
+                    del self._levels[j]
+            return
+        if lev is None:
+            lev = self._levels[j] = np.zeros(self._shape(j))
+        lev[(o,) + k] = value
 
     def set_level(self, j: int, e, values) -> None:
         """Store the whole (level j, orientation e) array, indexed by translate k.
 
-        Same effect as `set` on every k in row-major order: entries below
-        PRUNE_TOL are stored as absent, and new keys are inserted in row-major
-        k order, so `items` and `to_jsonl` see the order a loop of `set`
-        calls would give.
+        Same effect as `set` on every k: entries below PRUNE_TOL are stored
+        as absent.
         """
-        e = tuple(int(v) for v in e)
         arr = np.asarray(values, dtype=float)
-        if j < 0 or len(e) != self.dim or not any(e):
+        o = self._opos.get(tuple(int(v) for v in e))
+        if j < 0 or o is None:
             raise ValueError(f"bad level {j} / orientation {e} for dimension {self.dim}")
         if arr.shape != (2**j,) * self.dim:
             raise ValueError(f"level {j} needs shape {(2**j,) * self.dim}, got {arr.shape}")
-        keep = np.abs(arr) >= PRUNE_TOL
-        lev = self.beta.setdefault(j, {})
-        for key in [ke for ke in lev if ke[1] == e and not keep[ke[0]]]:
-            del lev[key]
-        lev.update(zip(((tuple(k), e) for k in np.argwhere(keep).tolist()), arr[keep].tolist()))
-        if not lev:
-            del self.beta[j]
+        lev = self._levels.get(j)
+        if lev is None:
+            lev = np.zeros(self._shape(j))
+        part = lev[o]
+        part[...] = arr
+        if _prune(part) or lev.any():
+            self._levels[j] = lev
+        else:
+            self._levels.pop(j, None)
+
+    def set_level_array(self, j: int, values) -> None:
+        """Store a copy of the whole level j, shape (2^D - 1, 2^j, ..., 2^j)."""
+        arr = np.array(values, dtype=float)
+        if j < 0 or arr.shape != self._shape(j):
+            raise ValueError(f"level {j} needs shape {self._shape(max(j, 0))}, got {arr.shape}")
+        self._adopt(j, arr)
+
+    def level_array(self, j: int) -> np.ndarray | None:
+        """The stored level j (zeros are absent entries), or None. This is the
+        tree's own array, not a copy: read it, never write into it."""
+        return self._levels.get(j)
 
     def get(self, index: WaveletIndex) -> float:
-        return self.beta.get(index.j, {}).get((tuple(index.k), tuple(index.e)), 0.0)
+        lev = self._levels.get(index.j)
+        if lev is None:
+            return 0.0
+        k = tuple(index.k)
+        o = self._opos.get(tuple(index.e))
+        if o is None or len(k) != self.dim:
+            return 0.0
+        side = lev.shape[1]
+        for kk in k:
+            if not 0 <= kk < side:
+                return 0.0
+        return lev.item((o,) + k)
 
     def levels(self) -> list[int]:
-        return sorted(self.beta)
+        return sorted(self._levels)
 
     @property
     def max_level(self) -> int:
-        return max(self.beta) if self.beta else -1
+        return max(self._levels) if self._levels else -1
 
     @property
     def n_coefficients(self) -> int:
-        return sum(len(v) for v in self.beta.values())
+        return sum(int(np.count_nonzero(lev)) for lev in self._levels.values())
 
     def level_values(self, j: int) -> np.ndarray:
-        lev = self.beta.get(j)
-        return np.array(list(lev.values())) if lev else np.zeros(0)
+        """Stored values of level j in (e, row-major k) order."""
+        lev = self._levels.get(j)
+        return lev[lev != 0.0] if lev is not None else np.zeros(0)
+
+    def _stored(self, j: int) -> tuple[list, list, list]:
+        """(orientation positions, translate tuples, values) of level j's
+        entries, in row-major order."""
+        lev = self._levels[j]
+        flat = lev.ravel().nonzero()[0]
+        pos = np.unravel_index(flat, lev.shape)
+        return pos[0].tolist(), list(zip(*[a.tolist() for a in pos[1:]])), lev.ravel()[flat].tolist()
 
     def items(self) -> Iterator[tuple[WaveletIndex, float]]:
-        for j in sorted(self.beta):
-            for (k, e), v in self.beta[j].items():
-                yield WaveletIndex(j, k, e), v
+        """Stored coefficients in (j, e, row-major k) order."""
+        orients = self._orients
+        for j in self.levels():
+            for o, k, v in zip(*self._stored(j)):
+                yield WaveletIndex(j, k, orients[o]), v
 
     def copy(self) -> "CoefficientTree":
         out = CoefficientTree(self.family, self.dim, self.alpha)
-        out.beta = {j: dict(lev) for j, lev in self.beta.items()}
+        out._levels = {j: lev.copy() for j, lev in self._levels.items()}
         return out
 
     def check_compatible(self, other: "CoefficientTree") -> None:
@@ -133,18 +216,61 @@ class CoefficientTree:
             )
 
     def evaluate(self, x) -> np.ndarray:
-        """Synthesize the series at points x of shape (..., D)."""
+        """Synthesize the series at points x of shape (..., D).
+
+        Coordinates wrap to the torus. Per level, each point meets W^D
+        translates per orientation (W the support width): the ones with
+        k = (c - t) mod 2^j for the cell c holding the point and shifts t in
+        {0..W-1}^D, which also sums the periodization wraps when 2^j < W.
+        """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
+        if pts.shape[1] != self.dim:
+            raise ValueError(f"points have dimension {pts.shape[1]}, tree has {self.dim}")
         out = np.full(pts.shape[0], self.alpha)
-        for idx, v in self.items():
-            out += v * eval_wavelet(self.family, idx, pts)
+        for start in range(0, pts.shape[0], _EVAL_ROWS):
+            block = pts[start : start + _EVAL_ROWS]
+            u = block - np.floor(block)
+            u[u >= 1.0] = 0.0  # -tiny wraps to 1.0, the torus point 0
+            out[start : start + _EVAL_ROWS] += sum(
+                self._synthesize_level(j, u) for j in self.levels()
+            )
         return float(out[0]) if single else out
+
+    def _synthesize_level(self, j: int, u: np.ndarray) -> np.ndarray:
+        """Level j's part of the series at torus points u of shape (m, D)."""
+        fam, d, two_j = self.family, self.dim, 2**j
+        shifts = np.arange(fam.support_width)
+        scaled = u * two_j
+        c = np.minimum(scaled.astype(np.int64), two_j - 1)
+        frac = scaled - c
+        # per axis: the W translates each point meets and the factor values there
+        kb = [(c[:, i, None] - shifts) & (two_j - 1) for i in range(d)]
+        factors = (fam.father_values, fam.mother_values)
+        needed = {(e[i], i) for e in self._orients for i in range(d)}
+        vals = {(m, i): factors[m](frac[:, i, None] + shifts) for m, i in needed}
+        lev = self._levels[j]
+        total = np.zeros(u.shape[0])
+        for o, e in enumerate(self._orients):
+            prod = np.ones((u.shape[0],) + (1,) * d)
+            k_idx = []
+            for i in range(d):
+                axis = [slice(None)] + [None] * d
+                axis[1 + i] = slice(None)
+                prod = prod * vals[(e[i], i)][tuple(axis)]
+                k_idx.append(kb[i][tuple(axis)])
+            total += (lev[o][tuple(k_idx)] * prod).reshape(u.shape[0], -1).sum(axis=1)
+        return total * 2.0 ** (d * j / 2.0)
 
     # -- serialization: one JSON record per line ----------------------------
 
     def to_jsonl(self, path_or_fp) -> None:
+        """Header line, then one record per stored coefficient in `items` order.
+
+        Records carry sorted keys and floats as `json.dumps` writes them, so
+        the bytes equal `json.dumps(record, sort_keys=True)` line by line.
+        """
         header = {
             "format": "besov-robust-tree",
             "version": 1,
@@ -154,10 +280,13 @@ class CoefficientTree:
             "alpha": self.alpha,
         }
         lines = [json.dumps(header, sort_keys=True)]
-        for idx, v in self.items():
-            lines.append(
-                json.dumps({"e": list(idx.e), "j": idx.j, "k": list(idx.k), "v": v}, sort_keys=True)
-            )
+        e_text = [", ".join(map(str, e)) for e in self._orients]
+        for j in self.levels():
+            for o, k, v in zip(*self._stored(j)):
+                lines.append(
+                    f'{{"e": [{e_text[o]}], "j": {j}, "k": [{", ".join(map(str, k))}], '
+                    f'"v": {_json_float(v)}}}'
+                )
         text = "\n".join(lines) + "\n"
         if hasattr(path_or_fp, "write"):
             path_or_fp.write(text)
@@ -182,30 +311,114 @@ class CoefficientTree:
                 raise MalformedTree(f"unrecognized tree header: {line[:80]}")
             fam = wavelet_family(header["family"], header["cascade_depth"])
             out = cls(fam, header["dim"], header["alpha"])
-            for line in lines[1:]:
-                rec = json.loads(line)
-                out.set(WaveletIndex(rec["j"], tuple(rec["k"]), tuple(rec["e"])), rec["v"])
         except MalformedTree:
             raise
         except KeyError as err:
             raise MalformedTree(f"record lacks field {err}: {line[:80]}") from None
         except (AttributeError, TypeError, ValueError) as err:
             raise MalformedTree(f"bad record ({err}): {line[:80]}") from None
+        if not out._load_records(lines[1:]):
+            out._levels.clear()
+            for line in lines[1:]:
+                try:
+                    rec = json.loads(line)
+                    out.set(WaveletIndex(rec["j"], tuple(rec["k"]), tuple(rec["e"])), rec["v"])
+                except KeyError as err:
+                    raise MalformedTree(f"record lacks field {err}: {line[:80]}") from None
+                except (AttributeError, TypeError, ValueError) as err:
+                    raise MalformedTree(f"bad record ({err}): {line[:80]}") from None
         return out
+
+    def _load_records(self, lines: list[str]) -> bool:
+        """Bulk-parse coefficient records into the levels.
+
+        Returns False, leaving the levels to be rebuilt, whenever a record is
+        not a plain well-formed one; `from_jsonl` then replays the records one
+        at a time with `set`, which names the bad line.
+        """
+        if not lines:
+            return True
+        cols: dict[str, list] = {f: [] for f in "jkev"}
+        try:
+            # a few thousand records per json.loads keeps the parsed objects small
+            for start in range(0, len(lines), _PARSE_ROWS):
+                recs = json.loads("[" + ",".join(lines[start : start + _PARSE_ROWS]) + "]")
+                for f, col in cols.items():
+                    col.append(np.array([r[f] for r in recs]))
+            js, ks, es, vs = (np.concatenate(cols[f]) for f in "jkev")
+        except (KeyError, TypeError, ValueError):
+            return False
+        n, d = len(lines), self.dim
+        if (
+            js.dtype.kind != "i" or ks.dtype.kind != "i" or es.dtype.kind != "i"
+            or vs.dtype.kind not in "biuf" or ks.shape != (n, d) or es.shape != (n, d)
+        ):
+            return False
+        if np.any(js < 0) or np.any((es != 0) & (es != 1)) or not np.all(es.any(axis=1)):
+            return False
+        vs = vs.astype(float)
+        o = es @ (1 << np.arange(d - 1, -1, -1)) - 1
+        for j in sorted(set(js.tolist())):
+            rows = js == j
+            kj = ks[rows]
+            if np.any(kj < 0) or np.any(kj >= 2**j):
+                return False
+            try:
+                flat = np.ravel_multi_index((o[rows],) + tuple(kj.T), self._shape(j))
+                lev = np.zeros(self._shape(j))
+            except ValueError:  # a level too large to hold
+                return False
+            # a repeated index keeps its last record, as a loop of `set` would
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+            last = np.append(flat[1:] != flat[:-1], True)
+            lev.flat[flat[last]] = vs[rows][order][last]
+            self._adopt(j, lev)
+        return True
 
 
 def tree_axpy(a: float, x: CoefficientTree, y: CoefficientTree) -> CoefficientTree:
-    """a*x + y as a new tree. Trees must share family, depth and dimension."""
+    """a*x + y as a new tree. Trees must share family, depth and dimension.
+
+    Every stored entry is the single IEEE result a*x_i + y_i (absent entries
+    are 0.0), and results below PRUNE_TOL are dropped. `a` must be finite,
+    so that absent entries stay absent.
+    """
     x.check_compatible(y)
+    if not math.isfinite(a):
+        raise ValueError(f"axpy needs a finite scalar, got {a}")
     out = CoefficientTree(x.family, x.dim, a * x.alpha + y.alpha)
-    keys = set(x.beta) | set(y.beta)
-    for j in keys:
-        xs = x.beta.get(j, {})
-        ys = y.beta.get(j, {})
-        for ke in set(xs) | set(ys):
-            v = a * xs.get(ke, 0.0) + ys.get(ke, 0.0)
-            out.set(WaveletIndex(j, ke[0], ke[1]), v)
+    for j in sorted(set(x._levels) | set(y._levels)):
+        xs, ys = x._levels.get(j), y._levels.get(j)
+        if xs is None:
+            lev = ys.copy()
+        elif ys is None:
+            lev = a * xs
+        else:
+            lev = a * xs
+            lev += ys
+        out._adopt(j, lev)
     return out
+
+
+def difference_levels(x: CoefficientTree, y: CoefficientTree) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (j, level j of x - y) in increasing j, one level at a time.
+
+    Entries are those of `tree_axpy(-1.0, y, x)`, with results below
+    PRUNE_TOL zeroed; all-zero levels are yielded too. A level stored in one
+    tree only is yielded as that tree's array, without the sign flip for y,
+    so use the levels where the sign does not matter, as in a norm.
+    """
+    y.check_compatible(x)
+    for j in sorted(set(x._levels) | set(y._levels)):
+        a, b = x._levels.get(j), y._levels.get(j)
+        if a is None or b is None:
+            yield j, b if a is None else a
+            continue
+        d = a - b
+        for part in d:
+            _prune(part)
+        yield j, d
 
 
 # -- density models ---------------------------------------------------------

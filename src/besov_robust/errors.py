@@ -28,6 +28,10 @@ class MalformedTree(BesovRobustError, ValueError):
     """A coefficient tree file does not follow the besov-robust-tree JSONL format."""
 
 
+class UnstableFilter(BesovRobustError, ValueError):
+    """A Daubechies filter of the requested order cannot be built to working accuracy."""
+
+
 class RejectionBudgetExceeded(BesovRobustError):
     """Rejection sampling used up its proposal budget before accepting enough points."""
 

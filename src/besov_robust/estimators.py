@@ -18,7 +18,7 @@ import numpy as np
 from .besov import BesovParams, conjugate
 from .coefficients import CoefficientTree, empirical_coeffs
 from .errors import RegimeMismatch
-from .wavelets import WaveletFamily, active_indices, eval_wavelet
+from .wavelets import WaveletFamily
 
 KINDS = ("linear", "thresholded", "adaptive")
 REGIMES = ("sparse-unstructured", "dense-unstructured", "structured", "linear-sparse")
@@ -131,23 +131,19 @@ def _rescaled(tree: CoefficientTree, eps: float | None) -> CoefficientTree:
         return tree
     factor = 1.0 / (1.0 - eps)
     out = CoefficientTree(tree.family, tree.dim, tree.alpha * factor)
-    for idx, v in tree.items():
-        out.set(idx, v * factor)
+    for j in tree.levels():
+        out.set_level_array(j, tree.level_array(j) * factor)
     return out
 
 
 def apply_threshold(tree: CoefficientTree, j0: int, K: float, n: int) -> CoefficientTree:
     """Hard-threshold levels above j0 at t = K sqrt(j/n), two-sided."""
-    out = tree.copy()
-    for j in list(out.beta):
-        if j <= j0:
-            continue
-        t = K * math.sqrt(j / n)
-        lev = out.beta[j]
-        for ke in [ke for ke, v in lev.items() if abs(v) <= t]:
-            del lev[ke]
-        if not lev:
-            del out.beta[j]
+    out = CoefficientTree(tree.family, tree.dim, tree.alpha)
+    for j in tree.levels():
+        lev = tree.level_array(j)
+        if j > j0:
+            lev = np.where(np.abs(lev) <= K * math.sqrt(j / n), 0.0, lev)
+        out.set_level_array(j, lev)
     return out
 
 
@@ -196,25 +192,3 @@ def estimate_adaptive(
         dim = x.shape[1]
     config = adaptive_config(x.shape[0], r, dim, K=K)
     return estimate_thresholded(x, family, config)
-
-
-def eval_density(tree: CoefficientTree, family: WaveletFamily, x) -> float | np.ndarray:
-    """Series value at x, visiting only the indices active at the point.
-
-    Cost per point is O(levels * support^D), independent of how many
-    coefficients the tree stores.
-    """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    pts = np.atleast_2d(pts)
-    out = np.full(pts.shape[0], tree.alpha)
-    for i, pt in enumerate(pts):
-        total = 0.0
-        for j in tree.levels():
-            lev = tree.beta[j]
-            for idx in active_indices(family, j, pt):
-                v = lev.get((idx.k, idx.e))
-                if v is not None:
-                    total += v * float(eval_wavelet(family, idx, pt))
-        out[i] += total
-    return float(out[0]) if single else out

@@ -1,9 +1,10 @@
 """Periodized orthonormal wavelet bases on the unit cube.
 
-Families: Haar ("haar") and the extremal-phase Daubechies families ("db2",
-"db3", ...). Daubechies low-pass filters are built by spectral factorization
-of the halfband polynomial, scaling-function values are computed exactly on a
-dyadic grid by the two-scale recursion, and points between grid nodes are
+Families: Haar ("haar") and the extremal-phase Daubechies families ("db2"
+to "db8"; higher orders fail the filter check). Daubechies low-pass filters
+are built by spectral factorization of the halfband polynomial,
+scaling-function values are computed exactly on a dyadic grid by the
+two-scale recursion, and points between grid nodes are
 filled by linear interpolation. The piecewise-linear interpolant is *the*
 implemented wavelet: evaluation, integration tables and coefficient
 computations all refer to the same function. Haar is evaluated in closed form
@@ -25,7 +26,11 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import UnstableFilter
+
 _SQRT2 = math.sqrt(2.0)
+# Largest accepted max_l |sum_k h_k h_{k+2l} - delta_l| of a built filter.
+ORTHONORMALITY_TOL = 1e-12
 
 
 class WaveletIndex(NamedTuple):
@@ -48,8 +53,13 @@ def daubechies_filter(n_moments: int) -> np.ndarray:
 
     Length 2*n_moments, sums to sqrt(2). Built by spectral factorization: the
     roots of the halfband polynomial inside the unit circle are kept, after a
-    few Newton polish steps, which keeps the orthonormality identities
-    sum_k h_k h_{k+2l} = delta_{l,0} accurate to ~1e-14. n_moments=1 is Haar.
+    few Newton polish steps. n_moments=1 is Haar.
+
+    The orthonormality identities sum_k h_k h_{k+2l} = delta_{l,0} are
+    checked after construction. Their largest residual is ~2e-16 through db5
+    and grows with the order (3e-13 at db8, 1e-12 at db9, 0.1 at db23), so
+    a residual above ORTHONORMALITY_TOL, or a failed root selection, raises
+    UnstableFilter: db8 is the largest accepted order.
     """
     n = int(n_moments)
     if n < 1:
@@ -74,7 +84,7 @@ def daubechies_filter(n_moments: int) -> np.ndarray:
         roots = roots - np.polyval(q, roots) / np.polyval(dq, roots)
     inside = roots[np.abs(roots) < 1.0]
     if inside.size != n - 1:
-        raise RuntimeError(f"root selection failed for db{n}: {inside.size} inside roots")
+        raise UnstableFilter(f"root selection failed for db{n}: {inside.size} inside roots")
 
     h = np.array([1.0])
     for _ in range(n):
@@ -84,6 +94,12 @@ def daubechies_filter(n_moments: int) -> np.ndarray:
     # canonical extremal-phase orientation: energy front-loaded
     if np.sum(h[:n] ** 2) < np.sum(h[n:] ** 2):
         h = h[::-1].copy()
+    residual = max(abs(float(np.dot(h[: h.size - 2 * l], h[2 * l :])) - (l == 0)) for l in range(n))
+    if residual > ORTHONORMALITY_TOL:
+        raise UnstableFilter(
+            f"db{n} filter misses orthonormality by {residual:.2g} "
+            f"(tolerance {ORTHONORMALITY_TOL:g}); db8 is the largest supported order"
+        )
     return h
 
 
@@ -277,7 +293,8 @@ _CACHE: dict[tuple[str, int], WaveletFamily] = {}
 
 
 def wavelet_family(name: str, cascade_depth: int = 14) -> WaveletFamily:
-    """Look up a family by name: "haar" or "dbN" for N >= 2. Instances are cached."""
+    """Look up a family by name: "haar" or "dbN" for 2 <= N <= 8 (higher orders
+    raise UnstableFilter). Instances are cached."""
     key = (name, cascade_depth)
     if key in _CACHE:
         return _CACHE[key]

@@ -6,6 +6,7 @@ directory.  Runs are kept small (few trials, modest sample sizes) so the
 whole file stays fast; determinism checks compare raw bytes.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -43,6 +44,20 @@ def read_bytes_map(directory):
 
 
 FAST_RATE_ARGS = ["rate-check", "--preset", "structured-eps-rate", "--trials", "4"]
+# a small D=2 thresholded estimate whose coeffs.jsonl bytes are pinned
+GOLDEN_ESTIMATE_CONFIG = {
+    "command": "estimate", "family": "db2", "dim": 2, "gen": [1.0, "inf", "inf", 2.0],
+    "disc": "tv", "truth": "dyadic-pwc",
+    "contamination": {
+        "mode": "structured",
+        "g": {"kind": "piecewise", "values": [[2.0, 0.0], [0.0, 2.0]], "scale_level": 1},
+    },
+    "estimator": {
+        "kind": "thresholded", "schedule": "fixed", "j0": 1, "j1": 4, "K": 0.5, "rescale": True,
+    },
+    "eps": 0.05, "samples": 3000, "seed": 17,
+}
+GOLDEN_COEFFS_SHA256 = "b493c6f6b69a300cc4282795058a6eb445806f4b4da7468ce2459cc10312bb92"
 FAST_ADV_ARGS = ["adversary", "--preset", "sparse", "--samples", "20000"]
 
 
@@ -179,6 +194,33 @@ class TestConfigErrors:
         assert rc == 2
         assert text.count("\n") == 1
         assert json.loads(text)["error"]["precondition"] == "gen"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["estimate", "--preset", "dyadic-demo"],
+            ["rate-check", "--preset", "structured-eps-rate"],
+        ],
+    )
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_non_finite_or_zero_tolerance_exit_2(self, capsys, tmp_path, args, tol):
+        out = tmp_path / "o"
+        rc, text = run_cli(args + ["--tolerance", tol, "--out", str(out)], capsys)
+        assert rc == 2
+        assert text.count("\n") == 1
+        assert json.loads(text)["error"]["precondition"] == "tolerance"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["db23", "db30"])
+    def test_unstable_family_exit_2(self, capsys, tmp_path, family):
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            ["estimate", "--preset", "dyadic-demo", "--family", family, "--out", str(out)], capsys
+        )
+        assert rc == 2
+        assert text.count("\n") == 1
+        assert json.loads(text)["error"]["precondition"] == "family"
         assert not out.exists()
 
     def test_error_json_is_single_line(self, capsys, tmp_path):
@@ -431,9 +473,21 @@ class TestEstimate:
         assert est["ipm_to_truth"] >= 0.0
         assert math.isfinite(est["ipm_to_truth"])
         tree = CoefficientTree.from_jsonl(str(out / "coeffs.jsonl"))
-        assert est["stored_coefficients"] == sum(1 for _ in tree.items())
+        assert est["stored_coefficients"] == sum(1 for _ in tree.items()) == tree.n_coefficients
         # rescaling by 1/(1 - eps) shows up in the stored mean coefficient
         assert tree.alpha == pytest.approx(1.0 / (1.0 - est["eps"]))
+
+    def test_coeffs_jsonl_golden_hash(self, capsys, tmp_path):
+        # the on-disk tree format is frozen: these bytes were written by the
+        # dict-backed tree that the array-backed one replaced
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(GOLDEN_ESTIMATE_CONFIG))
+        out = tmp_path / "o"
+        rc, _ = run_cli(["estimate", "--config", str(cfgfile), "--out", str(out)], capsys)
+        assert rc == 0
+        data = (out / "coeffs.jsonl").read_bytes()
+        assert len(data.splitlines()) == 352
+        assert hashlib.sha256(data).hexdigest() == GOLDEN_COEFFS_SHA256
 
     def test_rerun_byte_identical(self, capsys, tmp_path):
         out = tmp_path / "o"

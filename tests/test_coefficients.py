@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from besov_robust import coefficients
+from besov_robust.besov import BesovParams, besov_ipm, besov_norm, conjugate, ipm_witness, pairing
 from besov_robust.coefficients import (
     PRUNE_TOL,
     CoefficientTree,
@@ -40,14 +41,29 @@ from besov_robust.errors import (
     QuadratureFailure,
     RejectionBudgetExceeded,
 )
+from besov_robust.estimators import _rescaled, apply_threshold
 from besov_robust.wavelets import WaveletIndex, eval_wavelet, orientations, wavelet_family
 
+INF = math.inf
 HAAR = wavelet_family("haar")
 DB2 = wavelet_family("db2")
 DB4 = wavelet_family("db4")
 # shallow value tables make the 2-d oracle affordable; exactness claims are
 # per-family, so the comparison is just as strict
 DB2_S = wavelet_family("db2", cascade_depth=8)
+
+
+# A tree file as the dict-backed tree wrote it (levels sorted, insertion
+# order within a level).
+LEGACY_TREE_JSONL = """\
+{"alpha": 1.0526315789473684, "cascade_depth": 14, "dim": 2, "family": "db2", "format": "besov-robust-tree", "version": 1}
+{"e": [0, 1], "j": 0, "k": [0, 0], "v": 0.25}
+{"e": [0, 1], "j": 1, "k": [1, 0], "v": -1.0000000000000002}
+{"e": [0, 1], "j": 1, "k": [0, 1], "v": 7.0}
+{"e": [1, 1], "j": 2, "k": [3, 1], "v": -0.0123456789012345}
+{"e": [1, 0], "j": 2, "k": [0, 2], "v": 3.5e-07}
+{"e": [0, 1], "j": 2, "k": [0, 2], "v": 2e-14}
+"""
 
 
 def brute_coeff_1d(model, family, index, cap: int = 18) -> float:
@@ -87,6 +103,15 @@ def random_pwc(rng, scale, dim):
     return PiecewiseConstant(vals, scale)
 
 
+def assert_levels_bitwise_equal(got, want):
+    """Same stored levels, and every level array equal bit for bit."""
+    assert got.levels() == want.levels()
+    for j in want.levels():
+        a, b = got.level_array(j), want.level_array(j)
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def random_tree(rng, family, dim, j_max, n_coeffs=8):
     tree = CoefficientTree(family, dim, alpha=float(rng.normal()))
     es = list(orientations(dim))
@@ -121,6 +146,9 @@ class TestTreeBasics:
             tree.set(WaveletIndex(1, (0, 0), (0, 0)), 1.0)  # zero orientation
         with pytest.raises(ValueError):
             tree.set(WaveletIndex(-1, (0, 0), (1, 1)), 1.0)
+        with pytest.raises(ValueError):
+            tree.set(WaveletIndex(1, (0, 0.5), (1, 1)), 1.0)  # not an integer translate
+        assert tree.levels() == []
 
     def test_set_level_matches_set_loop(self):
         rng = np.random.default_rng(11)
@@ -133,14 +161,15 @@ class TestTreeBasics:
             bulk.set_level(2, e, arr)
             for k in itertools.product(range(4), repeat=2):
                 looped.set(WaveletIndex(2, k, e), float(arr[k]))
-        assert list(bulk.beta[2].items()) == list(looped.beta[2].items())
+        assert list(bulk.items()) == list(looped.items())
+        assert_levels_bitwise_equal(bulk, looped)
         assert bulk.n_coefficients == 3 * 14
 
     def test_set_level_overwrites_and_prunes(self):
         tree = CoefficientTree(HAAR, 1)
         tree.set_level(1, (1,), [0.5, 0.25])
         tree.set_level(1, (1,), [PRUNE_TOL / 2, 0.75])
-        assert list(tree.beta[1].items()) == [(((1,), (1,)), 0.75)]
+        assert list(tree.items()) == [(WaveletIndex(1, (1,), (1,)), 0.75)]
         tree.set_level(1, (1,), [0.0, 0.0])
         assert tree.levels() == []
 
@@ -159,7 +188,7 @@ class TestTreeBasics:
         js = [idx.j for idx, _ in tree.items()]
         assert js == sorted(js)
         j = tree.levels()[0]
-        assert tree.level_values(j).size == len(tree.beta[j])
+        assert tree.level_values(j).size == sum(1 for idx, _ in tree.items() if idx.j == j)
         assert tree.level_values(99).size == 0
 
     def test_copy_is_deep(self):
@@ -208,6 +237,22 @@ class TestTreeBasics:
         g = (np.arange(2) + 0.5) / 2.0
         pts = np.array([[a, b] for a in g for b in g])
         np.testing.assert_allclose(tree.evaluate(pts), model.pdf(pts), atol=1e-12)
+
+
+    @pytest.mark.parametrize("name", ["haar", "db2", "db3"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_evaluate_matches_per_coefficient_synthesis(self, name, dim):
+        # the whole-level synthesis against a sum of single daughters, with
+        # low levels where the support wraps the torus more than once
+        fam = wavelet_family(name)
+        rng = np.random.default_rng(19 + dim)
+        tree = random_tree(rng, fam, dim, j_max=4, n_coeffs=25)
+        pts = rng.random((50, dim))
+        pts[:3] = [[0.0] * dim, [1.0] * dim, [1.0 - 2.0**-53] * dim]
+        want = np.full(pts.shape[0], tree.alpha)
+        for idx, v in tree.items():
+            want += v * eval_wavelet(fam, idx, pts)
+        np.testing.assert_allclose(tree.evaluate(pts), want, rtol=0, atol=1e-12)
 
 
 class TestSerialization:
@@ -263,6 +308,77 @@ class TestSerialization:
         text = json.dumps({"format": "besov-robust-tree", "version": 1, "dim": 1, "alpha": 1.0})
         with pytest.raises(MalformedTree, match="family"):
             CoefficientTree.from_jsonl(io.StringIO(text + "\n"))
+
+    def test_round_trip_bitwise_2d_with_pruned_entries(self):
+        rng = np.random.default_rng(6)
+        tree = random_tree(rng, DB2, 2, j_max=4, n_coeffs=40)
+        tree.set(WaveletIndex(3, (2, 5), (1, 1)), PRUNE_TOL / 3)  # stored as absent
+        tree.set(WaveletIndex(4, (9, 9), (0, 1)), 1e-300)  # tiny but absent too
+        tree.set(WaveletIndex(2, (1, 1), (1, 0)), 3.5e-07)
+        buf = io.StringIO()
+        tree.to_jsonl(buf)
+        back = CoefficientTree.from_jsonl(io.StringIO(buf.getvalue()))
+        assert back.alpha == tree.alpha
+        assert list(back.items()) == list(tree.items())
+        assert_levels_bitwise_equal(back, tree)
+        # one line per stored coefficient, each exactly as json.dumps writes it
+        lines = buf.getvalue().splitlines()
+        assert len(lines) == 1 + tree.n_coefficients
+        for line, (idx, v) in zip(lines[1:], tree.items()):
+            rec = {"e": list(idx.e), "j": idx.j, "k": list(idx.k), "v": v}
+            assert line == json.dumps(rec, sort_keys=True)
+
+    def test_loads_file_in_the_original_format(self):
+        # written by the dict-backed tree, which kept insertion order within
+        # a level; the reload stores the same values and writes (j, e, k) order
+        tree = CoefficientTree.from_jsonl(io.StringIO(LEGACY_TREE_JSONL))
+        assert tree.family.name == "db2" and tree.dim == 2
+        assert tree.alpha == 1.0526315789473684
+        got = {idx: v for idx, v in tree.items()}
+        assert got == {
+            WaveletIndex(0, (0, 0), (0, 1)): 0.25,
+            WaveletIndex(1, (1, 0), (0, 1)): -1.0000000000000002,
+            WaveletIndex(1, (0, 1), (0, 1)): 7.0,
+            WaveletIndex(2, (3, 1), (1, 1)): -0.0123456789012345,
+            WaveletIndex(2, (0, 2), (1, 0)): 3.5e-07,
+            WaveletIndex(2, (0, 2), (0, 1)): 2e-14,
+        }
+        buf = io.StringIO()
+        tree.to_jsonl(buf)
+        header, *records = LEGACY_TREE_JSONL.splitlines()
+        records.sort(key=lambda ln: (json.loads(ln)["j"], json.loads(ln)["e"], json.loads(ln)["k"]))
+        assert buf.getvalue() == "\n".join([header] + records) + "\n"
+
+    def test_repeated_and_pruning_records_apply_in_file_order(self):
+        header = LEGACY_TREE_JSONL.splitlines()[0]
+        recs = [
+            '{"e": [1, 1], "j": 1, "k": [0, 1], "v": 0.5}',
+            '{"e": [1, 1], "j": 1, "k": [0, 1], "v": 0.75}',
+            '{"e": [0, 1], "j": 2, "k": [3, 3], "v": 0.125}',
+            '{"e": [0, 1], "j": 2, "k": [3, 3], "v": 0.0}',
+        ]
+        tree = CoefficientTree.from_jsonl(io.StringIO("\n".join([header] + recs) + "\n"))
+        assert list(tree.items()) == [(WaveletIndex(1, (0, 1), (1, 1)), 0.75)]
+        assert tree.levels() == [1]
+
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ('{"e": [1, 1], "j": 1, "k": [0, 1], "v": "0.5"}', "bad record"),
+            ('{"e": [1, 1], "j": 1, "k": [0, 2], "v": 0.5}', "translate out of range"),
+            ('{"e": [1, 1], "j": 1, "k": [0, 0.5], "v": 0.5}', "translate out of range"),
+            ('{"e": [0, 0], "j": 1, "k": [0, 1], "v": 0.5}', "bad"),
+            ('{"e": [1, 1], "j": 1, "k": [0], "v": 0.5}', "bad"),
+            ('{"e": [1, 1], "j": 1, "k": [0, 1], "v": 0.5', "bad record"),
+        ],
+    )
+    def test_bad_record_names_the_line(self, record, match):
+        header = LEGACY_TREE_JSONL.splitlines()[0]
+        good = '{"e": [0, 1], "j": 0, "k": [0, 0], "v": 0.25}'
+        text = "\n".join([header, good, record, good]) + "\n"
+        with pytest.raises(MalformedTree, match=match) as info:
+            CoefficientTree.from_jsonl(io.StringIO(text))
+        assert record[:40] in str(info.value)
 
 
 class TestDensityModels:
@@ -503,9 +619,8 @@ def edge_sample(n, dim, seed):
 
 def assert_trees_identical(got, want):
     assert got.alpha == want.alpha
-    assert list(got.beta) == list(want.beta)
-    for j in want.beta:
-        assert list(got.beta[j].items()) == list(want.beta[j].items())
+    assert list(got.items()) == list(want.items())
+    assert_levels_bitwise_equal(got, want)
 
 
 BLOCK = coefficients._BLOCK_ROWS
@@ -691,3 +806,160 @@ class TestExactCoeffsOracle:
         for idx, v in truth.items():
             # sd of one evaluation is at most 2^{j/2} * sup(p)^{1/2}
             assert abs(hat.get(idx) - v) < 5 * 2.0 ** (idx.j / 2) * 2.0 / math.sqrt(200000)
+
+
+# -- the array-backed tree against a dict-backed reference ----------------------
+
+
+class DictTree:
+    """Reference: the dict-of-(k, e) tree that the array layout replaced, with
+    its operations as they were written for it."""
+
+    def __init__(self, alpha=0.0):
+        self.alpha, self.beta = alpha, {}
+
+    def set(self, j, k, e, v):
+        lev = self.beta.setdefault(j, {})
+        if abs(v) < PRUNE_TOL:
+            lev.pop((k, e), None)
+            if not lev:
+                del self.beta[j]
+        else:
+            lev[(k, e)] = float(v)
+
+    def stored(self):
+        return {WaveletIndex(j, k, e): v.hex() for j, lev in self.beta.items() for (k, e), v in lev.items()}
+
+
+def ref_axpy(a, x, y):
+    out = DictTree(a * x.alpha + y.alpha)
+    for j in set(x.beta) | set(y.beta):
+        xs, ys = x.beta.get(j, {}), y.beta.get(j, {})
+        for k, e in set(xs) | set(ys):
+            out.set(j, k, e, a * xs.get((k, e), 0.0) + ys.get((k, e), 0.0))
+    return out
+
+
+def ref_threshold(t, j0, K, n):
+    out = DictTree(t.alpha)
+    for j, lev in t.beta.items():
+        for (k, e), v in lev.items():
+            if j <= j0 or abs(v) > K * math.sqrt(j / n):
+                out.set(j, k, e, v)
+    return out
+
+
+def ref_lp(vals, p):
+    a = np.abs(np.array(vals, dtype=float))
+    if a.size == 0:
+        return 0.0
+    return float(a.max()) if p == math.inf else float(np.sum(a**p) ** (1.0 / p))
+
+
+def ref_norm(t, params, dim):
+    sp = params.sigma_prime(dim)
+    terms = [2.0 ** (j * sp) * ref_lp(list(t.beta[j].values()), params.p) for j in sorted(t.beta)]
+    return abs(t.alpha) + ref_lp(terms, params.q)
+
+
+def ref_ipm(t1, t2, disc, dim):
+    delta = ref_axpy(-1.0, t2, t1)
+    sp, pd = disc.sigma_prime(dim), conjugate(disc.p)
+    u = [2.0 ** (-j * sp) * ref_lp(list(delta.beta[j].values()), pd) for j in sorted(delta.beta)]
+    return disc.L * max(abs(delta.alpha), ref_lp(u, conjugate(disc.q)))
+
+
+def ref_pairing(f, g):
+    terms = [v * g.beta.get(j, {}).get(ke, 0.0) for j, lev in f.beta.items() for ke, v in lev.items()]
+    return f.alpha * g.alpha + sum(terms), abs(f.alpha * g.alpha) + sum(map(abs, terms))
+
+
+def twin_trees(rng, dim, like=None):
+    """The same random sparse tree as a CoefficientTree and a DictTree; with
+    `like`, many entries copy or nearly cancel the entries of that twin."""
+    tree, ref = CoefficientTree(HAAR, dim, float(rng.normal())), DictTree()
+    ref.alpha = tree.alpha
+    es = list(orientations(dim))
+    writes = []
+    for _ in range(int(rng.integers(0, 30))):
+        j = int(rng.integers(0, 5))
+        k = tuple(int(v) for v in rng.integers(0, 2**j, size=dim))
+        v = float(rng.normal()) * 10.0 ** float(rng.integers(-16, 2))
+        writes.append((j, k, es[int(rng.integers(len(es)))], v))
+    if like is not None:
+        for idx, v in list(like.items())[::2]:
+            writes.append((idx.j, idx.k, idx.e, v + float(rng.choice([0.0, 3e-15, 1e-3]))))
+    for j, k, e, v in writes:
+        tree.set(WaveletIndex(j, k, e), v)
+        ref.set(j, k, e, v)
+    return tree, ref
+
+
+def stored(tree):
+    return {idx: v.hex() for idx, v in tree.items()}
+
+
+BESOV_CASES = [
+    BesovParams(0.0, INF, INF, 1.0),
+    BesovParams(1.0, 1.0, INF, 2.0),
+    BesovParams(0.5, 2.0, 2.0, 1.0),
+    BesovParams(0.7, 4.0, 1.5, 0.5),
+    BesovParams(2.0, 1.0, 1.0, 1.0),
+]
+
+
+class TestAgainstDictReference:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_elementwise_ops_bitwise(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for _ in range(150):
+            x, rx = twin_trees(rng, dim)
+            y, ry = twin_trees(rng, dim, like=x)
+            a = float(rng.choice([-1.0, 1.0, 0.05, -2.5]))
+            out, rout = tree_axpy(a, x, y), ref_axpy(a, rx, ry)
+            assert out.alpha == rout.alpha
+            assert stored(out) == rout.stored()
+            j0, K, n = int(rng.integers(0, 3)), float(rng.choice([0.0, 0.5, 2.0])), 50
+            assert stored(apply_threshold(x, j0, K, n)) == ref_threshold(rx, j0, K, n).stored()
+            eps = float(rng.choice([0.05, 0.3]))
+            factor = 1.0 / (1.0 - eps)
+            scaled = _rescaled(x, eps)
+            assert scaled.alpha == x.alpha * factor
+            assert stored(scaled) == {
+                idx: (float.fromhex(h) * factor).hex() for idx, h in rx.stored().items()
+            }
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_norms_ipm_pairing_close(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        for trial in range(150):
+            x, rx = twin_trees(rng, dim)
+            y, ry = twin_trees(rng, dim, like=x)
+            params = BESOV_CASES[trial % len(BESOV_CASES)]
+            assert besov_norm(x, params) == pytest.approx(ref_norm(rx, params, dim), rel=1e-14, abs=0)
+            assert besov_ipm(x, y, params) == pytest.approx(ref_ipm(rx, ry, params, dim), rel=1e-14, abs=0)
+            # a sum with cancellation is only as exact as the sum of its terms' sizes
+            want, scale = ref_pairing(rx, ry)
+            assert abs(pairing(x, y) - want) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_witness_identities(self, dim):
+        rng = np.random.default_rng(300 + dim)
+        for trial in range(150):
+            x, _ = twin_trees(rng, dim)
+            y, _ = twin_trees(rng, dim, like=x)
+            delta = tree_axpy(-1.0, y, x)
+            disc = BESOV_CASES[trial % len(BESOV_CASES)]
+            if delta.n_coefficients == 0 and delta.alpha == 0.0:
+                continue
+            w = ipm_witness(delta, disc)
+            assert besov_norm(w, disc) == pytest.approx(disc.L, rel=1e-12)
+            assert pairing(w, delta) == pytest.approx(besov_ipm(x, y, disc), rel=1e-12)
+
+    def test_witness_tie_goes_to_first_in_k_e_order(self):
+        # p = 1 makes the dual exponent infinite: the witness sits on one argmax
+        delta = CoefficientTree(HAAR, 2)
+        delta.set(WaveletIndex(1, (1, 0), (0, 1)), -0.5)  # first in (e, k) order
+        delta.set(WaveletIndex(1, (0, 1), (1, 1)), 0.5)  # first in (k, e) order
+        w = ipm_witness(delta, BesovParams(0.0, 1.0, 1.0, 1.0))
+        assert [idx for idx, _ in w.items()] == [WaveletIndex(1, (0, 1), (1, 1))]

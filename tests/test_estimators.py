@@ -24,7 +24,6 @@ from besov_robust.estimators import (
     estimate_adaptive,
     estimate_linear,
     estimate_thresholded,
-    eval_density,
 )
 from besov_robust.wavelets import WaveletIndex, eval_wavelet, wavelet_family
 
@@ -268,9 +267,11 @@ class TestAdaptiveEstimator:
 
 
 class TestEvalDensity:
+    """Point values of an estimated or exact density, via `CoefficientTree.evaluate`."""
+
     def test_uniform_tree(self):
         tree = exact_coeffs(uniform_density(1), HAAR, 3)
-        assert eval_density(tree, HAAR, np.array([0.37])) == pytest.approx(1.0, abs=1e-14)
+        assert tree.evaluate(np.array([0.37])) == pytest.approx(1.0, abs=1e-14)
 
     def test_spike_tree_two_terms(self):
         idx = WaveletIndex(2, (1,), (1,))
@@ -278,14 +279,7 @@ class TestEvalDensity:
         tree = exact_coeffs(spiked, HAAR, 3)
         pt = np.array([0.3])
         want = 1.0 + 0.2 * float(eval_wavelet(HAAR, idx, pt))
-        assert eval_density(tree, HAAR, pt) == pytest.approx(want, abs=1e-13)
-
-    def test_matches_full_synthesis(self):
-        rng = np.random.default_rng(15)
-        x = rng.random((60, 1))
-        est = estimate_thresholded(x, DB2, EstimatorConfig("thresholded", 1, 3, K=0.5))
-        pts = rng.random((20, 1))
-        np.testing.assert_allclose(eval_density(est, DB2, pts), est.evaluate(pts), atol=1e-11)
+        assert tree.evaluate(pt) == pytest.approx(want, abs=1e-13)
 
     def test_estimate_integrates_to_alpha(self):
         x = sample(uniform_density(1), 400, 17)

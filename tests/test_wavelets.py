@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from besov_robust.errors import BesovRobustError, UnstableFilter
 from besov_robust.wavelets import (
+    ORTHONORMALITY_TOL,
+    WaveletFamily,
     WaveletIndex,
     active_indices,
     daubechies_filter,
@@ -44,6 +47,27 @@ class TestFilters:
         ks = np.arange(w + 1.0)
         for a in range(n):
             assert abs(np.dot(g, ks**a)) < tol * max(1.0, w**a)
+
+    @pytest.mark.parametrize("n", [9, 23, 28, 30])
+    def test_unstable_orders_are_typed_errors(self, n):
+        # db28 and db30 fail root selection; db9 and db23 miss orthonormality
+        with pytest.raises(UnstableFilter) as info:
+            daubechies_filter(n)
+        assert isinstance(info.value, BesovRobustError)
+        assert isinstance(info.value, ValueError)
+        with pytest.raises(ValueError):
+            wavelet_family(f"db{n}")
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_accepted_orders_meet_tolerance(self, n):
+        h = daubechies_filter(n)
+        for l in range(n):
+            assert abs(np.dot(h[: h.size - 2 * l], h[2 * l :]) - (l == 0)) <= ORTHONORMALITY_TOL
+
+    @pytest.mark.parametrize("name", ["db2", "db3", "db4", "db5"])
+    def test_low_orders_build(self, name):
+        fam = WaveletFamily(name, int(name[2:]))
+        assert fam.h.size == 2 * fam.n_moments
 
     def test_bad_names(self):
         with pytest.raises(ValueError):
