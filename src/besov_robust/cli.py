@@ -49,10 +49,10 @@ from .estimators import (
     EstimatorConfig,
     adaptive_config,
     choose_resolutions,
+    estimate,
 )
 from .harness import (
     RiskReport,
-    _run_estimator,
     benchmark_suite,
     breakdown_curve,
     resolve_jobs,
@@ -424,12 +424,12 @@ def _spec_maker(cfg: ExperimentConfig, dim: int):
     if "g" not in c:
         raise ConfigError("contamination", "a contaminating density g is required")
     g = _g_from(c["g"], dim)
-    kwargs = {}
-    if mode == "structured":
-        kwargs["M"] = c["M"] if c.get("M") is not None else float(g.sup_bound())
+    M = c.get("M")
+    if M is None and mode == "structured":
+        M = float(g.sup_bound())
 
     def spec_for(eps: float) -> ContaminationSpec:
-        return ContaminationSpec(eps, mode, g=g, **kwargs)
+        return ContaminationSpec(eps, mode, g=g, M=M)
 
     try:
         spec_for(0.0)
@@ -619,8 +619,8 @@ def validate(cfg: ExperimentConfig) -> _Plan:
         for sd in cfg.sigma_d_grid:
             if sd < 0.0:
                 raise ConfigError("sigma_d_grid", "smoothness values must be nonnegative")
-            disc_sd = dataclasses.replace(plan.disc, sigma=float(sd))
             try:
+                disc_sd = dataclasses.replace(plan.disc, sigma=float(sd))
                 ex = theoretical_exponents(plan.gen, disc_sd, cfg.dim, cfg.regime)
                 points = breakdown_curve(plan.gen, disc_sd, cfg.dim, cfg.regime, cfg.n_grid)
             except (BesovRobustError, ValueError) as err:
@@ -722,9 +722,9 @@ def _sweep_svg(report: RiskReport, axis: str, theory_exp: float | None) -> str:
 def _run_estimate(cfg: ExperimentConfig, plan: _Plan, out: Path) -> int:
     name, model = plan.truths[0]
     spec = plan.spec_for(cfg.eps)
-    pts = sample_huber(model, spec, cfg.samples, cfg.seed)
+    pts = sample_huber(model, spec.g, spec.eps, cfg.samples, cfg.seed)
     est = plan.estimator_for(cfg.samples, cfg.eps)
-    tree = _run_estimator(pts, plan.family, est)
+    tree = estimate(pts, plan.family, est)
     truth_tree = exact_coeffs(model, plan.family, est.j1 + 2)
     ipm = besov_ipm(tree, truth_tree, plan.disc)
     tree.to_jsonl(out / "coeffs.jsonl")

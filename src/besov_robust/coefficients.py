@@ -1,4 +1,4 @@
-"""Coefficient trees, density models, exact and empirical coefficients, sampling.
+"""Coefficient trees, density models, exact and empirical coefficients.
 
 A `CoefficientTree` stores the periodized wavelet coefficients of a function
 on the torus [0,1)^D: one father coefficient `alpha` (the periodized level-0
@@ -15,14 +15,14 @@ Density models (`PiecewiseConstant`, `SmoothBump`, `SpikePerturbation`,
 `pdf(points)` and `sample(n, rng)`. `exact_coeffs` computes their coefficient
 trees against the *implemented* wavelets (the piecewise-linear interpolants),
 exactly where closed forms exist and by certified polynomial-proxy quadrature
-for smooth factors.
+for smooth factors. The Huber mixture of two models is sampled by
+`contamination.sample_huber`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -120,31 +120,10 @@ class CoefficientTree:
             lev = self._levels[j] = np.zeros(self._shape(j))
         lev[(o,) + k] = value
 
-    def set_level(self, j: int, e, values) -> None:
-        """Store the whole (level j, orientation e) array, indexed by translate k.
-
-        Same effect as `set` on every k: entries below PRUNE_TOL are stored
-        as absent.
-        """
-        arr = np.asarray(values, dtype=float)
-        o = self._opos.get(tuple(int(v) for v in e))
-        if j < 0 or o is None:
-            raise ValueError(f"bad level {j} / orientation {e} for dimension {self.dim}")
-        if arr.shape != (2**j,) * self.dim:
-            raise ValueError(f"level {j} needs shape {(2**j,) * self.dim}, got {arr.shape}")
-        lev = self._levels.get(j)
-        if lev is None:
-            lev = np.zeros(self._shape(j))
-        part = lev[o]
-        part[...] = arr
-        if _prune(part) or lev.any():
-            self._levels[j] = lev
-        else:
-            self._levels.pop(j, None)
-
     def set_level_array(self, j: int, values) -> None:
-        """Store a copy of the whole level j, shape (2^D - 1, 2^j, ..., 2^j)."""
-        arr = np.array(values, dtype=float)
+        """Store the whole level j, shape (2^D - 1, 2^j, ..., 2^j). A float64
+        array is kept as it is, not copied: the tree owns it from now on."""
+        arr = np.asarray(values, dtype=float)
         if j < 0 or arr.shape != self._shape(j):
             raise ValueError(f"level {j} needs shape {self._shape(max(j, 0))}, got {arr.shape}")
         self._adopt(j, arr)
@@ -178,11 +157,6 @@ class CoefficientTree:
     @property
     def n_coefficients(self) -> int:
         return sum(int(np.count_nonzero(lev)) for lev in self._levels.values())
-
-    def level_values(self, j: int) -> np.ndarray:
-        """Stored values of level j in (e, row-major k) order."""
-        lev = self._levels.get(j)
-        return lev[lev != 0.0] if lev is not None else np.zeros(0)
 
     def _stored(self, j: int) -> tuple[list, list, list]:
         """(orientation positions, translate tuples, values) of level j's
@@ -438,8 +412,8 @@ class PiecewiseConstant:
     """Density that is constant on the cells of a dyadic 2^s grid on [0,1)^D.
 
     `values` holds the density value per cell, shape (2^s,)*D. Values must be
-    nonnegative and average to 1 (cell volume is 2^{-sD}); small normalization
-    drift is corrected exactly.
+    finite, nonnegative and average to 1 (cell volume is 2^{-sD}); small
+    normalization drift is corrected exactly.
     """
 
     def __init__(self, values, scale_level: int):
@@ -447,8 +421,8 @@ class PiecewiseConstant:
         s = int(scale_level)
         if s < 0 or values.shape != (2**s,) * values.ndim:
             raise ValueError(f"values shape {values.shape} does not match scale 2^{s}")
-        if np.any(values < 0.0):
-            raise ValueError("density values must be nonnegative")
+        if not np.all(np.isfinite(values)) or np.any(values < 0.0):
+            raise ValueError("density values must be finite and nonnegative")
         mean = values.mean()
         if abs(mean - 1.0) > 1e-9:
             raise ValueError(f"cell values average to {mean}, not a density")
@@ -658,44 +632,6 @@ def rejection_sample(model, n: int, rng: np.random.Generator, budget_factor: int
     return np.concatenate(got)[:n]
 
 
-def sample(model, n: int, seed_or_rng) -> np.ndarray:
-    """Draw n points from a model, with an int seed or a numpy Generator."""
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
-    return model.sample(n, rng)
-
-
-def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng) -> np.ndarray:
-    """Draw n points from the contaminated mixture (1-eps) p + eps g.
-
-    Each point independently comes from g with probability eps. Component
-    draws use child streams spawned from the seed, so eps=0 reproduces the
-    pure-p sample for the same seed.
-    """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("contamination level must lie in [0, 1)")
-    if isinstance(seed_or_rng, np.random.Generator):
-        mask_rng = seed_or_rng
-        p_rng = seed_or_rng
-        g_rng = seed_or_rng
-    else:
-        ss = np.random.SeedSequence(seed_or_rng)
-        kids = ss.spawn(3)
-        mask_rng = np.random.default_rng(kids[0])
-        p_rng = np.random.default_rng(kids[1])
-        g_rng = np.random.default_rng(kids[2])
-    mask = mask_rng.random(n) < eps
-    n_g = int(mask.sum())
-    out = np.zeros((n, p_model.dim))
-    out[~mask] = p_model.sample(n - n_g, p_rng)
-    if n_g:
-        out[mask] = g_model.sample(n_g, g_rng)
-    return out
-
-
 # -- empirical coefficients -------------------------------------------------
 
 
@@ -747,15 +683,14 @@ def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int) -> Coeffi
         xt = np.ascontiguousarray(x.T)
         sums = {j: _shift_sums(xt, family, j) for j in range(j1 + 1)}
     for j in range(0, j1 + 1):
-        for e, acc in zip(orientations(d), sums[j]):
-            acc *= 2.0 ** (d * j / 2.0) / n
-            tree.set_level(j, e, acc.reshape((2**j,) * d))
+        sums[j] *= 2.0 ** (d * j / 2.0) / n
+        tree.set_level_array(j, sums[j].reshape((-1,) + (2**j,) * d))
     return tree
 
 
-def _shift_sums(xt: np.ndarray, family: WaveletFamily, j: int) -> list[np.ndarray]:
-    """Unscaled level-j sums of the sample given as xt, shape (D, n): one flat
-    array of 2^{Dj} bins per orientation."""
+def _shift_sums(xt: np.ndarray, family: WaveletFamily, j: int) -> np.ndarray:
+    """Unscaled level-j sums of the sample given as xt, shape (D, n): one row
+    of 2^{Dj} bins per orientation."""
     d, n = xt.shape
     w = family.support_width
     two_j = 2**j
@@ -767,7 +702,7 @@ def _shift_sums(xt: np.ndarray, family: WaveletFamily, j: int) -> list[np.ndarra
     tables = (family.phi_values, family.psi_values)
     # shift-major layout (shift, axis, sample): inner loops run over samples
     shifts = np.arange(w).reshape(w, 1, 1)
-    accs = [np.zeros(bins) for _ in es]
+    accs = np.zeros((len(es), bins))
     for r0 in range(0, rows, per_pass):
         r1 = min(rows, r0 + per_pass)
         row_offset = (np.arange(r1 - r0) * bins)[:, None]
@@ -811,10 +746,10 @@ def _haar_split(c: np.ndarray, norm) -> dict[tuple[int, ...], np.ndarray]:
     return arrs
 
 
-def _haar_count_sums(x: np.ndarray, j1: int) -> dict[int, list[np.ndarray]]:
+def _haar_count_sums(x: np.ndarray, j1: int) -> dict[int, np.ndarray]:
     """Unscaled Haar sums for levels 0..j1 from point counts at level j1+1.
 
-    Entries are float64 holding exact integers, one flat array per orientation.
+    Entries are float64 holding exact integers, one flat row per orientation.
     """
     n, d = x.shape
     top = 2 ** (j1 + 1)
@@ -827,7 +762,7 @@ def _haar_count_sums(x: np.ndarray, j1: int) -> dict[int, list[np.ndarray]]:
     out = {}
     for j in range(j1, -1, -1):
         split = _haar_split(counts, 1)
-        out[j] = [split[e].ravel() for e in orientations(d)]
+        out[j] = np.stack([split[e].ravel() for e in orientations(d)])
         counts = split[(0,) * d]
     return out
 
@@ -835,18 +770,18 @@ def _haar_count_sums(x: np.ndarray, j1: int) -> dict[int, list[np.ndarray]]:
 # -- exact coefficients -----------------------------------------------------
 
 
-def _haar_pyramid(values: np.ndarray, j_max: int) -> tuple[float, dict]:
-    """Exact multilevel Haar transform of cell-average coefficients."""
+def _haar_pyramid(values: np.ndarray, j_max: int) -> dict[int, list[np.ndarray]]:
+    """Exact multilevel Haar transform of cell averages: j -> orientation arrays."""
     d = values.ndim
     s = int(round(math.log2(values.shape[0]))) if values.shape[0] > 1 else 0
     c = values.astype(float) * 2.0 ** (-s * d / 2.0)
-    levels: dict[int, dict] = {}
+    levels = {}
     for j in range(s - 1, -1, -1):
         arrs = _haar_split(c, _SQRT2)
         c = arrs[(0,) * d]
         if j <= j_max:
-            levels[j] = {e: arrs[e] for e in arrs if any(e)}
-    return float(c.ravel()[0]), levels
+            levels[j] = [arrs[e] for e in orientations(d)]
+    return levels
 
 
 def _axis_cell_integral_matrix(
@@ -858,19 +793,6 @@ def _axis_cell_integral_matrix(
     w, m = family.support_width, family.cascade_depth
     if s > j + m:
         raise QuadratureFailure(f"cell scale 2^-{s} finer than the value grid at level {j}")
-    if family.is_haar:
-        # Haar daughters never wrap (support is one dyadic cell), closed form
-        edges = np.arange(2**s + 1) * 2.0 ** (j - s)
-        ks = np.arange(2**j)[:, None]
-        lo = edges[None, :-1] - ks
-        hi = edges[None, 1:] - ks
-        if not mother:
-            out = np.clip(hi, 0.0, 1.0) - np.clip(lo, 0.0, 1.0)
-        else:
-            out = (np.clip(hi, 0.0, 0.5) - np.clip(lo, 0.0, 0.5)) - (
-                np.clip(hi, 0.5, 1.0) - np.clip(lo, 0.5, 1.0)
-            )
-        return out * 2.0**-j
     table = family.psi_values if mother else family.phi_values
     cum = np.concatenate([[0.0], np.cumsum((table[:-1] + table[1:]) / 2.0)]) * 2.0**-m
 
@@ -899,23 +821,23 @@ def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> Co
     d, s = model.dim, model.scale_level
     tree = CoefficientTree(family, d, alpha=1.0)
     if family.is_haar:
-        _, levels = _haar_pyramid(model.values, j_max)
-        for j, per_e in levels.items():
-            for e, arr in per_e.items():
-                tree.set_level(j, e, arr)
+        for j, parts in _haar_pyramid(model.values, j_max).items():
+            tree.set_level_array(j, parts)
         return tree
     for j in range(0, j_max + 1):
         mats = {
             0: _axis_cell_integral_matrix(family, False, j, s),
             1: _axis_cell_integral_matrix(family, True, j, s),
         }
-        for e in orientations(d):
+        lev = np.empty((2**d - 1,) + (2**j,) * d)
+        for o, e in enumerate(orientations(d)):
             arr = model.values
             for ax in range(d):
                 arr = np.tensordot(mats[e[ax]], arr, axes=([1], [ax]))
             # tensordot prepends the contracted axis: axes are reversed overall
             arr = np.transpose(arr, axes=tuple(range(d - 1, -1, -1)))
-            tree.set_level(j, e, arr * 2.0 ** (d * j / 2.0))
+            lev[o] = arr * 2.0 ** (d * j / 2.0)
+        tree.set_level_array(j, lev)
     return tree
 
 
@@ -1096,7 +1018,8 @@ def _bump_tree(model: SmoothBump, family: WaveletFamily, j_max: int) -> Coeffici
                         kinks_x=(c - wdt, c + wdt),
                     )
             per_bump_axis.append(cache)
-        for e in orientations(d):
+        lev = np.empty((2**d - 1,) + (2**j,) * d)
+        for o, e in enumerate(orientations(d)):
             arr = np.zeros((2**j,) * d)
             for b in range(model.masses.size):
                 part = model.masses[b]
@@ -1105,7 +1028,8 @@ def _bump_tree(model: SmoothBump, family: WaveletFamily, j_max: int) -> Coeffici
                     ax = per_bump_axis[b][(i, e[i])]
                     block = ax if block is None else np.multiply.outer(block, ax)
                 arr = arr + part * block
-            tree.set_level(j, e, arr * 2.0 ** (d * j / 2.0))
+            lev[o] = arr * 2.0 ** (d * j / 2.0)
+        tree.set_level_array(j, lev)
     return tree
 
 
@@ -1137,7 +1061,7 @@ def _generic_tree(
             raise QuadratureFailure(
                 f"level {j} coefficients did not converge to {tol} under panel refinement"
             )
-        tree.set_level(j, (1,), vals * 2.0 ** (j / 2.0))
+        tree.set_level_array(j, (vals * 2.0 ** (j / 2.0))[None])
     return tree
 
 

@@ -1,13 +1,16 @@
-"""Contaminated sampling and indistinguishable adversarial density pairs.
+"""Huber-contaminated sampling and indistinguishable adversarial density pairs.
 
-The pair constructors build two truths (p, p~) and two contaminators (g, g~)
-whose Huber mixtures coincide exactly: (1-eps) p + eps g = (1-eps) p~ + eps g~.
-Data drawn from the common mixture carries no information about which truth
-produced it, so any estimator must pay at least half the separation between
-the truths against one of them. Both constructions perturb the uniform base
-with a single daughter wavelet, which keeps every membership and mass check
-closed-form, and for the Haar family the contaminators are realized exactly
-as dyadic piecewise-constant densities.
+`sample_huber` is the package's one sampler of the Huber mixture
+(1-eps) p + eps g; `ContaminationSpec` names eps, the contaminator g and
+whether g is sup-norm bounded. The pair constructors build two truths
+(p, p~) and two contaminators (g, g~) whose Huber mixtures coincide exactly:
+(1-eps) p + eps g = (1-eps) p~ + eps g~. Data drawn from the common mixture
+carries no information about which truth produced it, so any estimator must
+pay at least half the separation between the truths against one of them.
+Both constructions perturb the uniform base with a single daughter wavelet,
+which keeps every membership and mass check closed-form, and for the Haar
+family the contaminators are realized exactly as dyadic piecewise-constant
+densities.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from .coefficients import (
     tree_axpy,
     uniform_density,
 )
-from .coefficients import sample_huber as _mix_samples
 from .errors import BallViolation, InfeasibleEpsilon, NotSupBounded
 from .wavelets import WaveletFamily, WaveletIndex, eval_wavelet
 
-MODES = ("structured", "unstructured", "adversarial-spike", "lecam-pair")
+MODES = ("structured", "unstructured")
 
 
 def grid_sup(model, points_budget: int = 32768) -> float:
@@ -46,52 +48,64 @@ def grid_sup(model, points_budget: int = 32768) -> float:
 
 @dataclass(frozen=True)
 class ContaminationSpec:
-    """How the data is contaminated.
+    """How the data is contaminated: a proportion eps of the sample comes from
+    the explicit contaminating density `g`.
 
-    "structured" and "unstructured" carry an explicit contaminating density
-    `g`; structured additionally certifies the sup-norm budget M against a
-    grid check. The two pair modes carry ball parameters instead and are
-    realized through `adversarial_spike_pair` / `lecam_structured_pair`.
+    "structured" additionally certifies the sup-norm budget M against a grid
+    check; "unstructured" puts no bound on g. An M given with either mode
+    must be a positive number.
     """
 
     eps: float
     mode: str = "unstructured"
     g: object = None
     M: Optional[float] = None
-    gen: Optional[BesovParams] = None
-    disc: Optional[BesovParams] = None
-    idx: Optional[WaveletIndex] = None
-    c: Optional[float] = None
 
     def __post_init__(self):
         if not (0.0 <= self.eps < 1.0):
             raise ValueError("contamination proportion must lie in [0, 1)")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.mode in ("structured", "unstructured") and self.g is None:
+        if self.g is None:
             raise ValueError(f"{self.mode} contamination needs an explicit density g")
+        if self.M is not None and not self.M > 0.0:
+            raise ValueError(f"the sup-norm budget M must be positive, got {self.M}")
         if self.mode == "structured":
-            if self.M is None or self.M <= 0.0:
+            if self.M is None:
                 raise ValueError("structured contamination needs a sup-norm budget M > 0")
             seen = grid_sup(self.g)
             if seen > self.M * (1.0 + 1e-9):
                 raise NotSupBounded(
                     f"contaminator reaches {seen:.6g} on the check grid, over the budget {self.M}"
                 )
-        if self.mode == "adversarial-spike" and (self.gen is None or self.disc is None):
-            raise ValueError("the spike pair needs generator and discriminator parameters")
-        if self.mode == "lecam-pair" and (self.gen is None or self.idx is None):
-            raise ValueError("the two-point pair needs generator parameters and an index")
 
 
-def sample_huber(p, spec: ContaminationSpec, n: int, seed) -> np.ndarray:
-    """Draw n points from (1-eps) p + eps g for an explicit-g spec."""
-    if spec.mode not in ("structured", "unstructured"):
-        raise ValueError(
-            "sampling needs an explicit contaminator; build the pair first for "
-            f"mode {spec.mode!r} and sample its mixture"
-        )
-    return _mix_samples(p, spec.g, spec.eps, n, seed)
+def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng) -> np.ndarray:
+    """Draw n points from the contaminated mixture (1-eps) p + eps g.
+
+    Each point independently comes from g with probability eps. Component
+    draws use child streams spawned from the seed, so eps=0 reproduces the
+    pure-p sample for the same seed.
+    """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("contamination level must lie in [0, 1)")
+    if isinstance(seed_or_rng, np.random.Generator):
+        mask_rng = seed_or_rng
+        p_rng = seed_or_rng
+        g_rng = seed_or_rng
+    else:
+        ss = np.random.SeedSequence(seed_or_rng)
+        kids = ss.spawn(3)
+        mask_rng = np.random.default_rng(kids[0])
+        p_rng = np.random.default_rng(kids[1])
+        g_rng = np.random.default_rng(kids[2])
+    mask = mask_rng.random(n) < eps
+    n_g = int(mask.sum())
+    out = np.zeros((n, p_model.dim))
+    out[~mask] = p_model.sample(n - n_g, p_rng)
+    if n_g:
+        out[mask] = g_model.sample(n_g, g_rng)
+    return out
 
 
 def adversarial_spike_pair(
@@ -205,8 +219,8 @@ def verify_indistinguishable(
     pa, ga = pair_a
     pb, gb = pair_b
     kid_a, kid_b = np.random.SeedSequence(seed).spawn(2)
-    xa = _mix_samples(pa, ga, eps, n, np.random.default_rng(kid_a))
-    xb = _mix_samples(pb, gb, eps, n, np.random.default_rng(kid_b))
+    xa = sample_huber(pa, ga, eps, n, np.random.default_rng(kid_a))
+    xb = sample_huber(pb, gb, eps, n, np.random.default_rng(kid_b))
     stat, pval = 0.0, 1.0
     for axis in range(pa.dim):
         r = ks_2samp(xa[:, axis], xb[:, axis])

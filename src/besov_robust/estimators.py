@@ -48,7 +48,7 @@ class EstimatorConfig:
             raise ValueError(f"need 0 <= j0 <= j1, got ({self.j0}, {self.j1})")
         if self.kind == "linear" and self.j0 != self.j1:
             raise ValueError("the linear estimator keeps no thresholded levels: j0 must equal j1")
-        if self.K < 0.0:
+        if not self.K >= 0.0:
             raise ValueError("threshold constant must be nonnegative")
         if self.rescale_epsilon is not None and not (0.0 <= self.rescale_epsilon < 1.0):
             raise ValueError("rescale epsilon must lie in [0, 1)")
@@ -143,6 +143,8 @@ def apply_threshold(tree: CoefficientTree, j0: int, K: float, n: int) -> Coeffic
         lev = tree.level_array(j)
         if j > j0:
             lev = np.where(np.abs(lev) <= K * math.sqrt(j / n), 0.0, lev)
+        else:
+            lev = lev.copy()
         out.set_level_array(j, lev)
     return out
 
@@ -164,6 +166,13 @@ def estimate_thresholded(samples, family: WaveletFamily, config: EstimatorConfig
     tree = empirical_coeffs(x, family, config.j0, config.j1)
     tree = apply_threshold(tree, config.j0, config.K, max(n, 1))
     return _rescaled(tree, config.rescale_epsilon)
+
+
+def estimate(samples, family: WaveletFamily, config: EstimatorConfig) -> CoefficientTree:
+    """Run the estimator `config.kind` names; adaptive configs are thresholded."""
+    if config.kind == "linear":
+        return estimate_linear(samples, family, config)
+    return estimate_thresholded(samples, family, config)
 
 
 def adaptive_config(n: int, r: int, dim: int, K: float = 1.0) -> EstimatorConfig:

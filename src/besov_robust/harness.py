@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -29,7 +28,7 @@ from .coefficients import (
 )
 from .contamination import ContaminationSpec, sample_huber
 from .errors import DegenerateFit, RegimeMismatch
-from .estimators import REGIMES, EstimatorConfig, estimate_linear, estimate_thresholded
+from .estimators import REGIMES, EstimatorConfig, estimate
 from .wavelets import WaveletFamily, WaveletIndex, wavelet_family
 
 JSON_SCHEMA = "besov-robust-risk/1"
@@ -237,12 +236,6 @@ def _besov_norm_of(model, family, params, scale) -> float:
 # -- Monte-Carlo risk ---------------------------------------------------------
 
 
-def _run_estimator(samples, family: WaveletFamily, config: EstimatorConfig) -> CoefficientTree:
-    if config.kind == "linear":
-        return estimate_linear(samples, family, config)
-    return estimate_thresholded(samples, family, config)
-
-
 def risk_trials(
     truth,
     spec: ContaminationSpec,
@@ -272,11 +265,11 @@ def risk_trials(
         truth_tree = exact_coeffs(truth, family, est.j1 + j_pad)
     out = np.empty(trials)
     for t in range(trials):
-        pts = sample_huber(truth, spec, n, (seed, cell_index, slot_offset + t))
+        pts = sample_huber(truth, spec.g, spec.eps, n, (seed, cell_index, slot_offset + t))
         if estimator is not None:
             tree = estimator(pts, family)
         else:
-            tree = _run_estimator(pts, family, est)
+            tree = estimate(pts, family, est)
         out[t] = besov_ipm(tree, truth_tree, disc)
     return out
 
@@ -327,8 +320,8 @@ class CellResult:
 class RiskReport:
     """One sweep: the grid, per-cell risks, fits, and the theory they chase.
 
-    Canonical JSON excludes wall-clock time so identical seeds and configs
-    serialize byte-identically.
+    The JSON holds no timing, so identical seeds and configs serialize
+    byte-identically.
     """
 
     seed: int
@@ -338,9 +331,8 @@ class RiskReport:
     theory: ExponentSet | None
     fitted: tuple[tuple[str, tuple[float, float]], ...]
     meta: tuple[tuple[str, str], ...]
-    wall_clock: float
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         payload = {
             "schema": JSON_SCHEMA,
             "seed": self.seed,
@@ -366,8 +358,6 @@ class RiskReport:
             },
             "meta": {k: v for k, v in self.meta},
         }
-        if include_timing:
-            payload["wall_clock"] = self.wall_clock
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def write_csv(self, cells_path, trials_path=None) -> None:
@@ -434,7 +424,6 @@ def run_sweep(
     When the grid varies along exactly one axis with >= 4 points, the matching
     rate fit is attached to the report.
     """
-    t_start = time.monotonic()
     truths = list(truths)
     if not truths:
         raise ValueError("benchmark suite is empty")
@@ -510,7 +499,6 @@ def run_sweep(
         theory=theory,
         fitted=(),
         meta=tuple(meta),
-        wall_clock=time.monotonic() - t_start,
     )
     n_vals = sorted({n for n, _ in grid})
     eps_vals = sorted({e for _, e in grid})

@@ -317,24 +317,6 @@ def wavelet_family(name: str, cascade_depth: int = 14) -> WaveletFamily:
     return fam
 
 
-def level_index_count(family: WaveletFamily, dim: int, j: int) -> int:
-    """Number of daughter indices at detail level j in dimension dim."""
-    if j < 0:
-        raise ValueError("detail levels start at j = 0")
-    return (2**dim - 1) * 2 ** (dim * j)
-
-
-def eval_father(family: WaveletFamily, x) -> np.ndarray:
-    """Raw tensor father prod_i phi(x_i), no periodization, zero off-support."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    out = np.ones(pts.shape[0])
-    for i in range(pts.shape[1]):
-        out *= family.father_values(pts[:, i])
-    return float(out[0]) if single else out
-
-
 def eval_wavelet(family: WaveletFamily, index: WaveletIndex, x) -> np.ndarray:
     """Periodized daughter at `index`, evaluated at points x of shape (..., D).
 
@@ -354,35 +336,6 @@ def eval_wavelet(family: WaveletFamily, index: WaveletIndex, x) -> np.ndarray:
     for i in range(dim):
         out *= family.periodized_factor(bool(index.e[i]), index.j, index.k[i], pts[:, i])
     return float(out[0]) if single else out
-
-
-def active_indices(family: WaveletFamily, j: int, x) -> list[WaveletIndex]:
-    """All indices at level j whose daughter can be nonzero at the point x.
-
-    Indices not in the returned list evaluate to exactly zero at x. (The list
-    may include indices that happen to vanish at x, e.g. at interior zeros.)
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("active_indices takes a single point of shape (D,)")
-    if j < 0:
-        raise ValueError("detail levels start at j = 0")
-    dim = x.size
-    w = family.support_width
-    per_axis: list[list[int]] = []
-    for i in range(dim):
-        u = (x[i] - math.floor(x[i])) * 2**j
-        base = math.floor(u)
-        ks = {int((base - t) % 2**j) for t in range(min(w, 2**j))}
-        if not family.is_haar:
-            # closed support edge: include the translate starting exactly at u
-            ks.add(int(base % 2**j))
-        per_axis.append(sorted(ks))
-    out = []
-    for e in orientations(dim):
-        for k in itertools.product(*per_axis):
-            out.append(WaveletIndex(j, k, e))
-    return out
 
 
 def pl_inner(values_a: np.ndarray, values_b: np.ndarray, spacing: float) -> float:

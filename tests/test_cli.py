@@ -13,6 +13,8 @@ import os
 import subprocess
 import sys
 import xml.dom.minidom
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +70,34 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert res.stdout.strip() == "False"
+
+
+def test_perfbench_trace_names_still_bound(tmp_path):
+    # perfbench/tracer.py names each span after the module that defines the
+    # traced function, and its per-layer metrics look these names up
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), BESOV_ROBUST_JOBS="1")
+    names, counts = set(), Counter()
+    runs = [["rate-check", "--preset", "structured-eps-rate"], ["estimate", "--preset", "dyadic-demo"]]
+    for i, argv in enumerate(runs):
+        spec, result = tmp_path / f"spec{i}.json", tmp_path / f"result{i}.json"
+        spec.write_text(json.dumps({
+            "argv": argv + ["--out", str(tmp_path / f"out{i}")],
+            "trace": True, "reload": None, "result": str(result),
+        }))
+        subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), str(spec)],
+            env=env, check=True, capture_output=True,
+        )
+        trace = json.loads(result.read_text())["trace"]
+        names |= {trace["names"][span[0]] for span in trace["spans"]}
+        counts.update(trace["counts"])
+    assert {
+        "contamination.sample_huber", "harness.risk_trials",
+        "estimators.estimate_linear", "estimators.estimate_thresholded",
+    } <= names
+    for count in ("contamination.sample_points", "harness.trials", "estimators.kept_coeffs"):
+        assert counts[count] > 0, count
 
 
 class TestPresetRegistry:
@@ -210,6 +240,35 @@ class TestConfigErrors:
         assert rc == 2
         assert text.count("\n") == 1
         assert json.loads(text)["error"]["precondition"] == "tolerance"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset,patch,precondition",
+        [
+            ("dyadic-demo", {"estimator": {"schedule": "fixed", "j0": 2, "j1": 5, "K": math.nan}},
+             "estimator"),
+            ("adaptive-vs-oracle-holder1", {"baseline": {"schedule": "regime", "K": math.nan}},
+             "baseline"),
+            ("dyadic-demo", {"contamination": {"mode": "structured", "M": math.nan, "g": {
+                "kind": "piecewise", "values": [2.0, 0.0], "scale_level": 1}}}, "contamination"),
+            ("dyadic-demo", {"contamination": {"mode": "unstructured", "g": {
+                "kind": "piecewise", "values": [math.nan, 2.0], "scale_level": 1}}}, "contamination"),
+            ("sqrt-n-breakdown", {"sigma_d_grid": [0.5, math.nan]}, "sigma_d_grid"),
+        ],
+        ids=["estimator.K", "baseline.K", "contamination.M", "contamination.g.values", "sigma_d_grid"],
+    )
+    def test_nan_in_config_file_exit_2(self, capsys, tmp_path, preset, patch, precondition):
+        # json.dumps writes the NaN literal that json.loads accepts
+        command = PRESETS[preset]["command"]
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": command, **patch}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            [command, "--preset", preset, "--config", str(cfgfile), "--out", str(out)], capsys
+        )
+        assert rc == 2
+        assert text.count("\n") == 1
+        assert json.loads(text)["error"]["precondition"] == precondition
         assert not out.exists()
 
     @pytest.mark.parametrize("family", ["db23", "db30"])

@@ -28,11 +28,10 @@ from besov_robust.coefficients import (
     empirical_coeffs,
     exact_coeffs,
     rejection_sample,
-    sample,
-    sample_huber,
     tree_axpy,
     uniform_density,
 )
+from besov_robust.contamination import sample_huber
 from besov_robust.errors import (
     EmptySample,
     IncompatibleTrees,
@@ -157,8 +156,8 @@ class TestTreeBasics:
         arr[2, 3] = 0.0
         bulk = CoefficientTree(HAAR, 2)
         looped = CoefficientTree(HAAR, 2)
+        bulk.set_level_array(2, [arr] * 3)
         for e in orientations(2):
-            bulk.set_level(2, e, arr)
             for k in itertools.product(range(4), repeat=2):
                 looped.set(WaveletIndex(2, k, e), float(arr[k]))
         assert list(bulk.items()) == list(looped.items())
@@ -167,20 +166,21 @@ class TestTreeBasics:
 
     def test_set_level_overwrites_and_prunes(self):
         tree = CoefficientTree(HAAR, 1)
-        tree.set_level(1, (1,), [0.5, 0.25])
-        tree.set_level(1, (1,), [PRUNE_TOL / 2, 0.75])
+        tree.set_level_array(1, [[0.5, 0.25]])
+        tree.set_level_array(1, [[PRUNE_TOL / 2, 0.75]])
         assert list(tree.items()) == [(WaveletIndex(1, (1,), (1,)), 0.75)]
-        tree.set_level(1, (1,), [0.0, 0.0])
+        tree.set_level_array(1, [[0.0, 0.0]])
         assert tree.levels() == []
 
     def test_set_level_validates_shape(self):
         tree = CoefficientTree(HAAR, 2)
         with pytest.raises(ValueError):
-            tree.set_level(1, (1, 1), np.ones(4))  # flat, not (2, 2)
+            tree.set_level_array(1, np.ones((3, 4)))  # flat, not (3, 2, 2)
         with pytest.raises(ValueError):
-            tree.set_level(1, (0, 0), np.ones((2, 2)))
+            tree.set_level_array(1, np.ones((4, 2, 2)))  # the zero orientation too
         with pytest.raises(ValueError):
-            tree.set_level(-1, (1, 1), np.ones((1, 1)))
+            tree.set_level_array(-1, np.ones((3, 1, 1)))
+        assert tree.levels() == []
 
     def test_items_sorted_and_level_values(self):
         rng = np.random.default_rng(5)
@@ -188,8 +188,8 @@ class TestTreeBasics:
         js = [idx.j for idx, _ in tree.items()]
         assert js == sorted(js)
         j = tree.levels()[0]
-        assert tree.level_values(j).size == sum(1 for idx, _ in tree.items() if idx.j == j)
-        assert tree.level_values(99).size == 0
+        assert np.count_nonzero(tree.level_array(j)) == sum(1 for idx, _ in tree.items() if idx.j == j)
+        assert tree.level_array(99) is None
 
     def test_copy_is_deep(self):
         tree = CoefficientTree(HAAR, 1, alpha=1.0)
@@ -389,6 +389,9 @@ class TestDensityModels:
             PiecewiseConstant(np.array([-1.0, 3.0]), 1)
         with pytest.raises(ValueError):
             PiecewiseConstant(np.array([1.0, 2.0]), 1)  # mean is 1.5
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                PiecewiseConstant(np.array([bad, 1.0]), 1)
 
     def test_pwc_pdf_lookup(self):
         model = PiecewiseConstant(np.array([0.5, 1.5]), 1)
@@ -446,22 +449,26 @@ class TestDensityModels:
 class TestSampling:
     def test_pwc_cell_frequencies(self):
         model = PiecewiseConstant(np.array([0.4, 1.6]), 1)
-        pts = sample(model, 20000, 7)
+        pts = model.sample(20000, np.random.default_rng(7))
         frac = np.mean(pts[:, 0] < 0.5)
         # P(first cell) = 0.2; allow 4 sigma
         assert abs(frac - 0.2) < 4 * math.sqrt(0.2 * 0.8 / 20000)
 
     def test_bump_sample_stays_in_support(self):
         model = SmoothBump([[0.3, 0.6]], [[0.1, 0.2]], [1.0])
-        pts = sample(model, 5000, 1)
+        pts = model.sample(5000, np.random.default_rng(1))
         assert np.all(np.abs(pts - [0.3, 0.6]) <= [0.1, 0.2])
         # the bump is symmetric, so axis means sit at the center
         assert np.allclose(pts.mean(axis=0), [0.3, 0.6], atol=0.01)
 
     def test_sampling_deterministic_by_seed(self):
         model = SmoothBump([[0.5]], [[0.25]], [1.0])
-        np.testing.assert_array_equal(sample(model, 50, 42), sample(model, 50, 42))
-        assert not np.array_equal(sample(model, 50, 42), sample(model, 50, 43))
+
+        def draw(seed):
+            return model.sample(50, np.random.default_rng(seed))
+
+        np.testing.assert_array_equal(draw(42), draw(42))
+        assert not np.array_equal(draw(42), draw(43))
 
     def test_huber_mixture_eps_zero_matches_pure(self):
         p = PiecewiseConstant(np.array([0.5, 1.5]), 1)
@@ -802,7 +809,7 @@ class TestExactCoeffsOracle:
         rng = np.random.default_rng(53)
         model = random_pwc(rng, scale=2, dim=1)
         truth = exact_coeffs(model, HAAR, j_max=2)
-        hat = empirical_coeffs(sample(model, 200000, 13), HAAR, 0, 2)
+        hat = empirical_coeffs(model.sample(200000, np.random.default_rng(13)), HAAR, 0, 2)
         for idx, v in truth.items():
             # sd of one evaluation is at most 2^{j/2} * sup(p)^{1/2}
             assert abs(hat.get(idx) - v) < 5 * 2.0 ** (idx.j / 2) * 2.0 / math.sqrt(200000)

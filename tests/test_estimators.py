@@ -10,7 +10,6 @@ from besov_robust.coefficients import (
     CoefficientTree,
     SpikePerturbation,
     exact_coeffs,
-    sample,
     tree_axpy,
     uniform_density,
 )
@@ -21,6 +20,7 @@ from besov_robust.estimators import (
     apply_threshold,
     check_family_smoothness,
     choose_resolutions,
+    estimate,
     estimate_adaptive,
     estimate_linear,
     estimate_thresholded,
@@ -51,6 +51,8 @@ class TestConfig:
             EstimatorConfig("linear", 1, 2)  # linear needs j0 == j1
         with pytest.raises(ValueError):
             EstimatorConfig("thresholded", 1, 2, K=-0.5)
+        with pytest.raises(ValueError):
+            EstimatorConfig("thresholded", 1, 2, K=math.nan)
         with pytest.raises(ValueError):
             EstimatorConfig("thresholded", 1, 2, rescale_epsilon=1.0)
         with pytest.raises(ValueError):
@@ -121,13 +123,13 @@ class TestChooseResolutions:
 
 class TestLinearEstimator:
     def test_father_coefficient_is_one(self):
-        x = sample(uniform_density(1), 500, 3)
+        x = uniform_density(1).sample(500, np.random.default_rng(3))
         est = estimate_linear(x, HAAR, EstimatorConfig("linear", 3, 3))
         assert est.alpha == 1.0
         assert est.max_level <= 3
 
     def test_rescale_doubles_everything(self):
-        x = sample(uniform_density(1), 500, 3)
+        x = uniform_density(1).sample(500, np.random.default_rng(3))
         plain = estimate_linear(x, HAAR, EstimatorConfig("linear", 3, 3))
         scaled = estimate_linear(x, HAAR, EstimatorConfig("linear", 3, 3, rescale_epsilon=0.5))
         assert scaled.alpha == 2.0
@@ -135,7 +137,7 @@ class TestLinearEstimator:
             assert scaled.get(idx) == pytest.approx(2.0 * v, rel=1e-14)
 
     def test_linearity_in_the_sample(self):
-        x = sample(uniform_density(1), 1000, 5)
+        x = uniform_density(1).sample(1000, np.random.default_rng(5))
         cfg = EstimatorConfig("linear", 3, 3)
         e1 = estimate_linear(x[:400], HAAR, cfg)
         e2 = estimate_linear(x[400:], HAAR, cfg)
@@ -146,26 +148,40 @@ class TestLinearEstimator:
         assert all(abs(v) < 1e-12 for _, v in diff.items())
 
     def test_kind_guard(self):
-        x = sample(uniform_density(1), 10, 0)
+        x = uniform_density(1).sample(10, np.random.default_rng(0))
         with pytest.raises(ValueError):
             estimate_linear(x, HAAR, EstimatorConfig("thresholded", 3, 3))
 
     def test_close_to_uniform_truth(self):
-        x = sample(uniform_density(1), 10**4, 11)
+        x = uniform_density(1).sample(10**4, np.random.default_rng(11))
         est = estimate_linear(x, HAAR, EstimatorConfig("linear", 3, 3))
         truth = exact_coeffs(uniform_density(1), HAAR, 3)
         assert besov_ipm(est, truth, TV) < 0.1
 
 
+class TestEstimateDispatch:
+    @pytest.mark.parametrize(
+        "cfg,direct",
+        [
+            (EstimatorConfig("linear", 3, 3, rescale_epsilon=0.1), estimate_linear),
+            (EstimatorConfig("thresholded", 1, 4, K=0.5), estimate_thresholded),
+            (EstimatorConfig("adaptive", 1, 4, K=0.5), estimate_thresholded),
+        ],
+    )
+    def test_kind_selects_estimator(self, cfg, direct):
+        x = uniform_density(1).sample(600, np.random.default_rng(19))
+        assert list(estimate(x, DB2, cfg).items()) == list(direct(x, DB2, cfg).items())
+
+
 class TestThresholdedEstimator:
     def test_zero_K_equals_linear_at_top(self):
-        x = sample(uniform_density(1), 800, 7)
+        x = uniform_density(1).sample(800, np.random.default_rng(7))
         th = estimate_thresholded(x, HAAR, EstimatorConfig("thresholded", 2, 5, K=0.0))
         lin = estimate_linear(x, HAAR, EstimatorConfig("linear", 5, 5))
         assert trees_equal(th, lin)
 
     def test_huge_K_equals_linear_at_base(self):
-        x = sample(uniform_density(1), 800, 7)
+        x = uniform_density(1).sample(800, np.random.default_rng(7))
         th = estimate_thresholded(x, HAAR, EstimatorConfig("thresholded", 2, 5, K=100.0))
         lin = estimate_linear(x, HAAR, EstimatorConfig("linear", 2, 2))
         assert trees_equal(th, lin)
@@ -191,6 +207,8 @@ class TestThresholdedEstimator:
         tree.set(tiny, 1e-8)
         out = apply_threshold(tree, 1, 5.0, 10)
         assert out.get(tiny) == 1e-8
+        out.set(tiny, 2.0)  # the kept level is the result's own copy
+        assert tree.get(tiny) == 1e-8
 
     def test_rescale_applied_after_thresholding(self):
         # a coefficient just below t must be cut even though rescaling
@@ -210,13 +228,13 @@ class TestThresholdedEstimator:
         spiked = SpikePerturbation(uniform_density(1), HAAR, idx, 0.17)
         survive = 0
         for s in range(100):
-            x = sample(spiked, 10**4, 1000 + s)
+            x = spiked.sample(10**4, np.random.default_rng(1000 + s))
             est = estimate_thresholded(x, HAAR, EstimatorConfig("thresholded", j0, j0 + 1, K=1.0))
             survive += est.get(idx) != 0.0
         assert survive >= 95
 
     def test_thresholding_shrinks_besov_norm(self):
-        x = sample(uniform_density(1), 300, 9)
+        x = uniform_density(1).sample(300, np.random.default_rng(9))
         full = estimate_thresholded(x, HAAR, EstimatorConfig("thresholded", 1, 5, K=0.0))
         cut = estimate_thresholded(x, HAAR, EstimatorConfig("thresholded", 1, 5, K=1.0))
         for params in (BesovParams(0.5, 2.0, 2.0), BesovParams(1.0, INF, INF), BesovParams(0.0, 1.0, 1.0)):
@@ -255,12 +273,12 @@ class TestAdaptiveEstimator:
         assert cfg.j0 <= cfg.j1
 
     def test_runs_without_any_contamination_input(self):
-        x = sample(uniform_density(1), 200, 13)
+        x = uniform_density(1).sample(200, np.random.default_rng(13))
         est = estimate_adaptive(x, DB2, r=1)
         assert est.alpha == 1.0
 
     def test_flat_samples_accepted(self):
-        x = sample(uniform_density(1), 50, 13)
+        x = uniform_density(1).sample(50, np.random.default_rng(13))
         a = estimate_adaptive(x[:, 0], DB2, r=1)
         b = estimate_adaptive(x, DB2, r=1)
         assert trees_equal(a, b)
@@ -282,7 +300,7 @@ class TestEvalDensity:
         assert tree.evaluate(pt) == pytest.approx(want, abs=1e-13)
 
     def test_estimate_integrates_to_alpha(self):
-        x = sample(uniform_density(1), 400, 17)
+        x = uniform_density(1).sample(400, np.random.default_rng(17))
         est = estimate_thresholded(x, HAAR, EstimatorConfig("thresholded", 2, 4))
         grid = ((np.arange(2**10) + 0.5) / 2**10)[:, None]
         assert float(np.mean(est.evaluate(grid))) == pytest.approx(est.alpha, abs=1e-10)

@@ -297,7 +297,6 @@ class TestRunSweep:
         r2 = run_sweep(*args, jobs=2)
         r3 = run_sweep(*args, jobs=1)
         assert r1.to_json() == r2.to_json() == r3.to_json()
-        assert r1.to_json(include_timing=True) != r1.to_json()
         assert json.loads(r1.to_json())["schema"] == "besov-robust-risk/1"
 
     @pytest.mark.parametrize("jobs,cpus,expect", [(64, 3, 3), (64, 16, 4), (2, 16, 2), (64, 1, None)])

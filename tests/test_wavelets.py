@@ -4,18 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from besov_robust.errors import BesovRobustError, UnstableFilter
 from besov_robust.wavelets import (
     ORTHONORMALITY_TOL,
     WaveletFamily,
     WaveletIndex,
-    active_indices,
     daubechies_filter,
-    eval_father,
     eval_wavelet,
-    level_index_count,
     orientations,
     pl_inner,
     wavelet_family,
@@ -189,19 +185,6 @@ class TestEvaluation:
         val = eval_wavelet(fam, WaveletIndex(2, (1,), (1,)), np.array([0.3]))
         assert val == 2.0
 
-    def test_haar_father_outside_cube(self):
-        fam = wavelet_family("haar")
-        assert eval_father(fam, np.array([0.3, 1.2])) == 0.0
-        assert eval_father(fam, np.array([0.3, 0.7])) == 1.0
-
-    def test_level_index_count_values(self):
-        fam = wavelet_family("haar")
-        assert level_index_count(fam, 2, 2) == 48
-        assert level_index_count(fam, 1, 0) == 1
-        assert level_index_count(fam, 3, 1) == 7 * 8
-        with pytest.raises(ValueError):
-            level_index_count(fam, 1, -1)
-
     def test_periodized_father_is_one(self):
         for name in ("haar", "db2", "db4"):
             fam = wavelet_family(name)
@@ -277,45 +260,7 @@ class TestOrthonormality:
 
 
 class TestActiveIndices:
-    def test_haar_counts(self):
-        fam = wavelet_family("haar")
-        acts = active_indices(fam, 3, np.array([0.37]))
-        assert len(acts) == 1
-        acts2 = active_indices(fam, 2, np.array([0.37, 0.81]))
-        assert len(acts2) == 3  # one translate per axis, three orientations
-
-    @given(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 5))
-    @settings(max_examples=60, deadline=None)
-    def test_nonzero_implies_active_haar(self, x, j):
-        fam = wavelet_family("haar")
-        pt = np.array([x])
-        acts = set(active_indices(fam, j, pt))
-        for k in range(2**j):
-            idx = WaveletIndex(j, (k,), (1,))
-            if eval_wavelet(fam, idx, pt) != 0.0 and idx not in acts:
-                raise AssertionError(f"nonzero at inactive index {idx} x={x}")
-
-    @given(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_nonzero_implies_active_db2(self, x, j):
-        fam = wavelet_family("db2")
-        pt = np.array([x])
-        acts = set(active_indices(fam, j, pt))
-        for k in range(2**j):
-            idx = WaveletIndex(j, (k,), (1,))
-            if abs(eval_wavelet(fam, idx, pt)) > 0.0 and idx not in acts:
-                raise AssertionError(f"nonzero at inactive index {idx} x={x}")
-
-    def test_inactive_evaluate_to_zero_db2(self):
-        fam = wavelet_family("db2")
-        pt = np.array([0.312])
-        j = 4
-        acts = set(active_indices(fam, j, pt))
-        assert len(acts) <= fam.support_width + 1
-        for k in range(2**j):
-            idx = WaveletIndex(j, (k,), (1,))
-            if idx not in acts:
-                assert eval_wavelet(fam, idx, pt) == 0.0
+    """The orientations every level's indices run over."""
 
     def test_orientations_enumeration(self):
         assert list(orientations(1)) == [(1,)]
