@@ -384,6 +384,7 @@ class _Plan:
     pair: tuple | None = None
     pair_level: int = 0
     curves: list = dataclasses.field(default_factory=list)
+    config_json: str = ""
 
 
 def _params_from(value, role: str, what: str) -> BesovParams:
@@ -513,7 +514,26 @@ def _truths_from(cfg: ExperimentConfig, gen: BesovParams | None) -> list:
 
 
 def validate(cfg: ExperimentConfig) -> _Plan:
-    """Resolve and cross-check every field the command will use."""
+    """Resolve and cross-check every field the command will use, then
+    serialize the whole config, so that a value config.json cannot hold
+    (a NaN, even in a field the command never reads) fails here too."""
+    plan = _resolve(cfg)
+    fields = dataclasses.asdict(cfg)
+    try:
+        plan.config_json = _dumps(fields)
+    except ValueError:
+        for name, value in fields.items():
+            try:
+                _dumps(value)
+            except ValueError:
+                raise ConfigError(
+                    name, f"{name} holds a NaN; config values must be numbers or +-inf"
+                ) from None
+        raise
+    return plan
+
+
+def _resolve(cfg: ExperimentConfig) -> _Plan:
     plan = _Plan()
     if cfg.command not in COMMANDS:
         raise ConfigError("command", f"command must be one of {COMMANDS}, got {cfg.command!r}")
@@ -923,7 +943,7 @@ def run(cfg: ExperimentConfig) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise ConfigError("out", f"cannot create the output directory: {err}") from None
-    _write(out / "config.json", _dumps(dataclasses.asdict(cfg)))
+    _write(out / "config.json", plan.config_json)
     if cfg.command == "estimate":
         return _run_estimate(cfg, plan, out)
     if cfg.command == "risk-sweep":

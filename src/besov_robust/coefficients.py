@@ -40,7 +40,6 @@ from .wavelets import (
     WaveletIndex,
     eval_wavelet,
     orientations,
-    pl_lookup,
     wavelet_family,
 )
 
@@ -399,13 +398,33 @@ def difference_levels(x: CoefficientTree, y: CoefficientTree) -> Iterator[tuple[
 
 
 def _fold_points(x: np.ndarray) -> np.ndarray:
-    """Validate points in [0,1]^D and identify 1.0 with 0.0 (torus)."""
+    """Validate points in [0,1]^D and identify 1.0 with 0.0 (torus).
+
+    Points that are all finite and in [0, 1), the common case for drawn
+    samples, are returned as they are: one min and one max decide that
+    (NaN fails both comparisons). Anything else, a rounded-up 1.0 included,
+    takes the full checks and gets a folded copy.
+    """
+    if x.size and 0.0 <= x.min() and x.max() < 1.0:
+        return x
     if np.any(~np.isfinite(x)):
         raise OutOfDomain("points contain non-finite values")
     if np.any(x < 0.0) or np.any(x > 1.0):
         bad = x[(x < 0.0) | (x > 1.0)]
         raise OutOfDomain(f"points outside [0,1]^D, e.g. {bad.flat[0]}")
     return np.where(x == 1.0, 0.0, x)
+
+
+def _cell_draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws of the index i with probability probs[i] (probs sum to 1).
+
+    The same bits and the same stream use as rng.choice(probs.size, size=n,
+    p=probs), without its argument checks: the cumulative sums, rescaled by
+    their last entry, are searched for n uniforms.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(n), side="right")
 
 
 class PiecewiseConstant:
@@ -442,9 +461,18 @@ class PiecewiseConstant:
         s, d = self.scale_level, self.dim
         probs = self.values.ravel() * 2.0 ** (-s * d)
         probs = probs / probs.sum()
-        cells = rng.choice(probs.size, size=n, p=probs)
-        corners = np.column_stack(np.unravel_index(cells, self.values.shape))
-        return (corners + rng.random((n, d))) / 2**s
+        if probs.size == 1:
+            # the cell draw of one cell is n uniforms that pick cell 0; draw
+            # them to move the stream on, then corner 0 and scale 1 leave u
+            rng.random(n)
+            return rng.random((n, d))
+        cells = _cell_draw(probs, n, rng)
+        u = rng.random((n, d))
+        if d == 1:
+            corners = cells[:, None]
+        else:
+            corners = np.column_stack(np.unravel_index(cells, self.values.shape))
+        return (corners + u) / 2**s
 
     def min_value(self) -> float:
         return float(self.values.min())
@@ -506,7 +534,7 @@ class SmoothBump:
         if n < 0:
             raise ValueError("sample size must be nonnegative")
         comp_probs = np.concatenate([[self.background], self.masses])
-        comp = rng.choice(comp_probs.size, size=n, p=comp_probs / comp_probs.sum())
+        comp = _cell_draw(comp_probs / comp_probs.sum(), n, rng)
         out = rng.random((n, self.dim))  # background draws; bump rows overwritten
         for b in range(self.masses.size):
             rows = np.where(comp == b + 1)[0]
@@ -699,9 +727,12 @@ def _shift_sums(xt: np.ndarray, family: WaveletFamily, j: int) -> np.ndarray:
     per_pass = max(1, min(rows, _SUM_CELLS // bins))
     es = list(orientations(d))
     kinds = sorted({m for e in es for m in e})  # 0 father, 1 mother; D=1 needs only 1
-    tables = (family.phi_values, family.psi_values)
     # shift-major layout (shift, axis, sample): inner loops run over samples
     shifts = np.arange(w).reshape(w, 1, 1)
+    # grid positions (frac + t) 2^m, formed as frac 2^m + t 2^m: scaling by
+    # a power of two commutes with rounding, so the bits are the same
+    grid = 2**family.cascade_depth
+    grid_shifts = (shifts * grid).astype(float)
     accs = np.zeros((len(es), bins))
     for r0 in range(0, rows, per_pass):
         r1 = min(rows, r0 + per_pass)
@@ -713,7 +744,8 @@ def _shift_sums(xt: np.ndarray, family: WaveletFamily, j: int) -> np.ndarray:
             c = scaled.astype(np.int64)
             np.minimum(c, two_j - 1, out=c)
             frac = scaled - c
-            vals = {m: pl_lookup(tables[m], frac + shifts, family.cascade_depth) for m in kinds}
+            frac *= grid
+            vals = {m: family.grid_values(frac + grid_shifts, m == 1) for m in kinds}
             kb = (c - shifts) & (two_j - 1)  # (c - t) mod 2^j
             # row r = t_0 W^{D-1} + ... + t_{D-1} is the product order of shift vectors
             k_lin = kb[:, 0]
@@ -784,12 +816,35 @@ def _haar_pyramid(values: np.ndarray, j_max: int) -> dict[int, list[np.ndarray]]
     return levels
 
 
+_CELL_MATRIX_CACHE: dict = {}
+# Largest matrix kept in _CELL_MATRIX_CACHE (2 MB of floats); bigger ones
+# are rebuilt on every call rather than held for the life of the process.
+_CELL_MATRIX_CACHE_MAX = 2**18
+
+
 def _axis_cell_integral_matrix(
     family: WaveletFamily, mother: bool, j: int, s: int
 ) -> np.ndarray:
     """I[k, c] = integral over dyadic cell c (scale 2^-s) of the periodized
     unit-normalized axis factor f(2^j x - k), exact for the implemented
-    piecewise-linear wavelet. Requires cell edges on the value grid."""
+    piecewise-linear wavelet. Requires cell edges on the value grid.
+
+    Matrices up to _CELL_MATRIX_CACHE_MAX entries are cached per (family,
+    mother, j, s) and returned read-only: a sweep builds the same few for
+    every cell of its grid."""
+    key = (family.name, family.cascade_depth, mother, j, s)
+    mat = _CELL_MATRIX_CACHE.get(key)
+    if mat is None:
+        mat = _build_axis_cell_integral_matrix(family, mother, j, s)
+        mat.flags.writeable = False
+        if mat.size <= _CELL_MATRIX_CACHE_MAX:
+            _CELL_MATRIX_CACHE[key] = mat
+    return mat
+
+
+def _build_axis_cell_integral_matrix(
+    family: WaveletFamily, mother: bool, j: int, s: int
+) -> np.ndarray:
     w, m = family.support_width, family.cascade_depth
     if s > j + m:
         raise QuadratureFailure(f"cell scale 2^-{s} finer than the value grid at level {j}")

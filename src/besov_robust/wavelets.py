@@ -139,32 +139,36 @@ def _refine(values: np.ndarray, h: np.ndarray, levels: int) -> np.ndarray:
     return v
 
 
-def pl_lookup(table: np.ndarray, u: np.ndarray, depth: int) -> np.ndarray:
-    """Piecewise-linear interpolant of `table` at u, computed in place.
+def pl_lookup(padded: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Piecewise-linear interpolant of a padded value table at t, in place.
 
-    `table` holds values on the grid of spacing 2^-depth over [0, W], with
-    W = (table.size - 1) / 2^depth. Every entry of the float array u is
-    overwritten with the interpolant at that point, or with +0.0 when it lies
-    outside the open support (0, W). Each inside value is
-    table[i] * (1 - f) + table[i + 1] * f with t = u * 2^depth, i = floor(t)
-    and f = t - i, in exactly this floating-point order, so the value at a
-    point does not depend on the shape or blocking of the array it arrives
-    in. Returns u.
+    `padded` holds the values of a function on the grid nodes 0..N-1 (the
+    wavelet tables over [0, W] at spacing 2^-depth, N = W 2^depth + 1)
+    followed by one trailing +0.0; both end values are +0.0, as for every
+    compactly supported father and mother. t holds positions in grid units
+    (u * 2^depth, an exact scaling) and is overwritten with the interpolant
+    table[i] * (1 - f) + table[i + 1] * f, i = floor(t), f = t - i, in
+    exactly this floating-point order, so the value at a point does not
+    depend on the shape or blocking of the array it arrives in. Returns t.
+
+    Points outside the open support (0, N-1) get +0.0, NaN included: t is
+    clamped into [0, N-1] with fmax/fmin (which map NaN to 0), and at the
+    two end nodes the formula adds +0.0 * 1 to +-0.0 * 0, which is +0.0. The
+    pad is read only at t = N-1. The clamp takes two passes where an
+    outside mask would take two comparisons and two masked writes, and
+    every output bit, zero signs included, is the one the mask gives.
     """
-    t = np.multiply(u, 2**depth, out=u)
-    outside = ~((t > 0.0) & (t < table.size - 1))
-    np.copyto(t, 0.0, where=outside)
+    np.fmax(t, 0.0, out=t)
+    np.fmin(t, padded.size - 2, out=t)
     cell = np.floor(t)
     i0 = cell.astype(np.intp)
     t -= cell
-    hi = table[1:][i0]
+    hi = padded[1:][i0]
     hi *= t
     np.subtract(1.0, t, out=t)
-    lo = table[i0]
+    lo = padded[i0]
     lo *= t
-    np.add(lo, hi, out=u)
-    np.copyto(u, 0.0, where=outside)
-    return u
+    return np.add(lo, hi, out=t)
 
 
 class WaveletFamily:
@@ -174,7 +178,8 @@ class WaveletFamily:
     `regularity` = n_moments - 1, `support_width` W = 2*n_moments - 1,
     `h`/`g` the low/high-pass filters, `phi_values`/`psi_values` the exact
     values on the dyadic grid of spacing 2^-cascade_depth over [0, W]
-    (None for Haar), `phi_sup`/`psi_sup`, and the periodization bounds
+    (None for Haar; views of the padded tables `grid_values` reads),
+    `phi_sup`/`psi_sup`, and the periodization bounds
     `pb_phi`/`pb_psi` = sup_x sum_k |f(x - k)|.
     """
 
@@ -190,8 +195,8 @@ class WaveletFamily:
         self.g = np.array([(-1) ** k * self.h[w - k] for k in range(w + 1)])
 
         if self.is_haar:
-            self.phi_values = None
-            self.psi_values = None
+            self.phi_values = self._phi_padded = None
+            self.psi_values = self._psi_padded = None
             self.phi_sup = 1.0
             self.psi_sup = 1.0
             self.pb_phi = 1.0
@@ -199,11 +204,15 @@ class WaveletFamily:
         else:
             m = self.cascade_depth
             phi_coarse = _refine(_integer_values(self.h), self.h, m - 1)
-            self.phi_values = np.zeros(w * 2**m + 1)
+            # the lookup tables carry one trailing +0.0 (see pl_lookup); the
+            # value arrays are views without it, so nothing is held twice
+            self._phi_padded = np.zeros(w * 2**m + 2)
+            self._psi_padded = np.zeros(w * 2**m + 2)
+            self.phi_values = self._phi_padded[:-1]
             self.phi_values[::2] = phi_coarse
             odd = np.arange(1, self.phi_values.size, 2)
             accp = np.zeros(odd.size)
-            accq = np.zeros(w * 2**m + 1)
+            accq = self._psi_padded[:-1]
             f_all = np.arange(w * 2**m + 1)
             for k in range(w + 1):
                 src = odd - k * 2 ** (m - 1)
@@ -234,7 +243,8 @@ class WaveletFamily:
         u = np.asarray(u, dtype=float)
         if self.is_haar:
             return ((u >= 0.0) & (u < 1.0)).astype(float)
-        return pl_lookup(self.phi_values, u.copy(), self.cascade_depth)
+        t = np.multiply(u, 2**self.cascade_depth, out=np.empty_like(u))
+        return self.grid_values(t, False)
 
     def mother_values(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -243,7 +253,14 @@ class WaveletFamily:
             out[(u >= 0.0) & (u < 0.5)] = 1.0
             out[(u >= 0.5) & (u < 1.0)] = -1.0
             return out
-        return pl_lookup(self.psi_values, u.copy(), self.cascade_depth)
+        t = np.multiply(u, 2**self.cascade_depth, out=np.empty_like(u))
+        return self.grid_values(t, True)
+
+    def grid_values(self, t: np.ndarray, mother: bool) -> np.ndarray:
+        """Father or mother values at positions t in grid units (u * 2^cascade_depth,
+        an exact scaling), computed in place by `pl_lookup` over the padded
+        table; +0.0 outside the open support. Not for Haar."""
+        return pl_lookup(self._psi_padded if mother else self._phi_padded, t)
 
     def periodized_factor(self, mother: bool, j: int, k: int, x) -> np.ndarray:
         """One axis factor f((2^j x - k) mod-wrapped to the torus), unit normalization."""

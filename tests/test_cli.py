@@ -72,6 +72,49 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert res.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_process_pool_unloaded():
+    # the process pool loads multiprocessing; only a run_sweep with workers > 1 needs it
+    src = os.path.dirname(os.path.dirname(besov_robust.__file__))
+    code = "import sys, besov_robust.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert res.stdout.strip() == "False"
+
+
+# SHA-256 of the rate-check artifacts of two presets, taken before sampling,
+# folding and the wavelet lookup were rewritten to skip work; every one of
+# these bytes must survive a speed-up. config.json is left out: it records
+# the output path.
+GOLDEN_RATE_CHECK_SHA256 = {
+    "structured-eps-rate": {
+        "cells.csv": "e6a8332d792bd0838b4f5bde4124ba155541e55ef5986969ccef1c26ef0dff85",
+        "rate.svg": "cedee30246807cef7af6dada07da2ab68e04ecfc4f7d2d7c172fb3d899696f2f",
+        "risk.json": "1640b00b95bfe6dd567e6cb3d6b3e60113c26a0e5b75654bcccb9f194f538424",
+        "trials.csv": "9ae52aabafe9d6239254130c940387bc93c482408b16349171b9a79d52c9b072",
+        "verdict.json": "9fb12d3717785663ed929a5bb818d59edbbecb797bae6b621f7b780b5b9de8bf",
+    },
+    "holder1-tv-uncontaminated": {
+        "cells.csv": "32d7c553f9a45a597935d031adcd3efd21933c6deea76e59d0b546d3de91e6c0",
+        "rate.svg": "0aa7c327cdaf4f2a2498a6b1aaaa5c85a7d388ea474c35ab6be1d8ef33193aa4",
+        "risk.json": "8726c58f38537f725ec60baf7b658a3458b8cf339331e35c07081ccd84fed5ee",
+        "trials.csv": "3f4a00d02fe2fc914a3651308938cde307f33b12760ddeb1d92ce34d2460fd0a",
+        "verdict.json": "8da35b602bda2dd6521e5d00563e6b6ab473e2984b9621cc3b487018c130c540",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_RATE_CHECK_SHA256))
+def test_rate_check_artifacts_byte_identical(capsys, tmp_path, preset):
+    out = tmp_path / preset
+    rc, _ = run_cli(["rate-check", "--preset", preset, "--jobs", "1", "--out", str(out)], capsys)
+    assert rc == 0
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in GOLDEN_RATE_CHECK_SHA256[preset]
+    }
+    assert got == GOLDEN_RATE_CHECK_SHA256[preset]
+
+
 def test_perfbench_trace_names_still_bound(tmp_path):
     # perfbench/tracer.py names each span after the module that defines the
     # traced function, and its per-layer metrics look these names up
@@ -259,6 +302,28 @@ class TestConfigErrors:
     )
     def test_nan_in_config_file_exit_2(self, capsys, tmp_path, preset, patch, precondition):
         # json.dumps writes the NaN literal that json.loads accepts
+        command = PRESETS[preset]["command"]
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": command, **patch}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            [command, "--preset", preset, "--config", str(cfgfile), "--out", str(out)], capsys
+        )
+        assert rc == 2
+        assert text.count("\n") == 1
+        assert json.loads(text)["error"]["precondition"] == precondition
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset,patch,precondition",
+        [
+            ("sqrt-n-breakdown", {"estimator": {"K": math.nan}}, "estimator"),
+            ("dyadic-demo", {"eps_grid": [math.nan]}, "eps_grid"),
+        ],
+        ids=["breakdown-estimator.K", "estimate-eps_grid"],
+    )
+    def test_nan_in_unread_field_exit_2(self, capsys, tmp_path, preset, patch, precondition):
+        # the command never reads the field, but config.json could not record it
         command = PRESETS[preset]["command"]
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps({"command": command, **patch}))

@@ -5,6 +5,7 @@ that integrates the *implemented* piecewise-linear wavelets with panels
 aligned to their value grid, where Gauss-Legendre is exact.
 """
 
+import hashlib
 import io
 import itertools
 import json
@@ -470,6 +471,40 @@ class TestSampling:
         np.testing.assert_array_equal(draw(42), draw(42))
         assert not np.array_equal(draw(42), draw(43))
 
+    @pytest.mark.parametrize(
+        "model,seed,want",
+        [
+            (SmoothBump([[0.5]], [[0.3]], [0.5], background=0.5), 123,
+             "6a3ef7039a2e40813dd133a5eb032593066e518a5f4e9a6ba558800328e6afec"),
+            (SmoothBump([[0.3, 0.6], [0.7, 0.4]], [[0.2, 0.25], [0.15, 0.3]], [0.35, 0.45],
+                        background=0.2), 123,
+             "24cdbe5d08e3ed60585e88cd72f3a3a8135a583278c663ea507fb4786e94bc62"),
+            (PiecewiseConstant(np.arange(1.0, 9.0) / 4.5, 3), 9,
+             "b8b6f7d83d2d6afa698a9aaf4de6d1f1e2d9e684561bf1efdb064818c75990eb"),
+        ],
+        ids=["bump-1d", "bump-2d", "pwc-8-cells"],
+    )
+    def test_golden_bits(self, model, seed, want):
+        # SHA-256 of 1000 draws and the next four uniforms of the same
+        # Generator, computed when the cells were drawn with Generator.choice:
+        # the cell draw must keep both the bits and the stream position
+        rng = np.random.default_rng(seed)
+        digest = hashlib.sha256(model.sample(1000, rng).tobytes())
+        digest.update(rng.random(4).tobytes())
+        assert digest.hexdigest() == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
+    def test_cell_draw_matches_choice(self, k):
+        rng = np.random.default_rng(k)
+        for n in (0, 1, 5, 1000):
+            probs = rng.random(k) + 0.01
+            probs = probs / probs.sum()
+            a, b = np.random.default_rng(n), np.random.default_rng(n)
+            got = coefficients._cell_draw(probs, n, a)
+            want = b.choice(k, size=n, p=probs)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert a.random() == b.random()
+
     def test_huber_mixture_eps_zero_matches_pure(self):
         p = PiecewiseConstant(np.array([0.5, 1.5]), 1)
         g = uniform_density(1)
@@ -567,6 +602,40 @@ class TestEmpiricalCoeffs:
         tree = empirical_coeffs(np.array([[1.0]]), HAAR, 0, 0)
         assert tree.get(WaveletIndex(0, (0,), (1,))) == 1.0
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (np.nan, "points contain non-finite values"),
+            (np.inf, "points contain non-finite values"),
+            (-np.inf, "points contain non-finite values"),
+            (-0.1, "points outside [0,1]^D, e.g. -0.1"),
+            (1.5, "points outside [0,1]^D, e.g. 1.5"),
+        ],
+    )
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 2)])
+    def test_fold_rejects_with_the_same_message(self, bad, message, shape):
+        x = np.full(shape, 0.25)
+        x.flat[-1] = bad
+        with pytest.raises(OutOfDomain) as err:
+            coefficients._fold_points(x)
+        assert str(err.value) == message
+
+    def test_fold_maps_one_to_zero_and_keeps_the_rest(self):
+        x = np.array([[1.0], [0.5], [-0.0], [1.0 - 2.0**-53]])
+        got = coefficients._fold_points(x)
+        assert got is not x and x[0, 0] == 1.0
+        want = np.array([[0.0], [0.5], [-0.0], [1.0 - 2.0**-53]])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        inside = x[1:]
+        assert coefficients._fold_points(inside) is inside
+
+    @pytest.mark.parametrize("family", [HAAR, DB2])
+    def test_read_only_sample_accepted(self, family):
+        x = np.random.default_rng(4).random((500, 2))
+        want = empirical_coeffs(x.copy(), family, 0, 3)
+        x.flags.writeable = False
+        assert_trees_identical(empirical_coeffs(x, family, 0, 3), want)
+
 
 def reference_empirical_coeffs(samples, family, j0, j1):
     """The per-shift `bincount` transform that `empirical_coeffs` replaced,
@@ -656,6 +725,28 @@ class TestEmpiricalBitIdentity:
     def test_haar_deep_levels(self):
         x = edge_sample(3 * BLOCK + 5, 1, seed=4)
         assert_trees_identical(empirical_coeffs(x, HAAR, 0, 11), reference_empirical_coeffs(x, HAAR, 0, 11))
+
+
+class TestCellMatrixCache:
+    @pytest.mark.parametrize("family,dim", [(DB2, 1), (DB4, 1), (DB2_S, 2)])
+    def test_cold_and_warm_cache_give_the_same_tree(self, monkeypatch, family, dim):
+        model = random_pwc(np.random.default_rng(dim), 3, dim)
+        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
+        cold = exact_coeffs(model, family, 5)
+        assert len(coefficients._CELL_MATRIX_CACHE) == 2 * 6  # father and mother, j = 0..5
+        warm = exact_coeffs(model, family, 5)
+        assert_trees_identical(warm, cold)
+
+    def test_cached_matrices_are_read_only_and_capped(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
+        mat = coefficients._axis_cell_integral_matrix(DB2, True, 4, 3)
+        assert coefficients._axis_cell_integral_matrix(DB2, True, 4, 3) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE_MAX", mat.size - 1)
+        big = coefficients._axis_cell_integral_matrix(DB2, False, 4, 3)
+        assert not big.flags.writeable
+        assert list(coefficients._CELL_MATRIX_CACHE) == [(DB2.name, DB2.cascade_depth, True, 4, 3)]
 
 
 class TestExactCoeffsFrozen:

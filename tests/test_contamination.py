@@ -53,6 +53,50 @@ GOLDEN_HUBER_SHA256 = {
     (2, 0.25, "generator"): "26314ccb819581367cf6c1bd5a18a4cf6b0af1e188ba139822cbabfe20cb1fb1",
 }
 
+# The same, with a one-cell p (the uniform density) and the 2-cell
+# contaminators above, at n = 0, 1 and 1000. For a Generator seed the hash
+# also covers the next four draws of that Generator, so the stream position
+# after the call is pinned too. Computed before the sampler skipped the
+# eps = 0 mask, the n_g = 0 scatter and the one-cell search.
+GOLDEN_SINGLE_CELL_SHA256 = {
+    (1, 0.0, "int", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 0.0, "int", 1): "27d8b61869650f9d298d5bca9a2e2c30e94efedac21585eea779bc43d103c2b2",
+    (1, 0.0, "int", 1000): "3a265bf96119abb564ddf798669edeac6cada56cb92aa4d91e8de7e0cf2e3280",
+    (1, 0.0, "tuple", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 0.0, "tuple", 1): "42d6de96bad885a9d1cd566f8bd9632224a432492b5da6983eba5b7577ed272d",
+    (1, 0.0, "tuple", 1000): "542a259d2a8588d88cbd405eb59fd7b0c5b9c2e683be2b59c2a66e877f93a04f",
+    (1, 0.0, "generator", 0): "5aa9e3b47e68f7bcb4b828f546646ad478736990c5ba88479a41a06ff2dea61c",
+    (1, 0.0, "generator", 1): "90a5a9e883e5d3c223f6518128c109597f5c2dba7846131cdd52515201f6263d",
+    (1, 0.0, "generator", 1000): "014e79e4d221011166834a8f710b42bff8ac7202349e0f13a971c82542360f06",
+    (1, 0.25, "int", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 0.25, "int", 1): "27d8b61869650f9d298d5bca9a2e2c30e94efedac21585eea779bc43d103c2b2",
+    (1, 0.25, "int", 1000): "28212da9af5067d282408e3e7de1d726890e83cf164a071e63d97bf0520f40f4",
+    (1, 0.25, "tuple", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (1, 0.25, "tuple", 1): "42d6de96bad885a9d1cd566f8bd9632224a432492b5da6983eba5b7577ed272d",
+    (1, 0.25, "tuple", 1000): "e616d60a1bfa8894edde48306bad0a15c41a31df757ea0b90693905c5c250cdf",
+    (1, 0.25, "generator", 0): "5aa9e3b47e68f7bcb4b828f546646ad478736990c5ba88479a41a06ff2dea61c",
+    (1, 0.25, "generator", 1): "90a5a9e883e5d3c223f6518128c109597f5c2dba7846131cdd52515201f6263d",
+    (1, 0.25, "generator", 1000): "436e2e289a048f485fade54322d1fa04161b881d31b504a1e421b0cf89fb933b",
+    (2, 0.0, "int", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2, 0.0, "int", 1): "7e399d358c99f9128ad6c7e8c6a555a691b45ca06e18399168f7b111e7aa28ad",
+    (2, 0.0, "int", 1000): "9215553b6d4fa442dc91cbaf45d1a543127f16baf768b22aadba8b788364542c",
+    (2, 0.0, "tuple", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2, 0.0, "tuple", 1): "91f9f67541120be13093f2a7d81975e3b669f4f5b6518d0112f76219296f169d",
+    (2, 0.0, "tuple", 1000): "358453280bc88526783345a104af7c1ddf0c713f6ca66df7c6c72d76ca550c92",
+    (2, 0.0, "generator", 0): "5aa9e3b47e68f7bcb4b828f546646ad478736990c5ba88479a41a06ff2dea61c",
+    (2, 0.0, "generator", 1): "aac0be4ef85247ef41b52c29e024dd125296776123cad009381e640aedbb15b2",
+    (2, 0.0, "generator", 1000): "fdbf60440e40d3dc60505085af29d2314cb081d140a62d51431684bedc1e03d1",
+    (2, 0.25, "int", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2, 0.25, "int", 1): "7e399d358c99f9128ad6c7e8c6a555a691b45ca06e18399168f7b111e7aa28ad",
+    (2, 0.25, "int", 1000): "7ab16d2cff4d32e942abbd82cf119fb4ceac7255213a2dca65d17a34aa1d3f1e",
+    (2, 0.25, "tuple", 0): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2, 0.25, "tuple", 1): "91f9f67541120be13093f2a7d81975e3b669f4f5b6518d0112f76219296f169d",
+    (2, 0.25, "tuple", 1000): "872cb0caf8809aa04273e8e08bb596e2e0da1d53916a1ecd40157e7bfb2c6a98",
+    (2, 0.25, "generator", 0): "5aa9e3b47e68f7bcb4b828f546646ad478736990c5ba88479a41a06ff2dea61c",
+    (2, 0.25, "generator", 1): "aac0be4ef85247ef41b52c29e024dd125296776123cad009381e640aedbb15b2",
+    (2, 0.25, "generator", 1000): "177c39b0f230ce0880295f8801f50dc1a909b94b8c545b0548f74eb1ddde14bc",
+}
+
 
 class TestSpec:
     def test_eps_range(self):
@@ -112,6 +156,21 @@ class TestSampling:
         assert x.dtype == np.float64 and x.shape == (1000, dim)
         assert hashlib.sha256(x.tobytes()).hexdigest() == GOLDEN_HUBER_SHA256[(dim, eps, seed_kind)]
 
+
+    def test_unseeded_draw(self):
+        p, g = HUBER_MODELS[2]
+        x = sample_huber(p, g, 0.25, 500, None)
+        assert x.shape == (500, 2) and np.all((0.0 <= x) & (x < 1.0))
+
+    @pytest.mark.parametrize("dim,eps,seed_kind,n", sorted(GOLDEN_SINGLE_CELL_SHA256))
+    def test_golden_bits_single_cell(self, dim, eps, seed_kind, n):
+        seed = {"int": 20240817, "tuple": (7, 3, 11), "generator": np.random.default_rng(5)}
+        x = sample_huber(uniform_density(dim), HUBER_MODELS[dim][1], eps, n, seed[seed_kind])
+        assert x.dtype == np.float64 and x.shape == (n, dim)
+        digest = hashlib.sha256(x.tobytes())
+        if seed_kind == "generator":
+            digest.update(seed["generator"].random(4).tobytes())
+        assert digest.hexdigest() == GOLDEN_SINGLE_CELL_SHA256[(dim, eps, seed_kind, n)]
 
 class TestSpikePair:
     @pytest.mark.parametrize("log2eps,want_j", [(-4, 2), (-6, 3), (-8, 4)])

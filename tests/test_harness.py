@@ -1,5 +1,6 @@
 """Tests for the exponent oracle, risk harness, and rate fitting."""
 
+import concurrent.futures
 import json
 import math
 
@@ -317,7 +318,7 @@ class TestRunSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         args = (
             benchmark_suite(GEN, 1)[:2], None, EstimatorConfig("linear", 2, 2),

@@ -179,6 +179,65 @@ class TestMoments:
             assert abs(_pl_moment(fam.psi_values, fam.cascade_depth, a)) < 1e-12
 
 
+def masked_pl_lookup(table, u, depth):
+    """The masked lookup that the clamped pl_lookup replaced, kept verbatim
+    (unpadded table, positions in units, computed in place) as the oracle."""
+    t = np.multiply(u, 2**depth, out=u)
+    outside = ~((t > 0.0) & (t < table.size - 1))
+    np.copyto(t, 0.0, where=outside)
+    cell = np.floor(t)
+    i0 = cell.astype(np.intp)
+    t -= cell
+    hi = table[1:][i0]
+    hi *= t
+    np.subtract(1.0, t, out=t)
+    lo = table[i0]
+    lo *= t
+    np.add(lo, hi, out=u)
+    np.copyto(u, 0.0, where=outside)
+    return u
+
+
+def lookup_edge_points(fam):
+    """Every grid node, +-0, W and just past it, subnormals, +-inf, NaN,
+    +-1e300, and random points on and around the support."""
+    m, w = fam.cascade_depth, fam.support_width
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, -0.0, w, np.nextafter(w, 0.0), np.nextafter(w, 9.0), w + 1.0, tiny, -tiny,
+               2.2250738585072014e-308, np.inf, -np.inf, np.nan, 1e300, -1e300, -1.0, 0.5]
+    nodes = np.arange(w * 2**m + 1) / 2**m
+    rand = np.random.default_rng(w).uniform(-1.0, w + 1.0, 20000)
+    return np.concatenate([special, nodes, nodes + 2.0**-(m + 3), rand])
+
+
+class TestLookup:
+    @pytest.mark.parametrize("name", [f"db{n}" for n in range(2, 9)])
+    def test_clamped_lookup_matches_masked_bitwise(self, name):
+        fam = wavelet_family(name)
+        u = lookup_edge_points(fam)
+        for mother, table in ((False, fam.phi_values), (True, fam.psi_values)):
+            want = masked_pl_lookup(table, u.copy(), fam.cascade_depth)
+            got = fam.grid_values(u * 2**fam.cascade_depth, mother)
+            # int64 views tell +0.0 from -0.0
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for f, table in ((fam.father_values, fam.phi_values), (fam.mother_values, fam.psi_values)):
+            want = masked_pl_lookup(table, u.copy(), fam.cascade_depth)
+            assert np.array_equal(f(u).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("name", [f"db{n}" for n in range(2, 9)])
+    def test_tables_are_padded_views_with_zero_ends(self, name):
+        fam = wavelet_family(name)
+        for values in (fam.phi_values, fam.psi_values):
+            padded = values.base
+            assert padded is not None and values.size == padded.size - 1
+            ends = np.array([values[0], values[-1], padded[-1]])
+            assert np.array_equal(ends.view(np.int64), np.zeros(3, dtype=np.int64))
+
+    def test_scalar_input(self):
+        fam = wavelet_family("db3")
+        assert fam.father_values(1.25) == masked_pl_lookup(fam.phi_values, np.array(1.25), 14)
+
+
 class TestEvaluation:
     def test_haar_frozen_point(self):
         fam = wavelet_family("haar")
