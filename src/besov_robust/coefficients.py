@@ -10,17 +10,19 @@ PRUNE_TOL in magnitude are stored as zero, and a level whose entries are all
 zero is dropped, so `levels`, `n_coefficients` and `items` see only stored
 coefficients, in (j, e, row-major k) order.
 
-Density models (`PiecewiseConstant`, `SmoothBump`, `SpikePerturbation`,
-`GenericDensity`) share a small duck-typed protocol: a `dim` attribute,
-`pdf(points)` and `sample(n, rng)`. `exact_coeffs` computes their coefficient
-trees against the *implemented* wavelets (the piecewise-linear interpolants),
-exactly where closed forms exist and by certified polynomial-proxy quadrature
-for smooth factors. The Huber mixture of two models is sampled by
-`contamination.sample_huber`.
+Density models (`PiecewiseConstant`, `SmoothBump`, `SpikePerturbation`)
+share a small duck-typed protocol: a `dim` attribute, `pdf(points)` and
+`sample(n, rng)`. `empirical_coeffs` and `exact_coeffs` share one transform:
+father sums or integrals at a top level J, then the periodic filter bank
+down to level 0. Their coefficients are those of the filter-bank basis of
+`wavelets` with that J, exact where closed forms exist and by certified
+polynomial-proxy quadrature for smooth factors. The Huber mixture of two
+models is sampled by `contamination.sample_huber`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Iterable, Iterator
@@ -44,7 +46,6 @@ from .wavelets import (
 )
 
 PRUNE_TOL = 1e-14
-_SQRT2 = math.sqrt(2.0)
 # Points handled per pass of `CoefficientTree.evaluate`, and records parsed
 # per `json.loads` call in `CoefficientTree.from_jsonl`.
 _EVAL_ROWS = 4096
@@ -614,25 +615,6 @@ class SpikePerturbation:
         raise NotImplementedError
 
 
-class GenericDensity:
-    """Arbitrary density given by a callable, with a known sup bound."""
-
-    def __init__(self, dim: int, pdf, sup_bound: float):
-        self.dim = int(dim)
-        self._pdf = pdf
-        self._sup = float(sup_bound)
-
-    def pdf(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return np.asarray(self._pdf(x), dtype=float)
-
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rejection_sample(self, n, rng)
-
-    def sup_bound(self) -> float:
-        return self._sup
-
-
 def rejection_sample(model, n: int, rng: np.random.Generator, budget_factor: int = 400) -> np.ndarray:
     """Uniform-proposal rejection sampling on the cube, batch sized by the sup bound."""
     if n < 0:
@@ -660,16 +642,50 @@ def rejection_sample(model, n: int, rng: np.random.Generator, budget_factor: int
     return np.concatenate(got)[:n]
 
 
+# -- the filter bank ---------------------------------------------------------
+
+
+def _bank_step(a: np.ndarray, taps: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """One periodic analysis step along `axis`: for the low- and high-pass
+    rows f of taps (`WaveletFamily.taps`), out[k] = sum_l f[l] a[(2k + l) mod N],
+    k < N/2.
+
+    The terms are added one elementwise pass per tap, in tap order, so the
+    bits depend neither on BLAS nor on the other axes of a. The temporaries
+    stay at a few times the size of a, whatever the filter length.
+    """
+    front = a.swapaxes(0, axis)
+    size, width = front.shape[0], taps.shape[1]
+    ext = front[np.arange(size + width - 2) % size]  # periodic extension
+    cols = taps.reshape(taps.shape + (1,) * front.ndim)
+    out = ext[0:size:2] * cols[:, 0]
+    for l in range(1, width):
+        out += ext[l : l + size : 2] * cols[:, l]
+    return out[0].swapaxes(0, axis), out[1].swapaxes(0, axis)
+
+
+def _bank_level(a: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Level-j father sums and the detail sums of level j, shape
+    (2^D - 1, 2^j, ..., 2^j), from the level-(j+1) father sums a: the step
+    runs axis after axis, low-pass then high-pass, so the parts come out in
+    product order of the orientation bits, the all-zero father first and
+    then the details in `orientations` order."""
+    parts = [a]
+    for ax in range(a.ndim):
+        parts = [out for arr in parts for out in _bank_step(arr, taps, ax)]
+    return parts[0], np.stack(parts[1:])
+
+
+def _axis_pyramid(a: np.ndarray, family: WaveletFamily, j_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Run the 1-d bank down axis 0 of level-(j_max+1) father values a, top
+    down: (j, father, mother) for j = j_max..0. Only the level in hand and
+    the father above it are held."""
+    for j in range(j_max, -1, -1):
+        a, mother = _bank_step(a, family.taps)
+        yield j, a, mother
+
+
 # -- empirical coefficients -------------------------------------------------
-
-
-# Rows of the sample handled per pass of the Daubechies transform. About 2k
-# rows keep every per-block temporary in cache and under the allocator's
-# mmap threshold.
-_BLOCK_ROWS = 2048
-# Cap on the floats held by one orientation's per-shift sums; levels whose
-# W^D shift rows of 2^{Dj} bins exceed it are summed a group of rows at a time.
-_SUM_CELLS = 2**20
 
 
 def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int) -> CoefficientTree:
@@ -679,19 +695,15 @@ def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int) -> Coeffi
     j0 is validated against j1 but all levels from 0 are computed, since every
     estimator keeps the low levels.
 
-    The result is fixed bit for bit, independent of blocking. For each level,
-    orientation e and shift vector t in {0..W-1}^D (W the support width,
-    product order), the terms prod_i f_{e_i}(frac_i + t_i) go to bin
-    k = (c - t) mod 2^j and are summed one at a time in sample order,
-    starting from 0.0; the W^D per-shift arrays are then added in shift order
-    onto zeros and scaled by 2^{Dj/2}/n. Daubechies families get there by
-    walking the sample in blocks of _BLOCK_ROWS rows with `np.add.at`, which
-    adds repeated indices one at a time in index order, so block after block
-    continues each bin's sample-order sum. For Haar every term is 0 or +-1,
-    so every such sum is an exact integer in floating point; the Haar path
-    counts the points per cell at level j1+1 once and forms every level from
-    integer pair sums (father) and differences (mother), which are the same
-    integers.
+    The basis is the filter-bank basis of `wavelets` with top level
+    J = j1 + 1. The result is fixed bit for bit by this summation order:
+    `_father_sums` bins the sample once into the unnormalized father sums
+    S_J[k] = sum_i phi(2^J X_i - k); the periodic bank then takes S_{j+1}
+    to S_j and the detail sums of level j with the taps sqrt(2) h and
+    sqrt(2) g, one axis at a time and one tap at a time (`_bank_step`),
+    and level j is scaled by 2^{Dj/2}/n. For Haar, S_J holds point counts
+    and the taps are +-1, so every sum is an exact integer: the same one
+    that summing +-1 over the sample level by level gives.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -704,163 +716,141 @@ def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int) -> Coeffi
         raise ValueError(f"need 0 <= j0 <= j1, got ({j0}, {j1})")
     x = _fold_points(x)
     n, d = x.shape
+    sums = _father_sums(x, family, j1 + 1)
     tree = CoefficientTree(family, d, alpha=1.0)
-    if family.is_haar:
-        sums = _haar_count_sums(x, j1)
-    else:
-        xt = np.ascontiguousarray(x.T)
-        sums = {j: _shift_sums(xt, family, j) for j in range(j1 + 1)}
-    for j in range(0, j1 + 1):
-        sums[j] *= 2.0 ** (d * j / 2.0) / n
-        tree.set_level_array(j, sums[j].reshape((-1,) + (2**j,) * d))
+    for j in range(j1, -1, -1):
+        sums, details = _bank_level(sums, family.taps)
+        details *= 2.0 ** (d * j / 2.0) / n
+        tree.set_level_array(j, details)
     return tree
 
 
-def _shift_sums(xt: np.ndarray, family: WaveletFamily, j: int) -> np.ndarray:
-    """Unscaled level-j sums of the sample given as xt, shape (D, n): one row
-    of 2^{Dj} bins per orientation."""
-    d, n = xt.shape
-    w = family.support_width
-    two_j = 2**j
-    bins = two_j**d
-    rows = w**d
-    per_pass = max(1, min(rows, _SUM_CELLS // bins))
-    es = list(orientations(d))
-    kinds = sorted({m for e in es for m in e})  # 0 father, 1 mother; D=1 needs only 1
-    # shift-major layout (shift, axis, sample): inner loops run over samples
-    shifts = np.arange(w).reshape(w, 1, 1)
-    # grid positions (frac + t) 2^m, formed as frac 2^m + t 2^m: scaling by
-    # a power of two commutes with rounding, so the bits are the same
-    grid = 2**family.cascade_depth
-    grid_shifts = (shifts * grid).astype(float)
-    accs = np.zeros((len(es), bins))
-    for r0 in range(0, rows, per_pass):
-        r1 = min(rows, r0 + per_pass)
-        row_offset = (np.arange(r1 - r0) * bins)[:, None]
-        parts = [np.zeros((r1 - r0) * bins) for _ in es]
-        for start in range(0, n, _BLOCK_ROWS):
-            scaled = xt[:, start : start + _BLOCK_ROWS] * two_j
-            b = scaled.shape[1]
-            c = scaled.astype(np.int64)
-            np.minimum(c, two_j - 1, out=c)
-            frac = scaled - c
-            frac *= grid
-            vals = {m: family.grid_values(frac + grid_shifts, m == 1) for m in kinds}
-            kb = (c - shifts) & (two_j - 1)  # (c - t) mod 2^j
-            # row r = t_0 W^{D-1} + ... + t_{D-1} is the product order of shift vectors
-            k_lin = kb[:, 0]
-            for i in range(1, d):
-                k_lin = (k_lin[:, None] * two_j + kb[None, :, i]).reshape(-1, b)
-            k_lin = (k_lin[r0:r1] + row_offset).ravel()
-            for e, part in zip(es, parts):
-                prod = vals[e[0]][:, 0]
-                for i in range(1, d):
-                    prod = (prod[:, None] * vals[e[i]][None, :, i]).reshape(-1, b)
-                np.add.at(part, k_lin, prod[r0:r1].ravel())
-        for acc, part in zip(accs, parts):
-            for row in part.reshape(r1 - r0, bins):
-                acc += row
-    return accs
+def _father_sums(x: np.ndarray, family: WaveletFamily, top: int) -> np.ndarray:
+    """Unnormalized periodized father sums S[k] = sum_i prod_a phi(2^top x_ia - k_a)
+    of the folded sample x, shape (2^top,)*D.
 
-
-def _haar_split(c: np.ndarray, norm) -> dict[tuple[int, ...], np.ndarray]:
-    """One separable Haar analysis step: along every axis, pair entries 2k and
-    2k+1 into (a + b) / norm (orientation bit 0) and (a - b) / norm (bit 1)."""
-    arrs = {(): c}
-    for ax in range(c.ndim):
-        new = {}
-        for bits, arr in arrs.items():
-            a = np.take(arr, np.arange(0, arr.shape[ax], 2), axis=ax)
-            b = np.take(arr, np.arange(1, arr.shape[ax], 2), axis=ax)
-            new[bits + (0,)] = (a + b) / norm
-            new[bits + (1,)] = (a - b) / norm
-        arrs = new
-    return arrs
-
-
-def _haar_count_sums(x: np.ndarray, j1: int) -> dict[int, np.ndarray]:
-    """Unscaled Haar sums for levels 0..j1 from point counts at level j1+1.
-
-    Entries are float64 holding exact integers, one flat row per orientation.
+    A point in cell c = floor(2^top x) meets the translates k = (c - t) mod
+    2^top, t in {0..W-1}^D, with the factors phi(frac_a + t_a). Every shift
+    shares the point's grid cell i = floor(frac 2^m) and weight f = frac 2^m - i,
+    so phi(frac + t) = table[i + t 2^m] (1 - f) + table[i + 1 + t 2^m] f.
+    For each shift vector t in product order, one `np.bincount` over the
+    cells c adds the weights prod_a phi(frac_a + t_a) (left to right over
+    the axes) in sample order, and the bins, moved to k = c - t, are added
+    in shift order. x < 1 and 2^top x is exact, so c < 2^top needs no
+    clamp. For Haar the sums are the point counts per cell.
     """
-    n, d = x.shape
-    top = 2 ** (j1 + 1)
-    c = (x * top).astype(np.int64)
-    np.minimum(c, top - 1, out=c)
-    cell = c[:, 0]
+    d = x.shape[1]
+    size = 2**top
+    scaled = np.ascontiguousarray(x.T) * size
+    c = scaled.astype(np.int64)
+    cell = c[0]
     for i in range(1, d):
-        cell = cell * top + c[:, i]
-    counts = np.bincount(cell, minlength=top**d).reshape((top,) * d)
-    out = {}
-    for j in range(j1, -1, -1):
-        split = _haar_split(counts, 1)
-        out[j] = np.stack([split[e].ravel() for e in orientations(d)])
-        counts = split[(0,) * d]
-    return out
+        cell = cell * size + c[i]
+    shape = (size,) * d
+    if family.is_haar:
+        return np.bincount(cell, minlength=size**d).astype(float).reshape(shape)
+    grid = 2**family.cascade_depth
+    pos = (scaled - c) * grid
+    node = np.floor(pos)
+    weight = pos - node
+    node = node.astype(np.intp)
+    rest = 1.0 - weight
+    table = family.phi_values
+
+    def factor(i: int, t: int) -> np.ndarray:
+        shifted = table[t * grid :]
+        lo = shifted[node[i]]
+        lo *= rest[i]
+        hi = shifted[1:][node[i]]
+        hi *= weight[i]
+        lo += hi
+        return lo
+
+    later = [[factor(i, t) for t in range(family.support_width)] for i in range(1, d)]
+    # moved[t][k] = (k + t) mod 2^top: bin c = k + t of a shift-t count goes to k
+    moved = [(np.arange(size) + t) & (size - 1) for t in range(family.support_width)]
+    sums = None
+    for t0 in range(family.support_width):
+        first = factor(0, t0)
+        for rest_t in itertools.product(range(family.support_width), repeat=d - 1):
+            weights = first
+            for i, t in enumerate(rest_t):
+                weights = weights * later[i][t]
+            part = np.bincount(cell, weights=weights, minlength=size**d).reshape(shape)
+            part = part[np.ix_(*[moved[t] for t in (t0,) + rest_t])]
+            if sums is None:
+                sums = part
+            else:
+                sums += part
+    return sums
 
 
 # -- exact coefficients -----------------------------------------------------
 
 
-def _haar_pyramid(values: np.ndarray, j_max: int) -> dict[int, list[np.ndarray]]:
-    """Exact multilevel Haar transform of cell averages: j -> orientation arrays."""
-    d = values.ndim
-    s = int(round(math.log2(values.shape[0]))) if values.shape[0] > 1 else 0
-    c = values.astype(float) * 2.0 ** (-s * d / 2.0)
-    levels = {}
-    for j in range(s - 1, -1, -1):
-        arrs = _haar_split(c, _SQRT2)
-        c = arrs[(0,) * d]
-        if j <= j_max:
-            levels[j] = [arrs[e] for e in orientations(d)]
-    return levels
-
-
 _CELL_MATRIX_CACHE: dict = {}
-# Largest matrix kept in _CELL_MATRIX_CACHE (2 MB of floats); bigger ones
-# are rebuilt on every call rather than held for the life of the process.
+# Largest set of matrices kept in _CELL_MATRIX_CACHE (2 MB of floats); bigger
+# ones are rebuilt on every call rather than held for the life of the process.
 _CELL_MATRIX_CACHE_MAX = 2**18
 
 
-def _axis_cell_integral_matrix(
-    family: WaveletFamily, mother: bool, j: int, s: int
-) -> np.ndarray:
+def _cell_matrices(family: WaveletFamily, j_max: int, s: int) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
+    """Per level j = j_max..0, (j, father, mother) with the matrices
+    M[k, c] = integral over dyadic cell c (scale 2^-s) of the periodized
+    axis factor f(2^j x - k) of the filter-bank basis with top level
+    j_max + 1: the bank run down the rows of the exact father matrix at
+    that level.
+
+    Pyramids of up to _CELL_MATRIX_CACHE_MAX entries in all are cached per
+    (family, j_max, s), read-only: a sweep builds the same few for every
+    cell of its grid. A bigger one is produced a level at a time, so the
+    levels already used are not held."""
+    key = (family.name, family.cascade_depth, j_max, s)
+    mats = _CELL_MATRIX_CACHE.get(key)
+    if mats is not None:
+        return mats
+    top = _father_cell_matrix(family, j_max + 1, s)
+    # the father and mother of level j hold 2^(j+1+s) entries together
+    if 2 * (top.size - top.shape[1]) > _CELL_MATRIX_CACHE_MAX:
+        return _axis_pyramid(top, family, j_max)
+    mats = list(_axis_pyramid(top, family, j_max))
+    for _, father, mother in mats:
+        father.flags.writeable = False
+        mother.flags.writeable = False
+    _CELL_MATRIX_CACHE[key] = mats
+    return mats
+
+
+def _father_cell_matrix(family: WaveletFamily, j: int, s: int) -> np.ndarray:
     """I[k, c] = integral over dyadic cell c (scale 2^-s) of the periodized
-    unit-normalized axis factor f(2^j x - k), exact for the implemented
-    piecewise-linear wavelet. Requires cell edges on the value grid.
-
-    Matrices up to _CELL_MATRIX_CACHE_MAX entries are cached per (family,
-    mother, j, s) and returned read-only: a sweep builds the same few for
-    every cell of its grid."""
-    key = (family.name, family.cascade_depth, mother, j, s)
-    mat = _CELL_MATRIX_CACHE.get(key)
-    if mat is None:
-        mat = _build_axis_cell_integral_matrix(family, mother, j, s)
-        mat.flags.writeable = False
-        if mat.size <= _CELL_MATRIX_CACHE_MAX:
-            _CELL_MATRIX_CACHE[key] = mat
-    return mat
-
-
-def _build_axis_cell_integral_matrix(
-    family: WaveletFamily, mother: bool, j: int, s: int
-) -> np.ndarray:
+    father phi(2^j x - k), exact for the level-j piecewise-linear father
+    (Haar: the indicator). Requires cell edges on its value grid."""
     w, m = family.support_width, family.cascade_depth
-    if s > j + m:
-        raise QuadratureFailure(f"cell scale 2^-{s} finer than the value grid at level {j}")
-    table = family.psi_values if mother else family.phi_values
-    cum = np.concatenate([[0.0], np.cumsum((table[:-1] + table[1:]) / 2.0)]) * 2.0**-m
+    if family.is_haar:
 
-    def cum_at(u: np.ndarray) -> np.ndarray:
-        idx = np.clip(u, 0.0, w) * 2**m
-        ridx = np.rint(idx)
-        if np.max(np.abs(idx - ridx)) > 1e-6:
-            raise QuadratureFailure("cell edge does not land on the wavelet value grid")
-        return cum[ridx.astype(np.int64)]
+        def cum_at(u: np.ndarray) -> np.ndarray:
+            return np.clip(u, 0.0, 1.0)
+
+    else:
+        if s > j + m:
+            raise QuadratureFailure(f"cell scale 2^-{s} finer than the value grid at level {j}")
+        table = family.phi_values
+        cum = np.concatenate([[0.0], np.cumsum((table[:-1] + table[1:]) / 2.0)]) * 2.0**-m
+
+        def cum_at(u: np.ndarray) -> np.ndarray:
+            idx = np.clip(u, 0.0, w) * 2**m
+            ridx = np.rint(idx)
+            if np.max(np.abs(idx - ridx)) > 1e-6:
+                raise QuadratureFailure("cell edge does not land on the wavelet value grid")
+            return cum[ridx.astype(np.int64)]
 
     edges = np.arange(2**s + 1) * 2.0 ** (j - s)
+    if j >= s:
+        # cell c is cell 0 moved by c 2^(j-s) translates, so column c is
+        # column 0 rolled down that far: integrate column 0 alone
+        edges = edges[:2]
     ks = np.arange(2**j)[:, None]
-    out = np.zeros((2**j, 2**s))
+    out = np.zeros((2**j, edges.size - 1))
     t_lo = -1
     t_hi = int(math.ceil((w + 2**j) / 2**j))
     for t in range(t_lo, t_hi + 1):
@@ -869,21 +859,26 @@ def _build_axis_cell_integral_matrix(
         if np.all(hi <= 0.0) or np.all(lo >= w):
             continue
         out += cum_at(hi) - cum_at(lo)
-    return out * 2.0**-j
+    out *= 2.0**-j
+    if j >= s:
+        col = out[:, 0]
+        out = np.empty((2**j, 2**s))
+        for c in range(2**s):
+            out[:, c] = np.roll(col, c * 2 ** (j - s))
+    return out
 
 
 def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> CoefficientTree:
     d, s = model.dim, model.scale_level
     tree = CoefficientTree(family, d, alpha=1.0)
     if family.is_haar:
-        for j, parts in _haar_pyramid(model.values, j_max).items():
-            tree.set_level_array(j, parts)
+        # a Haar mother of level j >= s lies in one cell, where the model is
+        # flat: its integral is exactly 0, and the bank from level s gives
+        # the lower levels bit for bit as from any higher top
+        j_max = min(j_max, s - 1)
+    if j_max < 0:
         return tree
-    for j in range(0, j_max + 1):
-        mats = {
-            0: _axis_cell_integral_matrix(family, False, j, s),
-            1: _axis_cell_integral_matrix(family, True, j, s),
-        }
+    for j, *mats in _cell_matrices(family, j_max, s):
         lev = np.empty((2**d - 1,) + (2**j,) * d)
         for o, e in enumerate(orientations(d)):
             arr = model.values
@@ -897,23 +892,23 @@ def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> Co
 
 
 class _PanelRule:
-    """Quadrature nodes/weights integrating f against one axis factor.
+    """Quadrature nodes/weights integrating f against the father.
 
-    For the factor f_w(u) on [0, W] (the implemented PL father or mother),
-    builds panels between the given node-aligned edges and per-panel Chebyshev
-    nodes u_i with weights w_i such that sum_i w_i g(u_i) equals
-    int g(u) f_w(u) du exactly whenever g is a polynomial of degree <=
-    `degree` on every panel.
+    For the father phi(u) on [0, W] (the piecewise-linear father of the
+    value grid, or the Haar indicator), builds panels between the given
+    node-aligned edges and per-panel Chebyshev nodes u_i with weights w_i
+    such that sum_i w_i g(u_i) equals int g(u) phi(u) du exactly whenever g
+    is a polynomial of degree <= `degree` on every panel.
     """
 
-    def __init__(self, family: WaveletFamily, mother: bool, edges: np.ndarray, degree: int):
+    def __init__(self, family: WaveletFamily, edges: np.ndarray, degree: int):
         deg = degree
         cheb = np.cos(np.pi * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))  # in (-1,1)
         v = np.vander(cheb, deg + 1, increasing=True).T
         if family.is_haar:
-            moments = self._haar_moments_all(mother, edges, deg)
+            moments = self._haar_moments_all(edges, deg)
         else:
-            moments = self._pl_moments_all(family, mother, edges, deg)
+            moments = self._pl_moments_all(family, edges, deg)
         keep = np.any(np.abs(moments) > 0.0, axis=1)
         moments = moments[keep]
         mid = ((edges[:-1] + edges[1:]) / 2.0)[keep]
@@ -927,30 +922,20 @@ class _PanelRule:
         self.weights = wts.ravel()
 
     @staticmethod
-    def _haar_moments_all(mother: bool, edges: np.ndarray, deg: int) -> np.ndarray:
-        """Per-panel moments int xi^q f du for Haar factors, closed form."""
+    def _haar_moments_all(edges: np.ndarray, deg: int) -> np.ndarray:
+        """Per-panel moments int xi^q 1_[0,1)(u) du, closed form."""
         mid = (edges[:-1] + edges[1:]) / 2.0
         half = (edges[1:] - edges[:-1]) / 2.0
         q = np.arange(deg + 1)
-
-        def seg(lo: float, hi: float, sign: float) -> np.ndarray:
-            clo = np.clip(edges[:-1], lo, hi)
-            chi = np.clip(edges[1:], lo, hi)
-            xl = (clo - mid) / half
-            xh = np.maximum((chi - mid) / half, xl)
-            return sign * half[:, None] * (xh[:, None] ** (q + 1) - xl[:, None] ** (q + 1)) / (q + 1)
-
-        if not mother:
-            return seg(0.0, 1.0, 1.0)
-        return seg(0.0, 0.5, 1.0) + seg(0.5, 1.0, -1.0)
+        xl = (np.clip(edges[:-1], 0.0, 1.0) - mid) / half
+        xh = np.maximum((np.clip(edges[1:], 0.0, 1.0) - mid) / half, xl)
+        return half[:, None] * (xh[:, None] ** (q + 1) - xl[:, None] ** (q + 1)) / (q + 1)
 
     @staticmethod
-    def _pl_moments_all(
-        family: WaveletFamily, mother: bool, edges: np.ndarray, deg: int
-    ) -> np.ndarray:
-        """Per-panel moments int xi^q f du, exact per linear cell, vectorized."""
+    def _pl_moments_all(family: WaveletFamily, edges: np.ndarray, deg: int) -> np.ndarray:
+        """Per-panel moments int xi^q phi du, exact per linear cell, vectorized."""
         m = family.cascade_depth
-        table = family.psi_values if mother else family.phi_values
+        table = family.phi_values
         grid = 2**m
         eidx = np.rint(edges * grid).astype(np.int64)
         if np.max(np.abs(edges * grid - eidx)) > 1e-9:
@@ -985,7 +970,6 @@ _RULE_CACHE: dict = {}
 
 def _panel_rule(
     family: WaveletFamily,
-    mother: bool,
     panel_exp: int,
     degree: int,
     extra_edges: tuple[float, ...] = (),
@@ -1003,76 +987,58 @@ def _panel_rule(
         frac = pos - math.floor(pos)
         for i in range(w):
             edge_ints.add(int(round((frac + i) * grid)))
-    key = (family.name, m, mother, degree, tuple(sorted(edge_ints)))
+    key = (family.name, m, degree, tuple(sorted(edge_ints)))
     if key not in _RULE_CACHE:
         edges = np.array(sorted(edge_ints)) / grid
         edges = edges[(edges >= 0.0) & (edges <= w)]
-        _RULE_CACHE[key] = _PanelRule(family, mother, edges, degree)
+        _RULE_CACHE[key] = _PanelRule(family, edges, degree)
     return _RULE_CACHE[key]
-
-
-def _axis_integrals_at(
-    family: WaveletFamily,
-    mother: bool,
-    j: int,
-    factor,
-    panel_exp: int,
-    degree: int,
-    extra_edges: tuple[float, ...] = (),
-) -> np.ndarray:
-    """A[k] = int_0^1 f(2^j x - k, periodized) factor(x) dx for all k at level j,
-    with u-panels of width 2^panel_exp."""
-    rule = _panel_rule(family, mother, panel_exp, degree, extra_edges)
-    ks = np.arange(2**j)[:, None]
-    y = (rule.nodes[None, :] + ks) / 2**j
-    fy = factor(y - np.floor(y))
-    return (fy @ rule.weights) * 2.0**-j
 
 
 def _smooth_axis_integrals(
     family: WaveletFamily,
-    mother: bool,
     j: int,
     factor,
     factor_scale: float,
     degree: int = 16,
     kinks_x: tuple[float, ...] = (),
 ) -> np.ndarray:
-    """Axis integrals with panels at most a quarter of `factor_scale` wide in x.
+    """A[k] = int_0^1 phi(2^j x - k, periodized) factor(x) dx for all k at level j.
 
-    `kinks_x` lists x positions where the factor is not smooth; panel edges
-    are snapped there so the polynomial proxy stays accurate.
+    The u-panels are at most a quarter of `factor_scale` wide in x. `kinks_x`
+    lists x positions where the factor is not smooth; panel edges are
+    snapped there so the polynomial proxy stays accurate.
     """
     panel_exp = min(0, j + int(math.floor(math.log2(max(factor_scale, 2.0**-40)))) - 2)
     panel_exp = max(panel_exp, -family.cascade_depth)
     extra = tuple((2**j) * x for x in kinks_x)
-    return _axis_integrals_at(family, mother, j, factor, panel_exp, degree, extra)
+    rule = _panel_rule(family, panel_exp, degree, extra)
+    ks = np.arange(2**j)[:, None]
+    y = (rule.nodes[None, :] + ks) / 2**j
+    fy = factor(y - np.floor(y))
+    return (fy @ rule.weights) * 2.0**-j
 
 
 def _bump_tree(model: SmoothBump, family: WaveletFamily, j_max: int) -> CoefficientTree:
     d = model.dim
+    # per bump and axis: the (father, mother) axis integrals of every level
+    axis_levels = []
+    for b in range(model.masses.size):
+        per_axis = []
+        for i in range(d):
+            c, wdt = model.centers[b, i], model.widths[b, i]
+
+            def factor(xx, c=c, wdt=wdt):
+                u = (xx - c) / wdt
+                return np.where(np.abs(u) < 1.0, (1.0 + np.cos(np.pi * u)) / 2.0 / wdt, 0.0)
+
+            top = _smooth_axis_integrals(
+                family, j_max + 1, factor, float(wdt), kinks_x=(c - wdt, c + wdt)
+            )
+            per_axis.append([pair for _, *pair in _axis_pyramid(top, family, j_max)][::-1])
+        axis_levels.append(per_axis)
     tree = CoefficientTree(family, d, alpha=1.0)
     for j in range(0, j_max + 1):
-        per_bump_axis: list[dict[tuple[int, int], np.ndarray]] = []
-        for b in range(model.masses.size):
-            cache: dict[tuple[int, int], np.ndarray] = {}
-            for i in range(d):
-                c, wdt = model.centers[b, i], model.widths[b, i]
-
-                def factor(xx, c=c, wdt=wdt):
-                    u = (xx - c) / wdt
-                    return np.where(np.abs(u) < 1.0, (1.0 + np.cos(np.pi * u)) / 2.0 / wdt, 0.0)
-
-                for mother in (0, 1):
-                    cache[(i, mother)] = _smooth_axis_integrals(
-                        family,
-                        bool(mother),
-                        j,
-                        factor,
-                        float(wdt),
-                        kinks_x=(c - wdt, c + wdt),
-                    )
-            per_bump_axis.append(cache)
         lev = np.empty((2**d - 1,) + (2**j,) * d)
         for o, e in enumerate(orientations(d)):
             arr = np.zeros((2**j,) * d)
@@ -1080,7 +1046,7 @@ def _bump_tree(model: SmoothBump, family: WaveletFamily, j_max: int) -> Coeffici
                 part = model.masses[b]
                 block = None
                 for i in range(d):
-                    ax = per_bump_axis[b][(i, e[i])]
+                    ax = axis_levels[b][i][j][e[i]]
                     block = ax if block is None else np.multiply.outer(block, ax)
                 arr = arr + part * block
             lev[o] = arr * 2.0 ** (d * j / 2.0)
@@ -1088,61 +1054,14 @@ def _bump_tree(model: SmoothBump, family: WaveletFamily, j_max: int) -> Coeffici
     return tree
 
 
-def _generic_tree(
-    model: GenericDensity, family: WaveletFamily, j_max: int, tol: float
-) -> CoefficientTree:
-    if model.dim != 1:
-        raise QuadratureFailure("generic quadrature trees are implemented for D=1")
+def exact_coeffs(model, family: WaveletFamily, j_max: int) -> CoefficientTree:
+    """Coefficient tree of a density model for levels 0..j_max, in the
+    filter-bank basis with top level j_max + 1.
 
-    def factor(y):
-        return model.pdf(y.reshape(-1, 1)).reshape(y.shape)
-
-    # the integral of the density must be 1; it becomes the father coefficient
-    mass = _integrate_unit(factor, min(tol, 1e-10))
-    if abs(mass - 1.0) > 1e-7:
-        raise QuadratureFailure(f"pdf integrates to {mass}, not a density")
-    tree = CoefficientTree(family, 1, alpha=1.0)
-    for j in range(0, j_max + 1):
-        prev = None
-        vals = None
-        converged = False
-        for panel_exp in range(0, -family.cascade_depth - 1, -1):
-            vals = _axis_integrals_at(family, True, j, factor, panel_exp, degree=16)
-            if prev is not None and np.max(np.abs(vals - prev)) < tol:
-                converged = True
-                break
-            prev = vals
-        if not converged:
-            raise QuadratureFailure(
-                f"level {j} coefficients did not converge to {tol} under panel refinement"
-            )
-        tree.set_level_array(j, (vals * 2.0 ** (j / 2.0))[None])
-    return tree
-
-
-def _integrate_unit(f, tol: float) -> float:
-    """Adaptive composite Gauss-Legendre integral of f over [0,1]."""
-    nodes, wts = np.polynomial.legendre.leggauss(12)
-    prev = None
-    for k in range(2, 16):
-        edges = np.linspace(0.0, 1.0, 2**k + 1)
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        half = (edges[1] - edges[0]) / 2.0
-        x = mid[:, None] + half * nodes[None, :]
-        val = float(np.sum(f(x.ravel()).reshape(x.shape) @ wts) * half)
-        if prev is not None and abs(val - prev) < tol:
-            return val
-        prev = val
-    raise QuadratureFailure(f"integral did not converge to {tol}")
-
-
-def exact_coeffs(model, family: WaveletFamily, j_max: int, tol: float = 1e-10) -> CoefficientTree:
-    """Coefficient tree of a density model for levels 0..j_max.
-
-    Uses the exact pyramid for Haar x piecewise-constant, exact cell-integral
-    tables for Daubechies x piecewise-constant, certified polynomial-proxy
-    quadrature for smooth bump factors, and adaptive quadrature for generic
-    callables (D=1). Spike perturbations are exact for Haar.
+    Exact father integrals at level j_max + 1 (cell-integral tables for
+    piecewise-constant models, certified polynomial-proxy quadrature for
+    smooth bump factors) go through the periodic bank, one axis factor at a
+    time. Spike perturbations are exact for Haar.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
@@ -1162,6 +1081,4 @@ def exact_coeffs(model, family: WaveletFamily, j_max: int, tol: float = 1e-10) -
             "exact spike trees need the Haar family on a flat base; "
             "interpolated wavelets are only near-orthonormal"
         )
-    if isinstance(model, GenericDensity):
-        return _generic_tree(model, family, j_max, tol)
     raise TypeError(f"no exact coefficient rule for {type(model).__name__}")

@@ -169,23 +169,6 @@ def breakdown_curve(
     ]
 
 
-def mixed_term_ratio(sigma: float, n, eps, dim: int = 1) -> np.ndarray:
-    """Pointwise-estimation mixed term over the main terms; always <= 1.
-
-    The mixed term n^{-a} eps^{a} with a = sigma/(2 sigma + 1) never exceeds
-    n^{-sigma/(2 sigma + D)} + eps, which is why it drops out of the rates for
-    whole-density estimation.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    n = np.asarray(n, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    a = sigma / (2.0 * sigma + 1.0)
-    mixed = n**-a * eps**a
-    main = n ** (-sigma / (2.0 * sigma + dim)) + eps
-    return mixed / main
-
-
 # -- benchmark truths ---------------------------------------------------------
 
 

@@ -136,22 +136,37 @@ def test_ipm_duality_witness_and_ball_supremacy(capfd):
         attained = abs(pairing(witness, delta))
         if abs(attained - d) > 1e-9 * d:
             failures.append((trial, f"witness pairing {attained} != ipm {d}"))
-        support = [idx for idx, _ in delta.items()]
         es = list(orientations(dim))
+        # the support of delta, level by level in `items` order: the flat
+        # positions in the level array and the slice of the support draws
+        support, start = [], 0
+        for j in delta.levels():
+            flat = np.flatnonzero(delta.level_array(j))
+            support.append((j, flat, slice(start, start + flat.size)))
+            start += flat.size
         for _ in range(1000):
-            f = CoefficientTree(HAAR, dim, alpha=float(rng.normal()))
-            for idx in support:
-                f.set(idx, float(rng.normal()))
+            # the draws of one `set` per support entry, then per random entry
+            alpha = float(rng.normal())
+            draws = rng.normal(size=start)
+            levels = {}
+            for j, flat, part in support:
+                levels[j] = np.zeros((len(es),) + (2**j,) * dim)
+                levels[j].flat[flat] = draws[part]
             for _ in range(3):
                 j = int(rng.integers(0, 6))
                 k = tuple(int(rng.integers(0, 2**j)) for _ in range(dim))
-                e = es[int(rng.integers(len(es)))]
-                f.set(WaveletIndex(j, k, e), float(rng.normal()))
+                o = int(rng.integers(len(es)))
+                if j not in levels:
+                    levels[j] = np.zeros((len(es),) + (2**j,) * dim)
+                levels[j][(o,) + k] = float(rng.normal())
+            f = CoefficientTree(HAAR, dim, alpha=alpha)
+            for j, lev in levels.items():
+                f.set_level_array(j, lev)
             scale = float(rng.uniform(0.05, 1.0)) * disc.L / besov_norm(f, disc)
-            f.alpha *= scale
-            for idx, v in list(f.items()):
-                f.set(idx, v * scale)
-            val = abs(pairing(f, delta))
+            scaled = CoefficientTree(HAAR, dim, alpha=alpha * scale)
+            for j in f.levels():
+                scaled.set_level_array(j, f.level_array(j) * scale)
+            val = abs(pairing(scaled, delta))
             if val > d * (1.0 + 1e-9):
                 failures.append((trial, f"ball element pairing {val} > ipm {d}"))
             worst = max(worst, val / d)

@@ -59,7 +59,7 @@ GOLDEN_ESTIMATE_CONFIG = {
     },
     "eps": 0.05, "samples": 3000, "seed": 17,
 }
-GOLDEN_COEFFS_SHA256 = "b493c6f6b69a300cc4282795058a6eb445806f4b4da7468ce2459cc10312bb92"
+GOLDEN_COEFFS_SHA256 = "933246c9515325ac38f2166fc71a51230833d79baa12aada8f6dd8eff650ea5d"
 FAST_ADV_ARGS = ["adversary", "--preset", "sparse", "--samples", "20000"]
 
 
@@ -81,10 +81,11 @@ def test_cli_import_leaves_process_pool_unloaded():
     assert res.stdout.strip() == "False"
 
 
-# SHA-256 of the rate-check artifacts of two presets, taken before sampling,
-# folding and the wavelet lookup were rewritten to skip work; every one of
-# these bytes must survive a speed-up. config.json is left out: it records
-# the output path.
+# SHA-256 of the rate-check artifacts of two presets; every one of these
+# bytes must survive a speed-up. The Haar preset's were taken before
+# sampling, folding and the wavelet lookup were rewritten to skip work, the
+# db3 preset's when its basis became the filter-bank basis. config.json is
+# left out: it records the output path.
 GOLDEN_RATE_CHECK_SHA256 = {
     "structured-eps-rate": {
         "cells.csv": "e6a8332d792bd0838b4f5bde4124ba155541e55ef5986969ccef1c26ef0dff85",
@@ -94,11 +95,11 @@ GOLDEN_RATE_CHECK_SHA256 = {
         "verdict.json": "9fb12d3717785663ed929a5bb818d59edbbecb797bae6b621f7b780b5b9de8bf",
     },
     "holder1-tv-uncontaminated": {
-        "cells.csv": "32d7c553f9a45a597935d031adcd3efd21933c6deea76e59d0b546d3de91e6c0",
+        "cells.csv": "beca6f610589dada6bc4e9b19fd88b9892267f65e494bb414545a0214228a5fc",
         "rate.svg": "0aa7c327cdaf4f2a2498a6b1aaaa5c85a7d388ea474c35ab6be1d8ef33193aa4",
-        "risk.json": "8726c58f38537f725ec60baf7b658a3458b8cf339331e35c07081ccd84fed5ee",
-        "trials.csv": "3f4a00d02fe2fc914a3651308938cde307f33b12760ddeb1d92ce34d2460fd0a",
-        "verdict.json": "8da35b602bda2dd6521e5d00563e6b6ab473e2984b9621cc3b487018c130c540",
+        "risk.json": "f5d0a8f779ac105e508beca4db2075f92aaf5a3c80051d5fe900e67c3eb9158d",
+        "trials.csv": "635e34377b54a966af238cd781f5f173d2d68584365d8c0465d445186b81b0e6",
+        "verdict.json": "df604c2ad77da882805bc1caf099b6118ec09e934c70e4dbc8af9f02fdb75f12",
     },
 }
 
@@ -602,8 +603,8 @@ class TestEstimate:
         assert tree.alpha == pytest.approx(1.0 / (1.0 - est["eps"]))
 
     def test_coeffs_jsonl_golden_hash(self, capsys, tmp_path):
-        # the on-disk tree format is frozen: these bytes were written by the
-        # dict-backed tree that the array-backed one replaced
+        # the on-disk tree format is frozen; the db2 values are those of the
+        # filter-bank basis with top level j1 + 1
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps(GOLDEN_ESTIMATE_CONFIG))
         out = tmp_path / "o"

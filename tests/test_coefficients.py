@@ -1,8 +1,10 @@
 """Tests for coefficient trees, density models, and coefficient computation.
 
-Exact-coefficient paths are checked against a brute-force quadrature oracle
-that integrates the *implemented* piecewise-linear wavelets with panels
-aligned to their value grid, where Gauss-Legendre is exact.
+Coefficients are those of the filter-bank basis, whose level j is read from
+the value tables at depth m + J - j. Empirical coefficients are checked
+against sample means of those tables, exact ones against a brute-force
+quadrature oracle that integrates them with panels aligned to their value
+grid, where Gauss-Legendre is exact.
 """
 
 import hashlib
@@ -10,6 +12,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +25,6 @@ from besov_robust.besov import BesovParams, besov_ipm, besov_norm, conjugate, ip
 from besov_robust.coefficients import (
     PRUNE_TOL,
     CoefficientTree,
-    GenericDensity,
     PiecewiseConstant,
     SmoothBump,
     SpikePerturbation,
@@ -48,9 +50,10 @@ INF = math.inf
 HAAR = wavelet_family("haar")
 DB2 = wavelet_family("db2")
 DB4 = wavelet_family("db4")
-# shallow value tables make the 2-d oracle affordable; exactness claims are
+# shallow value tables make the oracles affordable; exactness claims are
 # per-family, so the comparison is just as strict
 DB2_S = wavelet_family("db2", cascade_depth=8)
+DB2_XS = wavelet_family("db2", cascade_depth=7)
 
 
 # A tree file as the dict-backed tree wrote it (levels sorted, insertion
@@ -66,8 +69,17 @@ LEGACY_TREE_JSONL = """\
 """
 
 
-def brute_coeff_1d(model, family, index, cap: int = 18) -> float:
-    """Quadrature oracle: GL-10 panels aligned to the wavelet value grid."""
+def deep_family(family, top, j):
+    """The family whose value tables define level j of the filter-bank basis
+    with top level `top`: the piecewise-linear interpolant at depth
+    m + top - j, m the cascade depth of `family`."""
+    return wavelet_family(family.name, family.cascade_depth + top - j)
+
+
+def brute_coeff_1d(model, family, index, top, cap: int = 18) -> float:
+    """Quadrature oracle for a coefficient of the filter-bank basis with top
+    level `top`: GL-10 panels aligned to the value grid of its level."""
+    family = deep_family(family, top, index.j)
     nseg = 2 ** min(family.cascade_depth + index.j, cap)
     gl_x, gl_w = leggauss(10)
     edges = np.linspace(0.0, 1.0, nseg + 1)
@@ -80,8 +92,10 @@ def brute_coeff_1d(model, family, index, cap: int = 18) -> float:
     return float(np.sum(wts * f * psi))
 
 
-def brute_coeff_2d(model, family, index) -> float:
-    """Tensor GL oracle on the value grid; fine enough for shallow tables."""
+def brute_coeff_2d(model, family, index, top) -> float:
+    """Tensor GL oracle on the value grid of the level's tables (see
+    `brute_coeff_1d`); fine enough for shallow tables."""
+    family = deep_family(family, top, index.j)
     nseg = 2 ** min(family.cascade_depth + index.j, 9)
     gl_x, gl_w = leggauss(3)
     edges = np.linspace(0.0, 1.0, nseg + 1)
@@ -441,10 +455,24 @@ class TestDensityModels:
         with pytest.raises(ValueError):
             SpikePerturbation(uniform_density(1), DB2, WaveletIndex(2, (1,), (1,)), 1e-3).as_piecewise_constant()
 
-    def test_generic_density_wraps_callable(self):
-        model = GenericDensity(1, lambda x: 2.0 * x[:, 0], 2.0)
-        assert model.pdf(np.array([[0.25]]))[0] == 0.5
-        assert model.sup_bound() == 2.0
+
+class RampDensity:
+    """The density 2x on [0, 1), in the duck-typed model protocol."""
+
+    dim = 1
+
+    def pdf(self, x):
+        return 2.0 * x[:, 0]
+
+    def sup_bound(self):
+        return 2.0
+
+
+class ZeroDensity(RampDensity):
+    """A pdf that accepts no proposal."""
+
+    def pdf(self, x):
+        return np.zeros(x.shape[0])
 
 
 class TestSampling:
@@ -527,15 +555,13 @@ class TestSampling:
             sample_huber(uniform_density(1), uniform_density(1), -0.1, 10, 0)
 
     def test_rejection_sampling_matches_density(self):
-        model = GenericDensity(1, lambda x: 2.0 * x[:, 0], 2.0)
-        pts = rejection_sample(model, 20000, np.random.default_rng(3))
+        pts = rejection_sample(RampDensity(), 20000, np.random.default_rng(3))
         # E X = 2/3 for the ramp
         assert abs(pts.mean() - 2.0 / 3.0) < 0.01
 
     def test_rejection_budget_exceeded(self):
-        hopeless = GenericDensity(1, lambda x: np.zeros(x.shape[0]), 2.0)
         with pytest.raises(RejectionBudgetExceeded):
-            rejection_sample(hopeless, 10, np.random.default_rng(0))
+            rejection_sample(ZeroDensity(), 10, np.random.default_rng(0))
 
 
 class TestEmpiricalCoeffs:
@@ -556,16 +582,19 @@ class TestEmpiricalCoeffs:
                 assert tree.get(idx) == pytest.approx(direct, abs=1e-12)
 
     def test_matches_direct_mean_2d_db2(self):
+        # level j of the basis with top level j1 + 1 = 2 is the interpolant
+        # of the value tables at depth m + 2 - j
         rng = np.random.default_rng(23)
         x = rng.random((30, 2))
         tree = empirical_coeffs(x, DB2_S, 0, 1)
         worst = 0.0
         for j in range(2):
+            deep = deep_family(DB2_S, 2, j)
             for e in orientations(2):
                 for k1 in range(2**j):
                     for k2 in range(2**j):
                         idx = WaveletIndex(j, (k1, k2), e)
-                        direct = float(np.mean(eval_wavelet(DB2_S, idx, x)))
+                        direct = float(np.mean(eval_wavelet(deep, idx, x)))
                         worst = max(worst, abs(tree.get(idx) - direct))
         assert worst < 1e-12
 
@@ -638,8 +667,11 @@ class TestEmpiricalCoeffs:
 
 
 def reference_empirical_coeffs(samples, family, j0, j1):
-    """The per-shift `bincount` transform that `empirical_coeffs` replaced,
-    kept verbatim as the bit-exact reference."""
+    """Level by level, the mean over the sample of each daughter of the
+    filter-bank basis with top level j1 + 1, read from the value tables at
+    depth m + j1 + 1 - j with the per-shift `bincount` transform: no bank is
+    involved. For Haar every sum is an exact integer, so the result is the
+    bit-exact reference."""
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -648,6 +680,7 @@ def reference_empirical_coeffs(samples, family, j0, j1):
     w = family.support_width
     tree = CoefficientTree(family, d, alpha=1.0)
     for j in range(0, j1 + 1):
+        level_family = deep_family(family, j1 + 1, j)
         two_j = 2**j
         c = (x * two_j).astype(np.int64)
         np.minimum(c, two_j - 1, out=c)
@@ -658,7 +691,7 @@ def reference_empirical_coeffs(samples, family, j0, j1):
             key = (axis, mother)
             if key not in vals:
                 u = frac[:, axis, None] + np.arange(w)[None, :]
-                f = family.mother_values if mother else family.father_values
+                f = level_family.mother_values if mother else level_family.father_values
                 vals[key] = f(u)
             return vals[key]
 
@@ -699,32 +732,86 @@ def assert_trees_identical(got, want):
     assert_levels_bitwise_equal(got, want)
 
 
-BLOCK = coefficients._BLOCK_ROWS
+def assert_trees_close(got, want, atol):
+    assert got.alpha == want.alpha
+    assert got.levels() == want.levels()
+    for j in want.levels():
+        np.testing.assert_allclose(got.level_array(j), want.level_array(j), rtol=0, atol=atol)
+
+
+# SHA-256 of the int64 view of the Haar level arrays of `edge_sample(5000,
+# dim, 60 + dim)`, taken when every level was summed over the sample on its
+# own: the bank must reproduce each of these integers' images bit for bit.
+GOLDEN_HAAR_LEVELS_SHA256 = {
+    (1, 0): "9da0201cd998cb9c9eb991dad0a2075fcafd447bb9d58c6583c1a028eb56869e",
+    (1, 3): "ff3b2bcfb02b2d7d1152e3dae83e26646f3a73a03ec087d5e0787534e0295f67",
+    (1, 7): "b394f24216b28188a0b306de319cacf92c0f704fe79dd40e35b5e792f0a9f7b4",
+    (2, 0): "13d0695735ea6bda886e2a364c029865f00c1eb74206866fa1322f22ff416776",
+    (2, 3): "935885d83efab5c81a9482f74beff3bc57a82dfbe31f7023e3d896caf5d7cd31",
+    (2, 7): "65a4ea90e142be32e3bc91c5d29cb8eb2627f4535d26efd07b8c6e49e9c073d4",
+}
 
 
 class TestEmpiricalBitIdentity:
-    """The blocked and the Haar count transforms against the per-shift reference."""
+    """The binning and the filter bank against the per-level reference."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("name", ["haar", "db2", "db3", "db4"])
-    @pytest.mark.parametrize("n", [1, 7, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("n", [1, 7, 2047, 2048, 2049, 6149])
     def test_equal_to_reference(self, name, dim, n):
-        fam = wavelet_family(name)
+        # Haar bit for bit; Daubechies to rounding, over shallow base tables
+        # so that the reference's deeper ones stay small
         j1 = 5 if dim == 1 else 3
         x = edge_sample(n, dim, seed=n + 10 * dim)
-        assert_trees_identical(empirical_coeffs(x, fam, 0, j1), reference_empirical_coeffs(x, fam, 0, j1))
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_row_groups_equal_to_reference(self, monkeypatch, dim):
-        # a tiny sum cap splits every level's shift rows into groups of one
-        monkeypatch.setattr(coefficients, "_SUM_CELLS", 1)
-        fam = wavelet_family("db3")
-        x = edge_sample(BLOCK + 3, dim, seed=3)
-        assert_trees_identical(empirical_coeffs(x, fam, 0, 3), reference_empirical_coeffs(x, fam, 0, 3))
+        if name == "haar":
+            assert_trees_identical(empirical_coeffs(x, HAAR, 0, j1), reference_empirical_coeffs(x, HAAR, 0, j1))
+            return
+        fam = wavelet_family(name, cascade_depth=8)
+        want = reference_empirical_coeffs(x, fam, 0, j1)
+        assert_trees_close(empirical_coeffs(x, fam, 0, j1), want, atol=1e-12)
 
     def test_haar_deep_levels(self):
-        x = edge_sample(3 * BLOCK + 5, 1, seed=4)
+        x = edge_sample(6149, 1, seed=4)
         assert_trees_identical(empirical_coeffs(x, HAAR, 0, 11), reference_empirical_coeffs(x, HAAR, 0, 11))
+
+    @pytest.mark.parametrize("dim,j1", sorted(GOLDEN_HAAR_LEVELS_SHA256))
+    def test_haar_levels_golden(self, dim, j1):
+        tree = empirical_coeffs(edge_sample(5000, dim, seed=60 + dim), HAAR, 0, j1)
+        digest = hashlib.sha256()
+        for j in tree.levels():
+            digest.update(tree.level_array(j).view(np.int64).tobytes())
+        assert tree.levels() == list(range(j1 + 1))
+        assert digest.hexdigest() == GOLDEN_HAAR_LEVELS_SHA256[(dim, j1)]
+
+    @pytest.mark.parametrize("family", [HAAR, DB2])
+    def test_bank_emits_orientations_in_order(self, family):
+        # level-0 details of a 2-d father array, each orientation formed
+        # directly: low-pass along the axes with bit 0, high-pass along bit 1
+        a = np.random.default_rng(8).random((2, 2))
+        father, details = coefficients._bank_level(a, family.taps)
+        size, taps = 2, family.taps
+        for o, e in enumerate(orientations(2)):
+            want = sum(
+                taps[e[0], l0] * taps[e[1], l1] * a[l0 % size, l1 % size]
+                for l0 in range(taps.shape[1])
+                for l1 in range(taps.shape[1])
+            )
+            assert details[o].shape == (1, 1)
+            assert details[o, 0, 0] == pytest.approx(want, abs=1e-14)
+        assert father[0, 0] == pytest.approx(a.sum() * taps[0].sum() ** 2 / 4, abs=1e-14)
+
+    @pytest.mark.parametrize("family", [HAAR, DB2])
+    def test_last_float_below_one_in_last_cell(self, family):
+        # 2^20 (1 - 2^-53) rounds to no integer, so the cell needs no clamp
+        x = np.array([[np.nextafter(1.0, 0.0)]])
+        sums = coefficients._father_sums(x, family, 20)
+        assert sums.shape == (2**20,)
+        if family.is_haar:
+            assert sums[-1] == 1.0 and sums.sum() == 1.0
+        else:
+            # the translates k = c - t, t < W, of the last cell c = 2^20 - 1
+            assert not sums[: -family.support_width].any()
+            assert sums.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCellMatrixCache:
@@ -733,35 +820,101 @@ class TestCellMatrixCache:
         model = random_pwc(np.random.default_rng(dim), 3, dim)
         monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
         cold = exact_coeffs(model, family, 5)
-        assert len(coefficients._CELL_MATRIX_CACHE) == 2 * 6  # father and mother, j = 0..5
+        assert len(coefficients._CELL_MATRIX_CACHE) == 1  # every level of one pyramid
         warm = exact_coeffs(model, family, 5)
         assert_trees_identical(warm, cold)
 
     def test_cached_matrices_are_read_only_and_capped(self, monkeypatch):
         monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
-        mat = coefficients._axis_cell_integral_matrix(DB2, True, 4, 3)
-        assert coefficients._axis_cell_integral_matrix(DB2, True, 4, 3) is mat
+        mats = coefficients._cell_matrices(DB2, 4, 3)
+        assert coefficients._cell_matrices(DB2, 4, 3) is mats
+        assert [(j, father.shape) for j, father, _ in mats] == [(j, (2**j, 8)) for j in range(4, -1, -1)]
         with pytest.raises(ValueError):
-            mat[0, 0] = 1.0
-        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE_MAX", mat.size - 1)
-        big = coefficients._axis_cell_integral_matrix(DB2, False, 4, 3)
-        assert not big.flags.writeable
-        assert list(coefficients._CELL_MATRIX_CACHE) == [(DB2.name, DB2.cascade_depth, True, 4, 3)]
+            mats[0][2][0, 0] = 1.0
+        total = sum(father.size + mother.size for _, father, mother in mats)
+        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE_MAX", total)
+        # a bigger pyramid is built a level at a time, top down, and not kept
+        big = coefficients._cell_matrices(DB2, 5, 3)
+        assert [j for j, _, _ in big] == list(range(5, -1, -1))
+        assert list(coefficients._CELL_MATRIX_CACHE) == [(DB2.name, DB2.cascade_depth, 4, 3)]
+
+    @pytest.mark.parametrize("name,j,s", [("haar", 5, 2), ("haar", 2, 2), ("db2", 6, 3), ("db3", 4, 4), ("db2", 1, 0)])
+    def test_rolled_columns_equal_direct_integrals(self, name, j, s):
+        # at j >= s the father matrix is its column 0 rolled down; integrate
+        # every cell against every wrap directly instead, bit for bit
+        family = wavelet_family(name, cascade_depth=8)
+        w, m = family.support_width, family.cascade_depth
+        if family.is_haar:
+            cum = np.array([0.0, 1.0])
+            m = 0
+        else:
+            v = family.phi_values
+            cum = np.concatenate([[0.0], np.cumsum((v[:-1] + v[1:]) / 2.0)]) * 2.0**-m
+        edges = np.arange(2**s + 1) * 2.0 ** (j - s)
+        ks = np.arange(2**j)[:, None]
+        direct = np.zeros((2**j, 2**s))
+        for t in range(-1, int(math.ceil((w + 2**j) / 2**j)) + 1):
+            lo = np.clip(edges[None, :-1] - ks + t * 2**j, 0.0, w) * 2**m
+            hi = np.clip(edges[None, 1:] - ks + t * 2**j, 0.0, w) * 2**m
+            direct += cum[hi.astype(np.int64)] - cum[lo.astype(np.int64)]
+        direct *= 2.0**-j
+        assert np.array_equal(coefficients._father_cell_matrix(family, j, s), direct)
+
+
+def traced_peak(fn) -> int:
+    """Bytes allocated at the peak of fn() above what was held before it."""
+    was = tracemalloc.is_tracing()
+    if not was:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was:
+            tracemalloc.stop()
+
+
+class TestExactTruthMemory:
+    """Deep truths hold the top father matrix and a few level-sized
+    temporaries, never the whole pyramid."""
+
+    def test_deep_db3_truth_peak(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
+        family = wavelet_family("db3")
+        model = random_pwc(np.random.default_rng(5), 3, 1)
+        top = 8 * 2 ** (14 + 1 + 3)  # bytes of the level-15 father matrix
+        # the first bank step holds the matrix, its periodic extension, its
+        # output and one product: 4 top matrices, never the whole pyramid
+        assert traced_peak(lambda: exact_coeffs(model, family, 14)) < 5 * top
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_haar_bank_from_level_s_is_exact(self, monkeypatch, s):
+        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
+        # why Haar truths stop at level s - 1: from any higher top, the
+        # mothers of levels >= s are exactly 0 and the lower levels agree
+        # bit for bit with the bank started at level s
+        deep = {j: (f, m) for j, f, m in coefficients._cell_matrices(HAAR, s + 4, s)}
+        low = {j: (f, m) for j, f, m in coefficients._cell_matrices(HAAR, s - 1, s)}
+        for j in range(s, s + 5):
+            assert not deep[j][1].any()
+        for j in range(s):
+            assert np.array_equal(deep[j][0], low[j][0]) and np.array_equal(deep[j][1], low[j][1])
+
+    def test_deep_haar_truth_does_not_grow_with_j_max(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
+        model = random_pwc(np.random.default_rng(6), 3, 1)
+        shallow = exact_coeffs(model, HAAR, 2)
+        # a level-15 father matrix alone would be 2 MB
+        assert traced_peak(lambda: exact_coeffs(model, HAAR, 14)) < 2**16
+        assert_trees_identical(exact_coeffs(model, HAAR, 14), shallow)
+        flat2 = random_pwc(np.random.default_rng(7), 3, 2)
+        assert_trees_identical(exact_coeffs(flat2, HAAR, 6), exact_coeffs(flat2, HAAR, 2))
 
 
 class TestExactCoeffsFrozen:
     """Values frozen from an independent quadrature oracle."""
-
-    def test_ramp_haar_level0(self):
-        # f(x) = 2x against the Haar mother: 2(1/8 - 3/8) = -1/2
-        model = GenericDensity(1, lambda x: 2.0 * x[:, 0], 2.0)
-        tree = exact_coeffs(model, HAAR, j_max=2)
-        assert tree.get(WaveletIndex(0, (0,), (1,))) == pytest.approx(-0.5, abs=1e-12)
-
-    def test_ramp_haar_level2(self):
-        model = GenericDensity(1, lambda x: 2.0 * x[:, 0], 2.0)
-        tree = exact_coeffs(model, HAAR, j_max=2)
-        assert tree.get(WaveletIndex(2, (1,), (1,))) == pytest.approx(-0.0625, abs=1e-12)
 
     def test_step_haar_exact(self):
         model = PiecewiseConstant(np.array([0.5, 1.5]), 1)
@@ -781,7 +934,7 @@ class TestExactCoeffsOracle:
         for j in (0, 2, 3):
             for k in range(2**j):
                 idx = WaveletIndex(j, (k,), (1,))
-                worst = max(worst, abs(tree.get(idx) - brute_coeff_1d(model, HAAR, idx, cap=12)))
+                worst = max(worst, abs(tree.get(idx) - brute_coeff_1d(model, HAAR, idx, 5, cap=12)))
         assert worst < 1e-12
 
     def test_pwc_db2_vs_oracle(self):
@@ -793,7 +946,7 @@ class TestExactCoeffsOracle:
         worst = 0.0
         for i in rngc.choice(len(items), size=min(20, len(items)), replace=False):
             idx, v = items[i]
-            worst = max(worst, abs(v - brute_coeff_1d(model, DB2_S, idx)))
+            worst = max(worst, abs(v - brute_coeff_1d(model, DB2_S, idx, 4)))
         assert worst < 1e-11
 
     def test_pwc_db2_default_depth_vs_oracle(self):
@@ -802,17 +955,17 @@ class TestExactCoeffsOracle:
         tree = exact_coeffs(model, DB2, j_max=2)
         idxs = [WaveletIndex(0, (0,), (1,)), WaveletIndex(2, (3,), (1,))]
         for idx in idxs:
-            assert tree.get(idx) == pytest.approx(brute_coeff_1d(model, DB2, idx), abs=1e-11)
+            assert tree.get(idx) == pytest.approx(brute_coeff_1d(model, DB2, idx, 3), abs=1e-11)
 
     def test_pwc_db2_2d_vs_oracle(self):
         rng = np.random.default_rng(43)
         model = random_pwc(rng, scale=1, dim=2)
-        tree = exact_coeffs(model, DB2_S, j_max=1)
+        tree = exact_coeffs(model, DB2_XS, j_max=1)
         worst = 0.0
         for j in (0, 1):
             for e in list(orientations(2)):
                 idx = WaveletIndex(j, (0, min(1, 2**j - 1)), e)
-                worst = max(worst, abs(tree.get(idx) - brute_coeff_2d(model, DB2_S, idx)))
+                worst = max(worst, abs(tree.get(idx) - brute_coeff_2d(model, DB2_XS, idx, 2)))
         assert worst < 1e-10
 
     def test_haar_2d_pyramid_vs_oracle(self):
@@ -823,7 +976,7 @@ class TestExactCoeffsOracle:
         for j in (0, 1):
             for e in list(orientations(2)):
                 idx = WaveletIndex(j, (0, 2**j - 1), e)
-                worst = max(worst, abs(tree.get(idx) - brute_coeff_2d(model, HAAR, idx)))
+                worst = max(worst, abs(tree.get(idx) - brute_coeff_2d(model, HAAR, idx, 2)))
         assert worst < 1e-10
 
     def test_bump_db4_vs_oracle(self):
@@ -834,7 +987,7 @@ class TestExactCoeffsOracle:
         worst = 0.0
         for i in rng.choice(len(items), size=min(20, len(items)), replace=False):
             idx, v = items[i]
-            worst = max(worst, abs(v - brute_coeff_1d(model, DB4, idx)))
+            worst = max(worst, abs(v - brute_coeff_1d(model, DB4, idx, 5)))
         assert worst < 1e-10
 
     def test_bump_haar_vs_oracle(self):
@@ -844,7 +997,7 @@ class TestExactCoeffsOracle:
         for j in (0, 1, 3):
             for k in sorted({0, 2**j - 1, 2 ** max(j - 1, 0) % 2**j}):
                 idx = WaveletIndex(j, (int(k),), (1,))
-                worst = max(worst, abs(tree.get(idx) - brute_coeff_1d(model, HAAR, idx)))
+                worst = max(worst, abs(tree.get(idx) - brute_coeff_1d(model, HAAR, idx, 4)))
         assert worst < 1e-12
 
     def test_bump_2d_separable_product(self):
@@ -854,16 +1007,10 @@ class TestExactCoeffsOracle:
         mx = SmoothBump([[0.4]], [[0.25]], [1.0])
         my = SmoothBump([[0.6]], [[0.3]], [1.0])
         idx = WaveletIndex(2, (1, 2), (1, 1))
-        want = brute_coeff_1d(mx, HAAR, WaveletIndex(2, (1,), (1,))) * brute_coeff_1d(
-            my, HAAR, WaveletIndex(2, (2,), (1,))
+        want = brute_coeff_1d(mx, HAAR, WaveletIndex(2, (1,), (1,)), 3) * brute_coeff_1d(
+            my, HAAR, WaveletIndex(2, (2,), (1,)), 3
         )
         assert tree2.get(idx) == pytest.approx(want, abs=1e-12)
-
-    def test_generic_tree_matches_oracle(self):
-        model = GenericDensity(1, lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x[:, 0]), 1.5)
-        tree = exact_coeffs(model, DB2_S, j_max=3, tol=1e-11)
-        for idx in [WaveletIndex(1, (0,), (1,)), WaveletIndex(3, (5,), (1,))]:
-            assert tree.get(idx) == pytest.approx(brute_coeff_1d(model, DB2_S, idx), abs=1e-9)
 
     def test_spike_tree_haar(self):
         idx = WaveletIndex(2, (1,), (1,))
@@ -887,9 +1034,6 @@ class TestExactCoeffsOracle:
         db_spike = SpikePerturbation(uniform_density(1), DB2, WaveletIndex(1, (0,), (1,)), 1e-3)
         with pytest.raises(QuadratureFailure):
             exact_coeffs(db_spike, DB2, j_max=2)
-        not_density = GenericDensity(1, lambda x: 3.0 * np.ones(x.shape[0]), 3.0)
-        with pytest.raises(QuadratureFailure):
-            exact_coeffs(not_density, HAAR, j_max=1)
         with pytest.raises(ValueError):
             exact_coeffs(uniform_density(1), HAAR, j_max=-1)
         with pytest.raises(TypeError):

@@ -21,7 +21,6 @@ from besov_robust.harness import (
     estimate_risk,
     fit_rate,
     fit_report_rate,
-    mixed_term_ratio,
     resolve_jobs,
     run_sweep,
     theoretical_exponents,
@@ -136,14 +135,6 @@ class TestExponents:
             theoretical_exponents(GEN, TV, 1, "no-such-regime")
         with pytest.raises(RegimeMismatch, match="outside"):
             ExponentSet("structured", (0.5, 0.0, 1.0), (0.5, 0.5, 0.5), (1.0,))
-
-    def test_mixed_term_never_dominates(self):
-        ns = np.array([2.0**k for k in range(4, 20)])[:, None]
-        eps = np.array([2.0**-k for k in range(1, 16)])[None, :]
-        for sigma in (0.5, 1.0, 2.0, 4.0):
-            assert float(np.max(mixed_term_ratio(sigma, ns, eps))) <= 1.0
-        with pytest.raises(ValueError):
-            mixed_term_ratio(0.0, 16.0, 0.1)
 
 
 class TestBreakdown:
