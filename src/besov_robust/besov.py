@@ -80,44 +80,75 @@ def loss_params(name: str) -> BesovParams:
         raise ValueError(f"unknown loss {name!r}; choose from {sorted(LOSS_PRESETS)}") from None
 
 
-def _lp(values: np.ndarray, p: float) -> float:
-    """l^p norm of a 1-d array, summed in numpy's pairwise order."""
-    if values.size == 0:
-        return 0.0
+def _lp(values: np.ndarray, p: float) -> np.ndarray:
+    """l^p norms along the last axis, summed in numpy's pairwise order.
+
+    A reduction along the last axis of a C-contiguous array sums each row
+    exactly as numpy sums that row alone, so the rows of a block get the
+    bits of separate 1-d calls."""
     a = np.abs(values)
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
     if p == math.inf:
-        return float(a.max())
+        return a.max(axis=-1)
     if p == 1.0:
-        return float(a.sum())
+        return a.sum(axis=-1)
     if p == 2.0:
-        return math.sqrt(float((a * a).sum()))
-    return float((a**p).sum() ** (1.0 / p))
+        return np.sqrt((a * a).sum(axis=-1))
+    return _root((a**p).sum(axis=-1), p)
 
 
-def _level_lp(level: np.ndarray, p: float) -> float:
-    """l^p norm of a level array (zero entries are absent coefficients).
+def _root(sums: np.ndarray, p: float) -> np.ndarray:
+    """sums ** (1/p) entry by entry with the C library's pow, the one a
+    scalar power calls, so no vectorized power can move a last bit."""
+    return np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
 
-    The fixed sum order: each orientation's 2^{Dj} entries are reduced in
-    row-major k order by numpy's pairwise summation, then the orientation
-    partial sums are added in orientation order. Working one orientation at
-    a time also bounds the temporaries to one orientation's size.
+
+def _level_lp(level: np.ndarray, p: float) -> np.ndarray:
+    """Per-trial l^p norms, shape (T,), of a level block of shape
+    (T, 2^D - 1, 2^j, ..., 2^j) (zero entries are absent coefficients).
+
+    The fixed sum order: each orientation's 2^{Dj} entries are reduced by
+    numpy's pairwise summation in the order they lie in memory (row-major,
+    or column-major where an estimate keeps the bank's layout), then the
+    orientation partial sums are added in orientation order. Each trial's
+    entries form one row, so every trial of a block is reduced as its own
+    level array alone would be. Working one orientation at a time bounds
+    the temporaries to one orientation's size.
     """
-    if p == math.inf:
-        return max(max(float(part.max()), -float(part.min())) for part in level)
-    if p == 1.0:
-        return sum(float(np.abs(part).sum()) for part in level)
+    if level.ndim > 3:
+        # list each orientation's entries in memory order: the k axes by stride
+        k = sorted(range(2, level.ndim), key=lambda ax: level.strides[ax], reverse=True)
+        level = level.transpose((0, 1, *k))
+    total = None
+    for part in level.swapaxes(0, 1):
+        part = part.reshape(len(part), -1)  # one row per trial
+        if p == math.inf:
+            s = np.abs(part).max(axis=1)
+            total = s if total is None else np.maximum(total, s)
+            continue
+        if p == 1.0:
+            s = np.abs(part).sum(axis=1)
+        elif p == 2.0:
+            s = np.square(part).sum(axis=1)
+        else:
+            s = (np.abs(part) ** p).sum(axis=1)
+        total = s if total is None else total + s
     if p == 2.0:
-        return math.sqrt(sum(float(np.square(part).sum()) for part in level))
-    return sum(float((np.abs(part) ** p).sum()) for part in level) ** (1.0 / p)
+        return np.sqrt(total)
+    if p in (1.0, math.inf):
+        return total
+    return _root(total, p)
 
 
 def besov_norm(tree: CoefficientTree, params: BesovParams) -> float:
     """|alpha| + l^q norm over levels of 2^{j(sigma + D/2 - D/p)} ||beta_j||_p."""
+    tree._single("besov_norm")
     sp = params.sigma_prime(tree.dim)
     terms = np.array(
-        [2.0 ** (j * sp) * _level_lp(tree.level_array(j), params.p) for j in tree.levels()]
+        [2.0 ** (j * sp) * _level_lp(tree._trial_levels(j), params.p)[0] for j in tree.levels()]
     )
-    return abs(tree.alpha) + _lp(terms, params.q)
+    return abs(tree.alpha) + float(_lp(terms, params.q))
 
 
 def in_ball(tree: CoefficientTree, params: BesovParams, slack: float = 1e-9) -> bool:
@@ -131,6 +162,8 @@ def pairing(f: CoefficientTree, g: CoefficientTree) -> float:
     alpha_f alpha_g plus, level by level in increasing j, the pairwise sum of
     the entrywise products over the level array.
     """
+    f._single("pairing")
+    g._single("pairing")
     f.check_compatible(g)
     total = f.alpha * g.alpha
     for j in f.levels():
@@ -140,21 +173,41 @@ def pairing(f: CoefficientTree, g: CoefficientTree) -> float:
     return total
 
 
-def _level_dual_terms(levels, dim: int, disc: BesovParams) -> np.ndarray:
-    """u_j = 2^{-j sigma_d'} ||delta beta_j||_{p'} for the (j, level array)
-    pairs of a difference, in increasing j; all-zero levels are skipped."""
+def _level_dual_terms(levels, dim: int, disc: BesovParams, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Dual terms u_j = 2^{-j sigma_d'} ||delta beta_j||_{p'} of the (j, level
+    block) pairs of a difference, in increasing j, per trial: the terms,
+    shape (trials, levels), and which of them each trial keeps, since a
+    trial skips each level that is all zero in its row."""
     pd = conjugate(disc.p)
     sp = disc.sigma_prime(dim)
-    return np.array([2.0 ** (-j * sp) * _level_lp(lev, pd) for j, lev in levels if lev.any()])
+    levels = list(levels)
+    u = np.empty((trials, len(levels)))
+    kept = np.empty((trials, len(levels)), dtype=bool)
+    for i, (j, lev) in enumerate(levels):
+        u[:, i] = 2.0 ** (-j * sp) * _level_lp(lev, pd)
+        kept[:, i] = lev.any(axis=tuple(range(1, lev.ndim)))
+    return u, kept
+
+
+def _kept_lp(u: np.ndarray, kept: np.ndarray, q: float) -> np.ndarray:
+    """Per row, the l^q norm of the kept entries of u, taken in order as one
+    compact array: a zero in the sum would change numpy's pairwise grouping."""
+    if kept.all():
+        return _lp(u, q)
+    return np.array([_lp(row[keep], q) for row, keep in zip(u, kept)])
 
 
 def _dual_parts(delta: CoefficientTree, disc: BesovParams) -> tuple[float, float, np.ndarray]:
     """(alpha part, beta part, per-level dual terms) of the dual norm of delta."""
-    u = _level_dual_terms(((j, delta.level_array(j)) for j in delta.levels()), delta.dim, disc)
-    return abs(delta.alpha), _lp(u, conjugate(disc.q)), u
+    delta._single("ipm_witness")
+    u, kept = _level_dual_terms(
+        ((j, delta._trial_levels(j)) for j in delta.levels()), delta.dim, disc
+    )
+    u = u[0][kept[0]]
+    return abs(delta.alpha), float(_lp(u, conjugate(disc.q))), u
 
 
-def besov_ipm(t1: CoefficientTree, t2: CoefficientTree, disc: BesovParams) -> float:
+def besov_ipm(t1: CoefficientTree, t2: CoefficientTree, disc: BesovParams):
     """Exact IPM over the discriminator ball, between level-limited projections.
 
     Equals L * max(|delta alpha|, || {2^{-j sigma_d'} ||delta beta_j||_{p'}}_j ||_{q'})
@@ -162,10 +215,17 @@ def besov_ipm(t1: CoefficientTree, t2: CoefficientTree, disc: BesovParams) -> fl
     Symmetric, zero iff the trees agree on all stored levels. The difference
     is formed one level at a time (`difference_levels`), so no whole
     difference tree is held.
+
+    When either tree is a block of T trials (`CoefficientTree.trials`), the
+    result is the array of the T trials' IPMs, each with the bits of its own
+    tree's IPM: every reduction runs trial by trial in the one-tree order
+    (`_level_lp`, `_kept_lp`). Otherwise it is a float.
     """
+    trials = t1.trials or t2.trials
     a_part = abs(-1.0 * t2.alpha + t1.alpha)
-    u = _level_dual_terms(difference_levels(t1, t2), t1.dim, disc)
-    return disc.L * max(a_part, _lp(u, conjugate(disc.q)))
+    u, kept = _level_dual_terms(difference_levels(t1, t2), t1.dim, disc, trials or 1)
+    risk = disc.L * np.maximum(a_part, _kept_lp(u, kept, conjugate(disc.q)))
+    return risk if trials is not None else float(risk[0])
 
 
 def ipm_witness(delta: CoefficientTree, disc: BesovParams) -> CoefficientTree:
@@ -217,7 +277,7 @@ def ipm_witness(delta: CoefficientTree, disc: BesovParams) -> CoefficientTree:
         if pd == 1.0:
             shape = np.sign(vals)
         else:
-            shape = np.sign(vals) * (np.abs(vals) / _level_lp(vals, pd)) ** (pd - 1.0)
+            shape = np.sign(vals) * (np.abs(vals) / _level_lp(vals[None], pd)[0]) ** (pd - 1.0)
         out.set_level_array(j, target * shape)
     return out
 

@@ -10,6 +10,16 @@ PRUNE_TOL in magnitude are stored as zero, and a level whose entries are all
 zero is dropped, so `levels`, `n_coefficients` and `items` see only stored
 coefficients, in (j, e, row-major k) order.
 
+A tree may also hold the coefficients of a block of T Monte-Carlo trials
+(`trials=T`): level j is then one array of shape (T, 2^D - 1, 2^j, ...),
+trial t's tree in row t, and a level is stored while any trial has an
+entry in it. Such a block is built by `empirical_coeffs` and the
+estimators and measured by `besov.besov_ipm`, which returns one IPM per
+trial. The per-coefficient methods (`set`, `get`, `items`, `evaluate`,
+`to_jsonl`), `tree_axpy` and the norms and pairing of `besov` other than
+`besov_ipm` address a single tree only and raise ValueError on a block;
+`check_compatible` rejects two blocks of different sizes.
+
 Density models (`PiecewiseConstant`, `SmoothBump`, `SpikePerturbation`)
 share a small duck-typed protocol: a `dim` attribute, `pdf(points)` and
 `sample(n, rng)`. `empirical_coeffs` and `exact_coeffs` share one transform:
@@ -58,6 +68,12 @@ def _prune(arr: np.ndarray) -> bool:
     return bool(arr.any())
 
 
+def _prune_level(arr: np.ndarray) -> bool:
+    """`_prune` a level with a leading trial axis, one orientation at a time,
+    which bounds the temporaries of deep levels; whether any entry remains."""
+    return any([_prune(arr[:, o]) for o in range(arr.shape[1])])
+
+
 def _json_float(v: float) -> str:
     """A float exactly as `json.dumps` writes it."""
     return repr(v) if math.isfinite(v) else json.dumps(v)
@@ -76,31 +92,41 @@ def _orientation_positions(dim: int) -> dict[tuple[int, ...], int]:
 class CoefficientTree:
     """Periodized wavelet coefficients of a function on [0,1)^D, one array per level."""
 
-    def __init__(self, family: WaveletFamily, dim: int, alpha: float = 0.0):
+    def __init__(self, family: WaveletFamily, dim: int, alpha: float = 0.0, trials: int | None = None):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
+        if trials is not None and trials < 1:
+            raise ValueError("a block needs at least one trial")
         self.family = family
         self.dim = int(dim)
         self.alpha = float(alpha)
+        self.trials = trials
         self._opos = _orientation_positions(self.dim)
         self._orients = list(self._opos)
         self._levels: dict[int, np.ndarray] = {}
 
     def _shape(self, j: int) -> tuple[int, ...]:
-        return (len(self._orients),) + (2**j,) * self.dim
+        lead = () if self.trials is None else (self.trials,)
+        return lead + (len(self._orients),) + (2**j,) * self.dim
 
     def _adopt(self, j: int, arr: np.ndarray) -> None:
         """Store arr (float64, level shape, owned by the tree from now on) as
-        level j. Pruning one orientation at a time bounds the temporaries."""
-        if any([_prune(part) for part in arr]):
+        level j, pruned by `_prune_level`."""
+        if _prune_level(arr if self.trials is not None else arr[None]):
             self._levels[j] = arr
         else:
             self._levels.pop(j, None)
+
+    def _single(self, what: str) -> None:
+        """Raise ValueError if the tree is a block: `what` reads one tree."""
+        if self.trials is not None:
+            raise ValueError(f"{what} needs a single tree, not a block of {self.trials} trials")
 
     # -- mutation and access ------------------------------------------------
 
     def set(self, index: WaveletIndex, value: float) -> None:
         """Store one coefficient; magnitudes below 1e-14 are stored as absent."""
+        self._single("set")
         j, k = index.j, tuple(index.k)
         o = self._opos.get(tuple(index.e))
         if j < 0 or len(k) != self.dim or o is None:
@@ -121,8 +147,9 @@ class CoefficientTree:
         lev[(o,) + k] = value
 
     def set_level_array(self, j: int, values) -> None:
-        """Store the whole level j, shape (2^D - 1, 2^j, ..., 2^j). A float64
-        array is kept as it is, not copied: the tree owns it from now on."""
+        """Store the whole level j, shape (2^D - 1, 2^j, ..., 2^j), after the
+        trial axis in a block. A float64 array is kept as it is, not copied:
+        the tree owns it from now on."""
         arr = np.asarray(values, dtype=float)
         if j < 0 or arr.shape != self._shape(j):
             raise ValueError(f"level {j} needs shape {self._shape(max(j, 0))}, got {arr.shape}")
@@ -134,6 +161,7 @@ class CoefficientTree:
         return self._levels.get(j)
 
     def get(self, index: WaveletIndex) -> float:
+        self._single("get")
         lev = self._levels.get(index.j)
         if lev is None:
             return 0.0
@@ -146,6 +174,12 @@ class CoefficientTree:
             if not 0 <= kk < side:
                 return 0.0
         return lev.item((o,) + k)
+
+    def _trial_levels(self, j: int) -> np.ndarray | None:
+        """Level j with a leading trial axis (of length 1 for a single tree),
+        or None."""
+        lev = self._levels.get(j)
+        return lev[None] if lev is not None and self.trials is None else lev
 
     def levels(self) -> list[int]:
         return sorted(self._levels)
@@ -168,13 +202,16 @@ class CoefficientTree:
 
     def items(self) -> Iterator[tuple[WaveletIndex, float]]:
         """Stored coefficients in (j, e, row-major k) order."""
+        self._single("items")
         orients = self._orients
-        for j in self.levels():
-            for o, k, v in zip(*self._stored(j)):
-                yield WaveletIndex(j, k, orients[o]), v
+        return (
+            (WaveletIndex(j, k, orients[o]), v)
+            for j in self.levels()
+            for o, k, v in zip(*self._stored(j))
+        )
 
     def copy(self) -> "CoefficientTree":
-        out = CoefficientTree(self.family, self.dim, self.alpha)
+        out = CoefficientTree(self.family, self.dim, self.alpha, self.trials)
         out._levels = {j: lev.copy() for j, lev in self._levels.items()}
         return out
 
@@ -188,6 +225,8 @@ class CoefficientTree:
                 f"({self.family.name}@{self.family.cascade_depth}, D={self.dim}) vs "
                 f"({other.family.name}@{other.family.cascade_depth}, D={other.dim})"
             )
+        if None not in (self.trials, other.trials) and self.trials != other.trials:
+            raise IncompatibleTrees(f"blocks of {self.trials} and {other.trials} trials")
 
     def evaluate(self, x) -> np.ndarray:
         """Synthesize the series at points x of shape (..., D).
@@ -197,6 +236,7 @@ class CoefficientTree:
         k = (c - t) mod 2^j for the cell c holding the point and shifts t in
         {0..W-1}^D, which also sums the periodization wraps when 2^j < W.
         """
+        self._single("evaluate")
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
@@ -245,6 +285,7 @@ class CoefficientTree:
         Records carry sorted keys and floats as `json.dumps` writes them, so
         the bytes equal `json.dumps(record, sort_keys=True)` line by line.
         """
+        self._single("to_jsonl")
         header = {
             "format": "besov-robust-tree",
             "version": 1,
@@ -358,6 +399,8 @@ def tree_axpy(a: float, x: CoefficientTree, y: CoefficientTree) -> CoefficientTr
     are 0.0), and results below PRUNE_TOL are dropped. `a` must be finite,
     so that absent entries stay absent.
     """
+    x._single("tree_axpy")
+    y._single("tree_axpy")
     x.check_compatible(y)
     if not math.isfinite(a):
         raise ValueError(f"axpy needs a finite scalar, got {a}")
@@ -376,7 +419,9 @@ def tree_axpy(a: float, x: CoefficientTree, y: CoefficientTree) -> CoefficientTr
 
 
 def difference_levels(x: CoefficientTree, y: CoefficientTree) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (j, level j of x - y) in increasing j, one level at a time.
+    """Yield (j, level j of x - y) in increasing j, one level at a time,
+    with a leading trial axis (`CoefficientTree._trial_levels`), so a block
+    x is measured against one tree y trial by trial.
 
     Entries are those of `tree_axpy(-1.0, y, x)`, with results below
     PRUNE_TOL zeroed; all-zero levels are yielded too. A level stored in one
@@ -385,13 +430,12 @@ def difference_levels(x: CoefficientTree, y: CoefficientTree) -> Iterator[tuple[
     """
     y.check_compatible(x)
     for j in sorted(set(x._levels) | set(y._levels)):
-        a, b = x._levels.get(j), y._levels.get(j)
+        a, b = x._trial_levels(j), y._trial_levels(j)
         if a is None or b is None:
             yield j, b if a is None else a
             continue
         d = a - b
-        for part in d:
-            _prune(part)
+        _prune_level(d)
         yield j, d
 
 
@@ -665,15 +709,24 @@ def _bank_step(a: np.ndarray, taps: np.ndarray, axis: int = 0) -> tuple[np.ndarr
 
 
 def _bank_level(a: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Level-j father sums and the detail sums of level j, shape
-    (2^D - 1, 2^j, ..., 2^j), from the level-(j+1) father sums a: the step
-    runs axis after axis, low-pass then high-pass, so the parts come out in
-    product order of the orientation bits, the all-zero father first and
-    then the details in `orientations` order."""
+    """Level-j father sums, shape (T, 2^j, ..., 2^j), and detail sums,
+    shape (T, 2^D - 1, 2^j, ..., 2^j), from the level-(j+1) father sums a
+    of T trials, shape (T, 2^(j+1), ..., 2^(j+1)). The step runs axis after
+    axis, low-pass then high-pass, so the parts come out in product order
+    of the orientation bits, the all-zero father first and then the details
+    in `orientations` order.
+
+    Each orientation's entries are laid out column-major (k_0 varies
+    fastest), trial by trial. `besov._level_lp` sums a level in the order
+    it lies in memory, so this layout is part of every estimate's IPM bits."""
     parts = [a]
-    for ax in range(a.ndim):
+    for ax in range(1, a.ndim):
         parts = [out for arr in parts for out in _bank_step(arr, taps, ax)]
-    return parts[0], np.stack(parts[1:])
+    flip = (0,) + tuple(range(a.ndim - 1, 0, -1))
+    details = np.empty((a.shape[0], len(parts) - 1) + parts[0].shape[:0:-1])
+    for o, part in enumerate(parts[1:]):
+        details[:, o] = part.transpose(flip)
+    return parts[0], details.transpose((0, 1) + tuple(range(a.ndim, 1, -1)))
 
 
 def _axis_pyramid(a: np.ndarray, family: WaveletFamily, j_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
@@ -688,12 +741,15 @@ def _axis_pyramid(a: np.ndarray, family: WaveletFamily, j_max: int) -> Iterator[
 # -- empirical coefficients -------------------------------------------------
 
 
-def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int) -> CoefficientTree:
+def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int, trials: int | None = None) -> CoefficientTree:
     """Sample-mean coefficients beta_hat = (1/n) sum psi(X_i) for levels 0..j1.
 
     The father coefficient is exactly 1 (the periodized father is constant).
     j0 is validated against j1 but all levels from 0 are computed, since every
-    estimator keeps the low levels.
+    estimator keeps the low levels. With `trials=T`, samples holds the
+    samples of T trials one after another, n rows each, and the result is
+    the block of their T trees (see `CoefficientTree`); a single sample is
+    the block of one trial, returned as a plain tree.
 
     The basis is the filter-bank basis of `wavelets` with top level
     J = j1 + 1. The result is fixed bit for bit by this summation order:
@@ -704,6 +760,11 @@ def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int) -> Coeffi
     and level j is scaled by 2^{Dj/2}/n. For Haar, S_J holds point counts
     and the taps are +-1, so every sum is an exact integer: the same one
     that summing +-1 over the sample level by level gives.
+
+    A block gives each trial the bits of its own sample alone: trial t's
+    points go to bins of their own (cell index + t 2^{DJ}), `np.bincount`
+    adds each bin's weights in input order, which is the trial's sample
+    order, and the bank and the scaling act entry by entry.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -714,20 +775,24 @@ def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int) -> Coeffi
         raise EmptySample("no samples given")
     if not (0 <= j0 <= j1):
         raise ValueError(f"need 0 <= j0 <= j1, got ({j0}, {j1})")
+    block = 1 if trials is None else trials
+    if block < 1 or x.shape[0] % block:
+        raise ValueError(f"{x.shape[0]} sample rows do not split into {trials} trials")
     x = _fold_points(x)
-    n, d = x.shape
-    sums = _father_sums(x, family, j1 + 1)
-    tree = CoefficientTree(family, d, alpha=1.0)
+    n, d = x.shape[0] // block, x.shape[1]
+    sums = _father_sums(x, family, j1 + 1, block)
+    tree = CoefficientTree(family, d, alpha=1.0, trials=trials)
     for j in range(j1, -1, -1):
         sums, details = _bank_level(sums, family.taps)
         details *= 2.0 ** (d * j / 2.0) / n
-        tree.set_level_array(j, details)
+        tree.set_level_array(j, details if trials is not None else details[0])
     return tree
 
 
-def _father_sums(x: np.ndarray, family: WaveletFamily, top: int) -> np.ndarray:
-    """Unnormalized periodized father sums S[k] = sum_i prod_a phi(2^top x_ia - k_a)
-    of the folded sample x, shape (2^top,)*D.
+def _father_sums(x: np.ndarray, family: WaveletFamily, top: int, trials: int = 1) -> np.ndarray:
+    """Unnormalized periodized father sums S[t, k] = sum_i prod_a phi(2^top x_ia - k_a)
+    of the folded sample x, whose rows are the samples of `trials` trials
+    one after another; shape (trials,) + (2^top,)*D.
 
     A point in cell c = floor(2^top x) meets the translates k = (c - t) mod
     2^top, t in {0..W-1}^D, with the factors phi(frac_a + t_a). Every shift
@@ -736,8 +801,9 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int) -> np.ndarray:
     For each shift vector t in product order, one `np.bincount` over the
     cells c adds the weights prod_a phi(frac_a + t_a) (left to right over
     the axes) in sample order, and the bins, moved to k = c - t, are added
-    in shift order. x < 1 and 2^top x is exact, so c < 2^top needs no
-    clamp. For Haar the sums are the point counts per cell.
+    in shift order. Trial t's cells are offset by t 2^{D top}, a pass that
+    a one-trial block skips. x < 1 and 2^top x is exact, so c < 2^top needs
+    no clamp. For Haar the sums are the point counts per cell.
     """
     d = x.shape[1]
     size = 2**top
@@ -746,9 +812,11 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int) -> np.ndarray:
     cell = c[0]
     for i in range(1, d):
         cell = cell * size + c[i]
-    shape = (size,) * d
+    if trials > 1:
+        cell = cell + np.repeat(np.arange(trials) * size**d, x.shape[0] // trials)
+    shape = (trials,) + (size,) * d
     if family.is_haar:
-        return np.bincount(cell, minlength=size**d).astype(float).reshape(shape)
+        return np.bincount(cell, minlength=trials * size**d).astype(float).reshape(shape)
     grid = 2**family.cascade_depth
     pos = (scaled - c) * grid
     node = np.floor(pos)
@@ -759,9 +827,9 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int) -> np.ndarray:
 
     def factor(i: int, t: int) -> np.ndarray:
         shifted = table[t * grid :]
-        lo = shifted[node[i]]
+        lo = shifted.take(node[i])  # the gather of shifted[node[i]], with less overhead
         lo *= rest[i]
-        hi = shifted[1:][node[i]]
+        hi = shifted[1:].take(node[i])
         hi *= weight[i]
         lo += hi
         return lo
@@ -776,8 +844,8 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int) -> np.ndarray:
             weights = first
             for i, t in enumerate(rest_t):
                 weights = weights * later[i][t]
-            part = np.bincount(cell, weights=weights, minlength=size**d).reshape(shape)
-            part = part[np.ix_(*[moved[t] for t in (t0,) + rest_t])]
+            part = np.bincount(cell, weights=weights, minlength=trials * size**d).reshape(shape)
+            part = part[(slice(None),) + np.ix_(*[moved[t] for t in (t0,) + rest_t])]
             if sums is None:
                 sums = part
             else:

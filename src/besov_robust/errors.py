@@ -37,7 +37,7 @@ class RejectionBudgetExceeded(BesovRobustError):
 
 
 class IncompatibleTrees(BesovRobustError, ValueError):
-    """Two coefficient trees disagree on dimension or wavelet family."""
+    """Two coefficient trees disagree on dimension, wavelet family or block size."""
 
 
 class ZeroDelta(BesovRobustError, ValueError):

@@ -56,15 +56,6 @@ class EstimatorConfig:
             raise ValueError(f"regime must be one of {REGIMES}")
 
 
-def check_family_smoothness(params: BesovParams, family: WaveletFamily) -> None:
-    """The basis must carry more vanishing moments than the smoothness uses."""
-    if params.sigma >= family.n_moments:
-        raise RegimeMismatch(
-            f"smoothness {params.sigma} needs a family with more than "
-            f"{family.n_moments} vanishing moments ({family.name} has {family.n_moments})"
-        )
-
-
 def _check_regime(regime: str, eps: float, gen: BesovParams, disc: BesovParams) -> None:
     if regime not in REGIMES:
         raise RegimeMismatch(f"unknown regime {regime!r}; choose from {REGIMES}")
@@ -130,15 +121,16 @@ def _rescaled(tree: CoefficientTree, eps: float | None) -> CoefficientTree:
     if not eps:
         return tree
     factor = 1.0 / (1.0 - eps)
-    out = CoefficientTree(tree.family, tree.dim, tree.alpha * factor)
+    out = CoefficientTree(tree.family, tree.dim, tree.alpha * factor, tree.trials)
     for j in tree.levels():
         out.set_level_array(j, tree.level_array(j) * factor)
     return out
 
 
 def apply_threshold(tree: CoefficientTree, j0: int, K: float, n: int) -> CoefficientTree:
-    """Hard-threshold levels above j0 at t = K sqrt(j/n), two-sided."""
-    out = CoefficientTree(tree.family, tree.dim, tree.alpha)
+    """Hard-threshold levels above j0 at t = K sqrt(j/n), two-sided; n is
+    the sample size of one trial."""
+    out = CoefficientTree(tree.family, tree.dim, tree.alpha, tree.trials)
     for j in tree.levels():
         lev = tree.level_array(j)
         if j > j0:
@@ -149,30 +141,41 @@ def apply_threshold(tree: CoefficientTree, j0: int, K: float, n: int) -> Coeffic
     return out
 
 
-def estimate_linear(samples, family: WaveletFamily, config: EstimatorConfig) -> CoefficientTree:
+def estimate_linear(
+    samples, family: WaveletFamily, config: EstimatorConfig, trials: int | None = None
+) -> CoefficientTree:
     """Empirical coefficients truncated at j0, optionally rescaled."""
     if config.kind != "linear":
         raise ValueError(f"linear estimator called with kind={config.kind!r}")
-    tree = empirical_coeffs(samples, family, config.j0, config.j0)
+    tree = empirical_coeffs(samples, family, config.j0, config.j0, trials)
     return _rescaled(tree, config.rescale_epsilon)
 
 
-def estimate_thresholded(samples, family: WaveletFamily, config: EstimatorConfig) -> CoefficientTree:
+def estimate_thresholded(
+    samples, family: WaveletFamily, config: EstimatorConfig, trials: int | None = None
+) -> CoefficientTree:
     """Keep levels up to j0, hard-threshold (j0, j1], then rescale."""
     if config.kind not in ("thresholded", "adaptive"):
         raise ValueError(f"thresholded estimator called with kind={config.kind!r}")
     x = np.asarray(samples, dtype=float)
-    n = x.shape[0] if x.ndim > 0 else 0
-    tree = empirical_coeffs(x, family, config.j0, config.j1)
+    n = x.shape[0] // (trials or 1) if x.ndim > 0 else 0
+    tree = empirical_coeffs(x, family, config.j0, config.j1, trials)
     tree = apply_threshold(tree, config.j0, config.K, max(n, 1))
     return _rescaled(tree, config.rescale_epsilon)
 
 
-def estimate(samples, family: WaveletFamily, config: EstimatorConfig) -> CoefficientTree:
-    """Run the estimator `config.kind` names; adaptive configs are thresholded."""
+def estimate(
+    samples, family: WaveletFamily, config: EstimatorConfig, trials: int | None = None
+) -> CoefficientTree:
+    """Run the estimator `config.kind` names; adaptive configs are thresholded.
+
+    With `trials=T`, samples holds T samples of equal size one after
+    another, and the result is the block of their T estimates
+    (`empirical_coeffs`), each bit-identical to estimating that sample
+    alone."""
     if config.kind == "linear":
-        return estimate_linear(samples, family, config)
-    return estimate_thresholded(samples, family, config)
+        return estimate_linear(samples, family, config, trials)
+    return estimate_thresholded(samples, family, config, trials)
 
 
 def adaptive_config(n: int, r: int, dim: int, K: float = 1.0) -> EstimatorConfig:

@@ -218,6 +218,13 @@ def _besov_norm_of(model, family, params, scale) -> float:
 # -- Monte-Carlo risk ---------------------------------------------------------
 
 
+# Most sample rows stacked into one block of trials; a larger sample is a
+# block of one trial. Blocks of 2^15 rows lost most of the gain over one
+# trial at a time on a 2-vCPU machine with a 2 MB per-core L2 cache, which
+# their working arrays outgrow.
+_BLOCK_ROWS = 2**14
+
+
 def risk_trials(
     truth,
     spec: ContaminationSpec,
@@ -232,27 +239,39 @@ def risk_trials(
     cell_index: int = 0,
     slot_offset: int = 0,
     j_pad: int = 2,
-    estimator=None,
 ) -> np.ndarray:
     """Per-trial IPM risks against the exact truth tree at j1 + j_pad.
 
     Trial t draws its sample stream from entropy (seed, cell_index,
     slot_offset + t); slot_offset keeps streams distinct when several truth
-    models share a grid cell. estimator overrides the config dispatch with a
-    callable (samples, family) -> tree, used for oracle checks.
+    models share a grid cell.
+
+    The trials run in blocks of at most _BLOCK_ROWS sample rows (at least
+    one trial): the block's samples, each drawn from its own stream, are
+    stacked in trial order, and one estimate (`estimate(..., trials=m)`)
+    and one IPM cover them all. Every risk has the bits of estimating and
+    measuring that trial alone: `np.bincount` adds each bin's weights in
+    input order and each trial bins into cells of its own, the bank, the
+    threshold and the rescaling act entry by entry, and every reduction of
+    the IPM runs over one trial's row in the one-trial order. A block of
+    one trial is the sample itself, with no copy and no cell offsets.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if n < 1:
+        raise ValueError("need at least one sample point per trial")
     if truth_tree is None:
         truth_tree = exact_coeffs(truth, family, est.j1 + j_pad)
+    block = max(1, _BLOCK_ROWS // n)
     out = np.empty(trials)
-    for t in range(trials):
-        pts = sample_huber(truth, spec.g, spec.eps, n, (seed, cell_index, slot_offset + t))
-        if estimator is not None:
-            tree = estimator(pts, family)
-        else:
-            tree = estimate(pts, family, est)
-        out[t] = besov_ipm(tree, truth_tree, disc)
+    for start in range(0, trials, block):
+        stop = min(start + block, trials)
+        samples = [
+            sample_huber(truth, spec.g, spec.eps, n, (seed, cell_index, slot_offset + t))
+            for t in range(start, stop)
+        ]
+        pts = samples[0] if len(samples) == 1 else np.concatenate(samples)
+        out[start:stop] = besov_ipm(estimate(pts, family, est, stop - start), truth_tree, disc)
     return out
 
 
@@ -269,15 +288,13 @@ def estimate_risk(
     truth_tree: CoefficientTree | None = None,
     cell_index: int = 0,
     j_pad: int = 2,
-    estimator=None,
 ) -> tuple[float, float]:
     """Mean IPM risk over seeded trials and its standard error."""
     if trials < 2:
         raise ValueError("need at least two trials for a standard error")
     risks = risk_trials(
         truth, spec, est, disc, n, trials, seed,
-        family=family, truth_tree=truth_tree, cell_index=cell_index,
-        j_pad=j_pad, estimator=estimator,
+        family=family, truth_tree=truth_tree, cell_index=cell_index, j_pad=j_pad,
     )
     return float(risks.mean()), float(risks.std(ddof=1) / math.sqrt(trials))
 

@@ -373,10 +373,3 @@ def eval_wavelet(family: WaveletFamily, index: WaveletIndex, x) -> np.ndarray:
         out *= family.periodized_factor(bool(index.e[i]), index.j, index.k[i], pts[:, i])
     return float(out[0]) if single else out
 
-
-def pl_inner(values_a: np.ndarray, values_b: np.ndarray, spacing: float) -> float:
-    """Exact integral of the product of two piecewise-linear functions sampled
-    on the same uniform grid (the product is piecewise quadratic)."""
-    a0, a1 = values_a[:-1], values_a[1:]
-    b0, b1 = values_b[:-1], values_b[1:]
-    return float(spacing / 6.0 * np.sum(2 * a0 * b0 + a0 * b1 + a1 * b0 + 2 * a1 * b1))

@@ -116,6 +116,38 @@ def test_rate_check_artifacts_byte_identical(capsys, tmp_path, preset):
     assert got == GOLDEN_RATE_CHECK_SHA256[preset]
 
 
+# SHA-256 of the risk-sweep artifacts of the two adaptive presets: the db4
+# thresholded estimator, whose fine levels are all zero in some trials and
+# not in others, pinned byte for byte. Taken before the trials of a sweep
+# task were batched into one estimate and one IPM.
+GOLDEN_RISK_SWEEP_SHA256 = {
+    "adaptive-vs-oracle-holder1": {
+        "baseline.json": "2967f538e0b17b24fdd8304b2c9c1d1355c423eee47f97e04d50a95f1be89c64",
+        "ratio.json": "d1269d730ad42551b87f50413d8fe069fbb66d07c8dee5d9c53817f9f30984f8",
+        "risk.json": "cca9af13fcad8e71299344c5649f1dfed0cedae67b9805836497d3157960ba93",
+        "trials.csv": "d1d67a36c97f470eb79864e3e5d279b2b064c54ff842e57fd715aee0104c3c35",
+    },
+    "adaptive-vs-oracle-holder2": {
+        "baseline.json": "9b9c9260c23b5e0546fcd8fc96890b1a231f872e81e4bbf82bc8efdde454d1a6",
+        "ratio.json": "3165817203abf075d9e84fa12ccd295ceeb06fd4160981499dcd59e262048195",
+        "risk.json": "9a76a40bc4a9b86a7e455cd90dcaa321214afbd6d0d2940d531469f924fc97dc",
+        "trials.csv": "2608eac8ebcf1adee7c586f416d3896029caccbcdb3c4704864970d0c2875f9b",
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_RISK_SWEEP_SHA256))
+def test_risk_sweep_artifacts_byte_identical(capsys, tmp_path, preset):
+    out = tmp_path / preset
+    rc, _ = run_cli(["risk-sweep", "--preset", preset, "--jobs", "1", "--out", str(out)], capsys)
+    assert rc == 0
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in GOLDEN_RISK_SWEEP_SHA256[preset]
+    }
+    assert got == GOLDEN_RISK_SWEEP_SHA256[preset]
+
+
 def test_perfbench_trace_names_still_bound(tmp_path):
     # perfbench/tracer.py names each span after the module that defines the
     # traced function, and its per-layer metrics look these names up

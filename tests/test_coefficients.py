@@ -626,6 +626,75 @@ class TestEmpiricalCoeffs:
         with pytest.raises(ValueError):
             empirical_coeffs(np.array([[0.5]]), HAAR, 3, 2)
 
+    @pytest.mark.parametrize("family,dim", [(HAAR, 2), (DB2, 1), (DB2, 2), (DB4, 1)])
+    def test_block_rows_are_the_single_trees(self, family, dim):
+        # a block of trials bins each trial into cells of its own: row t of
+        # every level has the bits, and the memory order, of trial t alone
+        rng = np.random.default_rng(71 + dim)
+        samples = [rng.random((150, dim)) for _ in range(5)]
+        samples[3][:40] = 0.9  # 40 points on one spot: some levels differ in sparsity
+        block = empirical_coeffs(np.concatenate(samples), family, 0, 3, trials=5)
+        assert block.trials == 5 and block.alpha == 1.0
+        assert block.n_coefficients == sum(
+            empirical_coeffs(x, family, 0, 3).n_coefficients for x in samples
+        )
+        for t, x in enumerate(samples):
+            single = empirical_coeffs(x, family, 0, 3)
+            for j in block.levels():
+                row = block.level_array(j)[t]
+                want = single.level_array(j)
+                if want is None:
+                    assert not row.any()
+                    continue
+                np.testing.assert_array_equal(row.view(np.int64), want.view(np.int64))
+                order = np.argsort(row.strides[1:])
+                assert np.array_equal(order, np.argsort(want.strides[1:]))
+
+    def test_block_rows_must_split_evenly(self):
+        with pytest.raises(ValueError, match="do not split"):
+            empirical_coeffs(np.full((7, 1), 0.5), HAAR, 0, 1, trials=2)
+        with pytest.raises(ValueError, match="do not split"):
+            empirical_coeffs(np.full((4, 1), 0.5), HAAR, 0, 1, trials=0)
+
+    # every call that reads coefficients one tree at a time, on a block
+    SINGLE_TREE_CALLS = {
+        "set": lambda block, single: block.set(WaveletIndex(0, (0,), (1,)), 1.0),
+        "get": lambda block, single: block.get(WaveletIndex(0, (0,), (1,))),
+        "items": lambda block, single: block.items(),
+        "to_jsonl": lambda block, single: block.to_jsonl(io.StringIO()),
+        "evaluate": lambda block, single: block.evaluate(np.array([[0.5]])),
+        "besov_norm": lambda block, single: besov_norm(block, BesovParams(1.0, 1.0, 1.0, 1.0)),
+        "pairing": lambda block, single: pairing(block, single),
+        "pairing-second": lambda block, single: pairing(single, block),
+        "tree_axpy": lambda block, single: tree_axpy(1.0, block, single),
+        "tree_axpy-second": lambda block, single: tree_axpy(1.0, single, block),
+        "ipm_witness": lambda block, single: ipm_witness(
+            block, BesovParams(1.0, 2.0, 2.0, role="discriminator")
+        ),
+    }
+
+    @pytest.mark.parametrize("call", sorted(SINGLE_TREE_CALLS))
+    def test_block_is_refused_where_one_tree_is_read(self, call):
+        # a block's levels lead with the trial axis, which these calls would
+        # read as the orientation axis, or sum over all trials together
+        block = empirical_coeffs(np.array([[0.1], [0.6], [0.3], [0.8]]), HAAR, 0, 1, trials=2)
+        single = empirical_coeffs(np.array([[0.1], [0.6]]), HAAR, 0, 1)
+        with pytest.raises(ValueError, match="not a block of 2 trials"):
+            self.SINGLE_TREE_CALLS[call](block, single)
+
+    def test_blocks_measure_against_one_tree_or_an_equal_block(self):
+        x = np.array([[0.1], [0.6], [0.3], [0.8], [0.35], [0.9]])
+        disc = BesovParams(1.0, INF, INF, 1.0, role="discriminator")
+        block2 = empirical_coeffs(x[:4], HAAR, 0, 1, trials=2)
+        block3 = empirical_coeffs(x, HAAR, 0, 1, trials=3)
+        single = empirical_coeffs(x[4:], HAAR, 0, 1)
+        with pytest.raises(IncompatibleTrees, match="blocks of 3 and 2 trials"):
+            besov_ipm(block2, block3, disc)
+        rows = [besov_ipm(empirical_coeffs(x[2 * t : 2 * t + 2], HAAR, 0, 1), single, disc) for t in range(2)]
+        assert besov_ipm(block2, single, disc).tolist() == rows
+        assert besov_ipm(single, block2, disc).tolist() == rows
+        assert besov_ipm(block2, block2, disc).tolist() == [0.0, 0.0]
+
     def test_boundary_point_folds_to_zero(self):
         # x = 1.0 is the torus point 0.0, counted in the first cell
         tree = empirical_coeffs(np.array([[1.0]]), HAAR, 0, 0)
@@ -788,7 +857,8 @@ class TestEmpiricalBitIdentity:
         # level-0 details of a 2-d father array, each orientation formed
         # directly: low-pass along the axes with bit 0, high-pass along bit 1
         a = np.random.default_rng(8).random((2, 2))
-        father, details = coefficients._bank_level(a, family.taps)
+        father, details = coefficients._bank_level(a[None], family.taps)
+        father, details = father[0], details[0]
         size, taps = 2, family.taps
         for o, e in enumerate(orientations(2)):
             want = sum(
@@ -804,7 +874,7 @@ class TestEmpiricalBitIdentity:
     def test_last_float_below_one_in_last_cell(self, family):
         # 2^20 (1 - 2^-53) rounds to no integer, so the cell needs no clamp
         x = np.array([[np.nextafter(1.0, 0.0)]])
-        sums = coefficients._father_sums(x, family, 20)
+        sums = coefficients._father_sums(x, family, 20)[0]
         assert sums.shape == (2**20,)
         if family.is_haar:
             assert sums[-1] == 1.0 and sums.sum() == 1.0

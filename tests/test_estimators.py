@@ -18,7 +18,6 @@ from besov_robust.estimators import (
     EstimatorConfig,
     adaptive_config,
     apply_threshold,
-    check_family_smoothness,
     choose_resolutions,
     estimate,
     estimate_adaptive,
@@ -305,14 +304,3 @@ class TestEvalDensity:
         grid = ((np.arange(2**10) + 0.5) / 2**10)[:, None]
         assert float(np.mean(est.evaluate(grid))) == pytest.approx(est.alpha, abs=1e-10)
 
-
-class TestFamilySmoothness:
-    def test_haar_rejected_for_smoothness_one(self):
-        with pytest.raises(RegimeMismatch):
-            check_family_smoothness(BesovParams(1.0, INF, INF), HAAR)
-
-    def test_db2_accepted_for_smoothness_one(self):
-        check_family_smoothness(BesovParams(1.0, INF, INF), DB2)
-        check_family_smoothness(BesovParams(1.9, INF, INF), DB2)
-        with pytest.raises(RegimeMismatch):
-            check_family_smoothness(BesovParams(2.0, INF, INF), DB2)

@@ -1,6 +1,7 @@
 """Tests for the exponent oracle, risk harness, and rate fitting."""
 
 import concurrent.futures
+import hashlib
 import json
 import math
 
@@ -8,11 +9,11 @@ import numpy as np
 import pytest
 
 from besov_robust import harness
-from besov_robust.besov import LOSS_PRESETS, BesovParams, besov_norm, conjugate
+from besov_robust.besov import LOSS_PRESETS, BesovParams, besov_ipm, besov_norm, conjugate
 from besov_robust.coefficients import PiecewiseConstant, exact_coeffs, uniform_density
-from besov_robust.contamination import ContaminationSpec
+from besov_robust.contamination import ContaminationSpec, sample_huber
 from besov_robust.errors import DegenerateFit, RegimeMismatch
-from besov_robust.estimators import EstimatorConfig, choose_resolutions
+from besov_robust.estimators import EstimatorConfig, adaptive_config, choose_resolutions, estimate
 from besov_robust.harness import (
     ExponentSet,
     benchmark_suite,
@@ -22,6 +23,7 @@ from besov_robust.harness import (
     fit_rate,
     fit_report_rate,
     resolve_jobs,
+    risk_trials,
     run_sweep,
     theoretical_exponents,
 )
@@ -200,18 +202,6 @@ class TestEstimateRisk:
         assert mean == pytest.approx(0.024994, abs=2e-3)
         assert err > 0.0
 
-    def test_oracle_estimator_has_zero_risk(self):
-        vals = np.full(8, 1.0)
-        vals[1], vals[5] = 1.5, 0.5
-        truth = PiecewiseConstant(vals, 3)
-        cfg = EstimatorConfig("linear", 3, 3)
-        tree = exact_coeffs(truth, HAAR, 5)
-        mean, err = estimate_risk(
-            truth, NOSPEC, cfg, TV, 256, 3, 7, family=HAAR,
-            truth_tree=tree, estimator=lambda pts, fam: tree,
-        )
-        assert mean == 0.0 and err == 0.0
-
     def test_risk_decreases_in_n(self):
         cfg = EstimatorConfig("linear", 3, 3)
         uni = uniform_density(1)
@@ -231,6 +221,101 @@ class TestEstimateRisk:
         cfg = EstimatorConfig("linear", 2, 2)
         with pytest.raises(ValueError):
             estimate_risk(uniform_density(1), NOSPEC, cfg, TV, 64, 1, 0, family=HAAR)
+
+    def test_needs_sample_points(self):
+        cfg = EstimatorConfig("linear", 2, 2)
+        with pytest.raises(ValueError, match="at least one sample point"):
+            estimate_risk(uniform_density(1), NOSPEC, cfg, TV, 0, 2, 0, family=HAAR)
+
+
+def one_trial_risks(truth, spec, cfg, disc, n, trials, seed, family, tree, cell_index=0, slot_offset=0):
+    """risk_trials as a loop over trials: each sample estimated and measured on its own."""
+    return np.array([
+        besov_ipm(
+            estimate(sample_huber(truth, spec.g, spec.eps, n, (seed, cell_index, slot_offset + t)), family, cfg),
+            tree, disc,
+        )
+        for t in range(trials)
+    ])
+
+
+def structured(eps, dim):
+    g = [2.0, 0.0] if dim == 1 else [[2.0, 0.0], [0.0, 2.0]]
+    return ContaminationSpec(eps, "structured", g=PiecewiseConstant(np.array(g), 1), M=2.0)
+
+
+class TestTrialBlocks:
+    """risk_trials stacks the samples of up to 2^14 rows of trials into one
+    estimate and one IPM; every risk must keep the bits of its own trial."""
+
+    CASES = {
+        # name: (family, dim, truth, spec, config, loss, n, trials)
+        "db3-linear-uneven-blocks": (
+            "db3", 1, "dyadic-pwc", NOSPEC, EstimatorConfig("linear", 4, 4), "tv", 300, 60,
+        ),
+        "db2-d2-thresholded-rescaled": (
+            "db2", 2, "dyadic-pwc", structured(0.1, 2),
+            EstimatorConfig("thresholded", 1, 3, K=0.5, rescale_epsilon=0.1), "tv", 500, 40,
+        ),
+        "haar-structured-eps": (
+            "haar", 1, "uniform", structured(0.25, 1), EstimatorConfig("linear", 0, 0), "tv", 1024, 20,
+        ),
+        "db4-adaptive-l2": ("db4", 1, "uniform", NOSPEC, adaptive_config(1000, 4, 1), "l2", 1000, 20),
+        "db3-ks-two-per-block": ("db3", 1, "spike", NOSPEC, EstimatorConfig("linear", 3, 3), "ks", 2**13, 3),
+        "db3-one-block-at-limit": ("db3", 1, "dyadic-pwc", NOSPEC, EstimatorConfig("linear", 4, 4), "tv", 2**14, 2),
+        "db2-above-limit": (
+            "db2", 1, "spike", structured(0.05, 1),
+            EstimatorConfig("thresholded", 2, 5, rescale_epsilon=0.05), "tv", 2**14 + 5, 2,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_blocks_match_one_trial_loop_bitwise(self, case):
+        fam, dim, truth_name, spec, cfg, loss, n, trials = self.CASES[case]
+        family = wavelet_family(fam)
+        truth = dict(benchmark_suite(GEN, dim))[truth_name]
+        tree = exact_coeffs(truth, family, cfg.j1 + 2)
+        disc = LOSS_PRESETS[loss]
+        got = risk_trials(
+            truth, spec, cfg, disc, n, trials, 31, family=family, truth_tree=tree,
+            cell_index=2, slot_offset=5,
+        )
+        want = one_trial_risks(truth, spec, cfg, disc, n, trials, 31, family, tree, 2, 5)
+        assert got.shape == (trials,)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    # SHA-256 of the risk bytes of D=2 runs against the uniform truth, whose
+    # tree is empty: every level measured is the estimate's own, summed in
+    # its memory order (column-major per orientation, as the bank lays it
+    # out). Taken before the trials were batched.
+    D2_RISKS_SHA256 = {
+        "db2": "3ded3559a3879752d1fda056c88b1d756ce4eed11a20b60ff981c74a96b5be9e",
+        "haar": "0bee951383f7442bb820718fa87f0b23dd5fb28ac4769ca8b396783f97c4edf2",
+    }
+
+    @pytest.mark.parametrize("fam", sorted(D2_RISKS_SHA256))
+    def test_d2_estimate_levels_keep_their_sum_order(self, fam):
+        cfg, loss = {
+            "db2": (EstimatorConfig("thresholded", 1, 3, K=0.5, rescale_epsilon=0.1), "tv"),
+            "haar": (EstimatorConfig("linear", 3, 3), "l2"),
+        }[fam]
+        risks = risk_trials(
+            uniform_density(2), structured(0.1, 2), cfg, LOSS_PRESETS[loss], 400, 12, 8,
+            family=wavelet_family(fam),
+        )
+        assert hashlib.sha256(risks.tobytes()).hexdigest() == self.D2_RISKS_SHA256[fam]
+
+    def test_adaptive_block_skips_zero_levels_per_trial(self):
+        # the db4 adaptive case above measures against the uniform truth,
+        # whose tree is empty, so a level thresholded to zero in some trials
+        # only must be skipped by those trials alone
+        cfg = adaptive_config(1000, 4, 1)
+        x = np.concatenate([
+            sample_huber(uniform_density(1), NOSPEC.g, 0.0, 1000, (31, 2, 5 + t)) for t in range(20)
+        ])
+        block = estimate(x, wavelet_family("db4"), cfg, 20)
+        rows_kept = [block.level_array(j).reshape(20, -1).any(axis=1) for j in block.levels()]
+        assert any(kept.any() and not kept.all() for kept in rows_kept)
 
 
 def dense_linear_config(n, eps):

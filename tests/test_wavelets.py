@@ -13,11 +13,18 @@ from besov_robust.wavelets import (
     daubechies_filter,
     eval_wavelet,
     orientations,
-    pl_inner,
     wavelet_family,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def pl_inner(values_a: np.ndarray, values_b: np.ndarray, spacing: float) -> float:
+    """Exact integral of the product of two piecewise-linear functions sampled
+    on the same uniform grid (the product is piecewise quadratic)."""
+    a0, a1 = values_a[:-1], values_a[1:]
+    b0, b1 = values_b[:-1], values_b[1:]
+    return float(spacing / 6.0 * np.sum(2 * a0 * b0 + a0 * b1 + a1 * b0 + 2 * a1 * b1))
 
 
 class TestFilters:
