@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,6 +127,17 @@ def _num(v) -> float:
     return float(v)
 
 
+def _int(v, field: str) -> int:
+    """An integer field: an int, or a float with no fractional part; never
+    a bool, a fractional number or a string, which `int` would truncate or
+    parse."""
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    raise ConfigError("config-file", f"{field} must be an integer, got {v!r}")
+
+
 def _encode(obj):
     """JSON-safe copy: tuples to lists, infinities to strings."""
     if isinstance(obj, Mapping):
@@ -151,30 +163,30 @@ def _coerce(d: Mapping) -> dict:
             raise ConfigError("config-file", f"unknown config field {k!r}")
     for k in ("dim", "samples", "trials", "seed"):
         if k in out:
-            out[k] = int(out[k])
+            out[k] = _int(out[k], k)
     for k in ("eps", "tolerance"):
         if k in out:
             out[k] = _num(out[k])
     if out.get("jobs") is not None:
-        out["jobs"] = int(out["jobs"])
+        out["jobs"] = _int(out["jobs"], "jobs")
     if out.get("gen") is not None:
         out["gen"] = tuple(_num(v) for v in out["gen"])
     if not isinstance(out.get("disc", "tv"), str):
         out["disc"] = tuple(_num(v) for v in out["disc"])
     if "n_grid" in out:
-        out["n_grid"] = tuple(int(v) for v in out["n_grid"])
+        out["n_grid"] = tuple(_int(v, "n_grid") for v in out["n_grid"])
     for k in ("eps_grid", "sigma_d_grid"):
         if k in out:
             out[k] = tuple(_num(v) for v in out[k])
     if out.get("idx") is not None:
         j, kk, ee = out["idx"]
-        out["idx"] = (int(j), tuple(int(v) for v in kk), tuple(int(v) for v in ee))
+        out["idx"] = (_int(j, "idx"), tuple(_int(v, "idx") for v in kk), tuple(_int(v, "idx") for v in ee))
     for k in ("estimator", "baseline"):
         if out.get(k) is not None:
             e = dict(out[k])
             for f in ("j0", "j1", "r"):
                 if e.get(f) is not None:
-                    e[f] = int(e[f])
+                    e[f] = _int(e[f], f"{k}.{f}")
             if "K" in e:
                 e["K"] = _num(e["K"])
             if "rescale" in e:
@@ -187,7 +199,7 @@ def _coerce(d: Mapping) -> dict:
         if "g" in c:
             g = dict(c["g"])
             if "scale_level" in g:
-                g["scale_level"] = int(g["scale_level"])
+                g["scale_level"] = _int(g["scale_level"], "contamination.g.scale_level")
             if "values" in g:
                 g["values"] = np.asarray(g["values"], dtype=float).tolist()
             c["g"] = g

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -79,16 +79,6 @@ def _json_float(v: float) -> str:
     return repr(v) if math.isfinite(v) else json.dumps(v)
 
 
-# orientation tuple -> position on a level's first axis, per dimension
-_ORIENT_POS: dict[int, dict[tuple[int, ...], int]] = {}
-
-
-def _orientation_positions(dim: int) -> dict[tuple[int, ...], int]:
-    if dim not in _ORIENT_POS:
-        _ORIENT_POS[dim] = {e: o for o, e in enumerate(orientations(dim))}
-    return _ORIENT_POS[dim]
-
-
 class CoefficientTree:
     """Periodized wavelet coefficients of a function on [0,1)^D, one array per level."""
 
@@ -101,7 +91,8 @@ class CoefficientTree:
         self.dim = int(dim)
         self.alpha = float(alpha)
         self.trials = trials
-        self._opos = _orientation_positions(self.dim)
+        # orientation tuple -> position on a level's first axis
+        self._opos = {e: o for o, e in enumerate(orientations(self.dim))}
         self._orients = list(self._opos)
         self._levels: dict[int, np.ndarray] = {}
 
@@ -856,39 +847,6 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int, trials: int = 1
 # -- exact coefficients -----------------------------------------------------
 
 
-_CELL_MATRIX_CACHE: dict = {}
-# Largest set of matrices kept in _CELL_MATRIX_CACHE (2 MB of floats); bigger
-# ones are rebuilt on every call rather than held for the life of the process.
-_CELL_MATRIX_CACHE_MAX = 2**18
-
-
-def _cell_matrices(family: WaveletFamily, j_max: int, s: int) -> Iterable[tuple[int, np.ndarray, np.ndarray]]:
-    """Per level j = j_max..0, (j, father, mother) with the matrices
-    M[k, c] = integral over dyadic cell c (scale 2^-s) of the periodized
-    axis factor f(2^j x - k) of the filter-bank basis with top level
-    j_max + 1: the bank run down the rows of the exact father matrix at
-    that level.
-
-    Pyramids of up to _CELL_MATRIX_CACHE_MAX entries in all are cached per
-    (family, j_max, s), read-only: a sweep builds the same few for every
-    cell of its grid. A bigger one is produced a level at a time, so the
-    levels already used are not held."""
-    key = (family.name, family.cascade_depth, j_max, s)
-    mats = _CELL_MATRIX_CACHE.get(key)
-    if mats is not None:
-        return mats
-    top = _father_cell_matrix(family, j_max + 1, s)
-    # the father and mother of level j hold 2^(j+1+s) entries together
-    if 2 * (top.size - top.shape[1]) > _CELL_MATRIX_CACHE_MAX:
-        return _axis_pyramid(top, family, j_max)
-    mats = list(_axis_pyramid(top, family, j_max))
-    for _, father, mother in mats:
-        father.flags.writeable = False
-        mother.flags.writeable = False
-    _CELL_MATRIX_CACHE[key] = mats
-    return mats
-
-
 def _father_cell_matrix(family: WaveletFamily, j: int, s: int) -> np.ndarray:
     """I[k, c] = integral over dyadic cell c (scale 2^-s) of the periodized
     father phi(2^j x - k), exact for the level-j piecewise-linear father
@@ -946,7 +904,10 @@ def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> Co
         j_max = min(j_max, s - 1)
     if j_max < 0:
         return tree
-    for j, *mats in _cell_matrices(family, j_max, s):
+    # mats[f][k, c] = integral over cell c of the periodized axis factor f
+    # (0 father, 1 mother) of level j at k: the bank run down the rows of the
+    # exact father matrix at level j_max + 1, one level held at a time
+    for j, *mats in _axis_pyramid(_father_cell_matrix(family, j_max + 1, s), family, j_max):
         lev = np.empty((2**d - 1,) + (2**j,) * d)
         for o, e in enumerate(orientations(d)):
             arr = model.values
@@ -959,92 +920,22 @@ def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> Co
     return tree
 
 
-class _PanelRule:
-    """Quadrature nodes/weights integrating f against the father.
-
-    For the father phi(u) on [0, W] (the piecewise-linear father of the
-    value grid, or the Haar indicator), builds panels between the given
-    node-aligned edges and per-panel Chebyshev nodes u_i with weights w_i
-    such that sum_i w_i g(u_i) equals int g(u) phi(u) du exactly whenever g
-    is a polynomial of degree <= `degree` on every panel.
-    """
-
-    def __init__(self, family: WaveletFamily, edges: np.ndarray, degree: int):
-        deg = degree
-        cheb = np.cos(np.pi * (2 * np.arange(deg + 1) + 1) / (2 * (deg + 1)))  # in (-1,1)
-        v = np.vander(cheb, deg + 1, increasing=True).T
-        if family.is_haar:
-            moments = self._haar_moments_all(edges, deg)
-        else:
-            moments = self._pl_moments_all(family, edges, deg)
-        keep = np.any(np.abs(moments) > 0.0, axis=1)
-        moments = moments[keep]
-        mid = ((edges[:-1] + edges[1:]) / 2.0)[keep]
-        half = ((edges[1:] - edges[:-1]) / 2.0)[keep]
-        if moments.shape[0] == 0:
-            self.nodes = np.zeros(0)
-            self.weights = np.zeros(0)
-            return
-        wts = np.linalg.solve(v, moments.T).T
-        self.nodes = (mid[:, None] + half[:, None] * cheb[None, :]).ravel()
-        self.weights = wts.ravel()
-
-    @staticmethod
-    def _haar_moments_all(edges: np.ndarray, deg: int) -> np.ndarray:
-        """Per-panel moments int xi^q 1_[0,1)(u) du, closed form."""
-        mid = (edges[:-1] + edges[1:]) / 2.0
-        half = (edges[1:] - edges[:-1]) / 2.0
-        q = np.arange(deg + 1)
-        xl = (np.clip(edges[:-1], 0.0, 1.0) - mid) / half
-        xh = np.maximum((np.clip(edges[1:], 0.0, 1.0) - mid) / half, xl)
-        return half[:, None] * (xh[:, None] ** (q + 1) - xl[:, None] ** (q + 1)) / (q + 1)
-
-    @staticmethod
-    def _pl_moments_all(family: WaveletFamily, edges: np.ndarray, deg: int) -> np.ndarray:
-        """Per-panel moments int xi^q phi du, exact per linear cell, vectorized."""
-        m = family.cascade_depth
-        table = family.phi_values
-        grid = 2**m
-        eidx = np.rint(edges * grid).astype(np.int64)
-        if np.max(np.abs(edges * grid - eidx)) > 1e-9:
-            raise QuadratureFailure("panel edges must lie on the value grid")
-        counts = np.diff(eidx)
-        if np.any(counts < 1):
-            raise QuadratureFailure("empty quadrature panel")
-        h = 2.0**-m
-        cells = np.arange(eidx[0], eidx[-1])
-        lo_vals = table[cells]
-        hi_vals = table[cells + 1]
-        x_lo = cells * h
-        mid = np.repeat((edges[:-1] + edges[1:]) / 2.0, counts)
-        half = np.repeat((edges[1:] - edges[:-1]) / 2.0, counts)
-        starts = (eidx[:-1] - eidx[0]).astype(np.intp)
-        gl_nodes, gl_wts = np.polynomial.legendre.leggauss((deg + 3) // 2 + 1)
-        out = np.zeros((counts.size, deg + 1))
-        for t, wt in zip(gl_nodes, gl_wts):
-            lam = (t + 1.0) / 2.0
-            x = x_lo + lam * h
-            f = (lo_vals + lam * (hi_vals - lo_vals)) * wt
-            xi = (x - mid) / half
-            pw = np.ones_like(xi)
-            for qq in range(deg + 1):
-                out[:, qq] += np.add.reduceat(f * pw, starts)
-                pw = pw * xi
-        return out * (h / 2.0)
-
-
-_RULE_CACHE: dict = {}
-
-
 def _panel_rule(
     family: WaveletFamily,
     panel_exp: int,
     degree: int,
     extra_edges: tuple[float, ...] = (),
-) -> _PanelRule:
-    """Cached rule with uniform dyadic panels of width 2^panel_exp plus extra
-    node-aligned edge positions (kinks of the smooth factor, shifted by every
-    integer so that one layout serves all translates at a level)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes u_i and weights w_i integrating f against the father.
+
+    For the father phi(u) on [0, W] (the piecewise-linear father of the
+    value grid, or the Haar indicator), the panels are uniform and dyadic,
+    of width 2^panel_exp, plus edges at extra node-aligned positions (kinks
+    of the smooth factor, shifted by every integer so that one layout serves
+    all translates at a level). Each panel gets Chebyshev nodes, weighted so
+    that sum_i w_i g(u_i) equals int g(u) phi(u) du exactly whenever g is a
+    polynomial of degree <= `degree` on every panel.
+    """
     w, m = family.support_width, family.cascade_depth
     if panel_exp < -m:
         raise QuadratureFailure("panel width below the wavelet value grid")
@@ -1055,12 +946,65 @@ def _panel_rule(
         frac = pos - math.floor(pos)
         for i in range(w):
             edge_ints.add(int(round((frac + i) * grid)))
-    key = (family.name, m, degree, tuple(sorted(edge_ints)))
-    if key not in _RULE_CACHE:
-        edges = np.array(sorted(edge_ints)) / grid
-        edges = edges[(edges >= 0.0) & (edges <= w)]
-        _RULE_CACHE[key] = _PanelRule(family, edges, degree)
-    return _RULE_CACHE[key]
+    edges = np.array(sorted(edge_ints)) / grid
+    edges = edges[(edges >= 0.0) & (edges <= w)]
+    cheb = np.cos(np.pi * (2 * np.arange(degree + 1) + 1) / (2 * (degree + 1)))  # in (-1,1)
+    v = np.vander(cheb, degree + 1, increasing=True).T
+    if family.is_haar:
+        moments = _haar_moments(edges, degree)
+    else:
+        moments = _pl_moments(family, edges, degree)
+    keep = np.any(np.abs(moments) > 0.0, axis=1)
+    moments = moments[keep]
+    mid = ((edges[:-1] + edges[1:]) / 2.0)[keep]
+    half = ((edges[1:] - edges[:-1]) / 2.0)[keep]
+    if moments.shape[0] == 0:
+        return np.zeros(0), np.zeros(0)
+    wts = np.linalg.solve(v, moments.T).T
+    return (mid[:, None] + half[:, None] * cheb[None, :]).ravel(), wts.ravel()
+
+
+def _haar_moments(edges: np.ndarray, deg: int) -> np.ndarray:
+    """Per-panel moments int xi^q 1_[0,1)(u) du, closed form."""
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    half = (edges[1:] - edges[:-1]) / 2.0
+    q = np.arange(deg + 1)
+    xl = (np.clip(edges[:-1], 0.0, 1.0) - mid) / half
+    xh = np.maximum((np.clip(edges[1:], 0.0, 1.0) - mid) / half, xl)
+    return half[:, None] * (xh[:, None] ** (q + 1) - xl[:, None] ** (q + 1)) / (q + 1)
+
+
+def _pl_moments(family: WaveletFamily, edges: np.ndarray, deg: int) -> np.ndarray:
+    """Per-panel moments int xi^q phi du, exact per linear cell, vectorized."""
+    m = family.cascade_depth
+    table = family.phi_values
+    grid = 2**m
+    eidx = np.rint(edges * grid).astype(np.int64)
+    if np.max(np.abs(edges * grid - eidx)) > 1e-9:
+        raise QuadratureFailure("panel edges must lie on the value grid")
+    counts = np.diff(eidx)
+    if np.any(counts < 1):
+        raise QuadratureFailure("empty quadrature panel")
+    h = 2.0**-m
+    cells = np.arange(eidx[0], eidx[-1])
+    lo_vals = table[cells]
+    hi_vals = table[cells + 1]
+    x_lo = cells * h
+    mid = np.repeat((edges[:-1] + edges[1:]) / 2.0, counts)
+    half = np.repeat((edges[1:] - edges[:-1]) / 2.0, counts)
+    starts = (eidx[:-1] - eidx[0]).astype(np.intp)
+    gl_nodes, gl_wts = np.polynomial.legendre.leggauss((deg + 3) // 2 + 1)
+    out = np.zeros((counts.size, deg + 1))
+    for t, wt in zip(gl_nodes, gl_wts):
+        lam = (t + 1.0) / 2.0
+        x = x_lo + lam * h
+        f = (lo_vals + lam * (hi_vals - lo_vals)) * wt
+        xi = (x - mid) / half
+        pw = np.ones_like(xi)
+        for qq in range(deg + 1):
+            out[:, qq] += np.add.reduceat(f * pw, starts)
+            pw = pw * xi
+    return out * (h / 2.0)
 
 
 def _smooth_axis_integrals(
@@ -1080,11 +1024,11 @@ def _smooth_axis_integrals(
     panel_exp = min(0, j + int(math.floor(math.log2(max(factor_scale, 2.0**-40)))) - 2)
     panel_exp = max(panel_exp, -family.cascade_depth)
     extra = tuple((2**j) * x for x in kinks_x)
-    rule = _panel_rule(family, panel_exp, degree, extra)
+    nodes, weights = _panel_rule(family, panel_exp, degree, extra)
     ks = np.arange(2**j)[:, None]
-    y = (rule.nodes[None, :] + ks) / 2**j
+    y = (nodes[None, :] + ks) / 2**j
     fy = factor(y - np.floor(y))
-    return (fy @ rule.weights) * 2.0**-j
+    return (fy @ weights) * 2.0**-j
 
 
 def _bump_tree(model: SmoothBump, family: WaveletFamily, j_max: int) -> CoefficientTree:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .besov import BesovParams, besov_ipm, conjugate
+from .besov import BesovParams, besov_ipm, besov_norm, conjugate
 from .coefficients import (
     CoefficientTree,
     PiecewiseConstant,
@@ -191,7 +191,7 @@ def benchmark_suite(gen: BesovParams, dim: int, scale: int = 3) -> list[tuple[st
     pattern -= pattern.mean()  # zero mean keeps 1 + amp*pattern a density
     pattern /= np.abs(pattern).max()
     probe = PiecewiseConstant(1.0 + 0.5 * pattern, scale)
-    probe_norm = _besov_norm_of(probe, haar, gen, scale)
+    probe_norm = besov_norm(exact_coeffs(probe, haar, scale), gen)
     slope = (probe_norm - 1.0) / 0.5  # norm grows linearly in the amplitude
     budget = 0.8 * gen.L - 1.0
     if budget > 1e-9 and slope > 0:
@@ -207,12 +207,6 @@ def benchmark_suite(gen: BesovParams, dim: int, scale: int = 3) -> list[tuple[st
         spike = SpikePerturbation(uniform_density(dim), haar, idx, coeff)
         members.append(("spike", spike.as_piecewise_constant()))
     return members
-
-
-def _besov_norm_of(model, family, params, scale) -> float:
-    from .besov import besov_norm
-
-    return besov_norm(exact_coeffs(model, family, scale), params)
 
 
 # -- Monte-Carlo risk ---------------------------------------------------------
@@ -273,30 +267,6 @@ def risk_trials(
         pts = samples[0] if len(samples) == 1 else np.concatenate(samples)
         out[start:stop] = besov_ipm(estimate(pts, family, est, stop - start), truth_tree, disc)
     return out
-
-
-def estimate_risk(
-    truth,
-    spec: ContaminationSpec,
-    est: EstimatorConfig,
-    disc: BesovParams,
-    n: int,
-    trials: int,
-    seed: int,
-    *,
-    family: WaveletFamily,
-    truth_tree: CoefficientTree | None = None,
-    cell_index: int = 0,
-    j_pad: int = 2,
-) -> tuple[float, float]:
-    """Mean IPM risk over seeded trials and its standard error."""
-    if trials < 2:
-        raise ValueError("need at least two trials for a standard error")
-    risks = risk_trials(
-        truth, spec, est, disc, n, trials, seed,
-        family=family, truth_tree=truth_tree, cell_index=cell_index, j_pad=j_pad,
-    )
-    return float(risks.mean()), float(risks.std(ddof=1) / math.sqrt(trials))
 
 
 # -- sweep reports ------------------------------------------------------------

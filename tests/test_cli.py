@@ -369,6 +369,49 @@ class TestConfigErrors:
         assert json.loads(text)["error"]["precondition"] == precondition
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "preset,patch,field",
+        [
+            ("structured-eps-rate", {"trials": 2.5}, "trials"),
+            ("dyadic-demo", {"samples": 4096.5}, "samples"),
+            ("dyadic-demo", {"samples": "4096"}, "samples"),
+            ("dyadic-demo", {"seed": True}, "seed"),
+            ("dyadic-demo", {"dim": 1.5}, "dim"),
+            ("dyadic-demo", {"jobs": 1.5}, "jobs"),
+            ("dyadic-demo", {"estimator": {"kind": "thresholded", "schedule": "fixed", "j0": 1.7, "j1": 5}},
+             "estimator.j0"),
+            ("adaptive-vs-oracle-holder1", {"baseline": {"schedule": "regime", "r": False}}, "baseline.r"),
+            ("structured-eps-rate", {"n_grid": [256.5, 1024]}, "n_grid"),
+            ("structured", {"idx": [2, [1.5], [1]]}, "idx"),
+            ("dyadic-demo", {"contamination": {"mode": "structured", "g": {
+                "kind": "piecewise", "values": [2.0, 0.0], "scale_level": "1"}}}, "contamination.g.scale_level"),
+        ],
+        ids=[
+            "trials", "samples", "samples-string", "seed-bool", "dim", "jobs", "estimator.j0", "baseline.r",
+            "n_grid", "idx", "contamination.g.scale_level",
+        ],
+    )
+    def test_non_integer_config_field_exit_2(self, capsys, tmp_path, preset, patch, field):
+        # int() would truncate a fractional number and read a bool or a string
+        command = PRESETS[preset]["command"]
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": command, **patch}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            [command, "--preset", preset, "--config", str(cfgfile), "--out", str(out)], capsys
+        )
+        assert rc == 2
+        assert text.count("\n") == 1
+        err = json.loads(text)["error"]
+        assert err["precondition"] == "config-file"
+        assert err["detail"].startswith(f"{field} must be an integer")
+        assert not out.exists()
+
+    def test_whole_float_integer_fields_are_accepted(self):
+        cfg = build_config("estimate", preset="dyadic-demo", overrides={"samples": 4096.0, "seed": 5.0})
+        assert (cfg.samples, cfg.seed) == (4096, 5)
+        assert type(cfg.samples) is int and type(cfg.seed) is int
+
     @pytest.mark.parametrize("family", ["db23", "db30"])
     def test_unstable_family_exit_2(self, capsys, tmp_path, family):
         out = tmp_path / "o"

@@ -885,28 +885,18 @@ class TestEmpiricalBitIdentity:
 
 
 class TestCellMatrixCache:
-    @pytest.mark.parametrize("family,dim", [(DB2, 1), (DB4, 1), (DB2_S, 2)])
-    def test_cold_and_warm_cache_give_the_same_tree(self, monkeypatch, family, dim):
-        model = random_pwc(np.random.default_rng(dim), 3, dim)
-        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
-        cold = exact_coeffs(model, family, 5)
-        assert len(coefficients._CELL_MATRIX_CACHE) == 1  # every level of one pyramid
-        warm = exact_coeffs(model, family, 5)
-        assert_trees_identical(warm, cold)
+    """The cell matrices of exact piecewise-constant truths, which are built
+    afresh on every call."""
 
-    def test_cached_matrices_are_read_only_and_capped(self, monkeypatch):
-        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
-        mats = coefficients._cell_matrices(DB2, 4, 3)
-        assert coefficients._cell_matrices(DB2, 4, 3) is mats
-        assert [(j, father.shape) for j, father, _ in mats] == [(j, (2**j, 8)) for j in range(4, -1, -1)]
-        with pytest.raises(ValueError):
-            mats[0][2][0, 0] = 1.0
-        total = sum(father.size + mother.size for _, father, mother in mats)
-        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE_MAX", total)
-        # a bigger pyramid is built a level at a time, top down, and not kept
-        big = coefficients._cell_matrices(DB2, 5, 3)
-        assert [j for j, _, _ in big] == list(range(5, -1, -1))
-        assert list(coefficients._CELL_MATRIX_CACHE) == [(DB2.name, DB2.cascade_depth, 4, 3)]
+    @pytest.mark.parametrize("family,dim", [(DB2, 1), (DB4, 1), (DB2_S, 2)])
+    def test_repeated_call_gives_the_same_tree(self, family, dim):
+        model = random_pwc(np.random.default_rng(dim), 3, dim)
+        first = exact_coeffs(model, family, 5)
+        assert_trees_identical(exact_coeffs(model, family, 5), first)
+
+    def test_pyramid_runs_top_down(self):
+        pyramid = coefficients._axis_pyramid(coefficients._father_cell_matrix(DB2, 5, 3), DB2, 4)
+        assert [(j, father.shape) for j, father, _ in pyramid] == [(j, (2**j, 8)) for j in range(4, -1, -1)]
 
     @pytest.mark.parametrize("name,j,s", [("haar", 5, 2), ("haar", 2, 2), ("db2", 6, 3), ("db3", 4, 4), ("db2", 1, 0)])
     def test_rolled_columns_equal_direct_integrals(self, name, j, s):
@@ -946,12 +936,16 @@ def traced_peak(fn) -> int:
             tracemalloc.stop()
 
 
+def haar_pyramid(j_max, s):
+    """(j, father, mother) cell matrices of the Haar truth with top level j_max + 1."""
+    return coefficients._axis_pyramid(coefficients._father_cell_matrix(HAAR, j_max + 1, s), HAAR, j_max)
+
+
 class TestExactTruthMemory:
     """Deep truths hold the top father matrix and a few level-sized
     temporaries, never the whole pyramid."""
 
-    def test_deep_db3_truth_peak(self, monkeypatch):
-        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
+    def test_deep_db3_truth_peak(self):
         family = wavelet_family("db3")
         model = random_pwc(np.random.default_rng(5), 3, 1)
         top = 8 * 2 ** (14 + 1 + 3)  # bytes of the level-15 father matrix
@@ -960,20 +954,18 @@ class TestExactTruthMemory:
         assert traced_peak(lambda: exact_coeffs(model, family, 14)) < 5 * top
 
     @pytest.mark.parametrize("s", [1, 2, 3])
-    def test_haar_bank_from_level_s_is_exact(self, monkeypatch, s):
-        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
+    def test_haar_bank_from_level_s_is_exact(self, s):
         # why Haar truths stop at level s - 1: from any higher top, the
         # mothers of levels >= s are exactly 0 and the lower levels agree
         # bit for bit with the bank started at level s
-        deep = {j: (f, m) for j, f, m in coefficients._cell_matrices(HAAR, s + 4, s)}
-        low = {j: (f, m) for j, f, m in coefficients._cell_matrices(HAAR, s - 1, s)}
+        deep = {j: (f, m) for j, f, m in haar_pyramid(s + 4, s)}
+        low = {j: (f, m) for j, f, m in haar_pyramid(s - 1, s)}
         for j in range(s, s + 5):
             assert not deep[j][1].any()
         for j in range(s):
             assert np.array_equal(deep[j][0], low[j][0]) and np.array_equal(deep[j][1], low[j][1])
 
-    def test_deep_haar_truth_does_not_grow_with_j_max(self, monkeypatch):
-        monkeypatch.setattr(coefficients, "_CELL_MATRIX_CACHE", {})
+    def test_deep_haar_truth_does_not_grow_with_j_max(self):
         model = random_pwc(np.random.default_rng(6), 3, 1)
         shallow = exact_coeffs(model, HAAR, 2)
         # a level-15 father matrix alone would be 2 MB

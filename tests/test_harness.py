@@ -19,7 +19,6 @@ from besov_robust.harness import (
     benchmark_suite,
     breakdown_curve,
     breakdown_point,
-    estimate_risk,
     fit_rate,
     fit_report_rate,
     resolve_jobs,
@@ -192,40 +191,39 @@ class TestBenchmarkSuite:
 
 
 class TestEstimateRisk:
+    """Mean IPM risks over seeded trials, from `risk_trials`."""
+
     def test_dyadic_truth_low_risk(self):
         vals = np.full(8, 1.0)
         vals[1], vals[5] = 1.5, 0.5
         truth = PiecewiseConstant(vals, 3)
         cfg = EstimatorConfig("linear", 3, 3)
-        mean, err = estimate_risk(truth, NOSPEC, cfg, TV, 2**16, 4, 7, family=HAAR)
-        assert mean < 0.05
-        assert mean == pytest.approx(0.024994, abs=2e-3)
-        assert err > 0.0
+        risks = risk_trials(truth, NOSPEC, cfg, TV, 2**16, 4, 7, family=HAAR)
+        assert risks.mean() < 0.05
+        assert risks.mean() == pytest.approx(0.024994, abs=2e-3)
+        assert risks.std(ddof=1) / math.sqrt(risks.size) > 0.0
 
     def test_risk_decreases_in_n(self):
         cfg = EstimatorConfig("linear", 3, 3)
         uni = uniform_density(1)
-        means = []
-        for k in range(8, 15):
-            m, _ = estimate_risk(uni, NOSPEC, cfg, TV, 2**k, 6, 3, family=HAAR)
-            means.append(m)
+        means = [risk_trials(uni, NOSPEC, cfg, TV, 2**k, 6, 3, family=HAAR).mean() for k in range(8, 15)]
         assert all(a > b for a, b in zip(means, means[1:]))
 
     def test_deterministic(self):
         cfg = EstimatorConfig("linear", 2, 2)
-        a = estimate_risk(uniform_density(1), NOSPEC, cfg, TV, 512, 3, 9, family=HAAR)
-        b = estimate_risk(uniform_density(1), NOSPEC, cfg, TV, 512, 3, 9, family=HAAR)
-        assert a == b
+        a = risk_trials(uniform_density(1), NOSPEC, cfg, TV, 512, 3, 9, family=HAAR)
+        b = risk_trials(uniform_density(1), NOSPEC, cfg, TV, 512, 3, 9, family=HAAR)
+        np.testing.assert_array_equal(a, b)
 
-    def test_needs_two_trials(self):
+    def test_needs_one_trial(self):
         cfg = EstimatorConfig("linear", 2, 2)
-        with pytest.raises(ValueError):
-            estimate_risk(uniform_density(1), NOSPEC, cfg, TV, 64, 1, 0, family=HAAR)
+        with pytest.raises(ValueError, match="at least one trial"):
+            risk_trials(uniform_density(1), NOSPEC, cfg, TV, 64, 0, 0, family=HAAR)
 
     def test_needs_sample_points(self):
         cfg = EstimatorConfig("linear", 2, 2)
         with pytest.raises(ValueError, match="at least one sample point"):
-            estimate_risk(uniform_density(1), NOSPEC, cfg, TV, 0, 2, 0, family=HAAR)
+            risk_trials(uniform_density(1), NOSPEC, cfg, TV, 0, 2, 0, family=HAAR)
 
 
 def one_trial_risks(truth, spec, cfg, disc, n, trials, seed, family, tree, cell_index=0, slot_offset=0):
