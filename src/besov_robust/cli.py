@@ -26,7 +26,6 @@ import dataclasses
 import json
 import math
 import numbers
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -34,7 +33,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ._svg import anchored_power_line, log_log_svg
-from .besov import LOSS_PRESETS, BesovParams, besov_ipm, loss_params
+from .besov import BesovParams, besov_ipm, loss_params
 from .coefficients import PiecewiseConstant, SpikePerturbation, exact_coeffs, uniform_density
 from .contamination import (
     ContaminationSpec,
@@ -56,6 +55,7 @@ from .harness import (
     RiskReport,
     benchmark_suite,
     breakdown_curve,
+    fit_axis,
     resolve_jobs,
     run_sweep,
     theoretical_exponents,
@@ -138,6 +138,16 @@ def _int(v, field: str) -> int:
     raise ConfigError("config-file", f"{field} must be an integer, got {v!r}")
 
 
+def _numbers(v, field: str):
+    """A number, or nested lists of numbers, as floats; a bool or a string
+    entry is rejected rather than parsed."""
+    if isinstance(v, (list, tuple)):
+        return [_numbers(x, field) for x in v]
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        return float(v)
+    raise ConfigError("config-file", f"{field} entries must be numbers, got {v!r}")
+
+
 def _encode(obj):
     """JSON-safe copy: tuples to lists, infinities to strings."""
     if isinstance(obj, Mapping):
@@ -189,8 +199,10 @@ def _coerce(d: Mapping) -> dict:
                     e[f] = _int(e[f], f"{k}.{f}")
             if "K" in e:
                 e["K"] = _num(e["K"])
-            if "rescale" in e:
-                e["rescale"] = bool(e["rescale"])
+            if "rescale" in e and not isinstance(e["rescale"], bool):
+                raise ConfigError(
+                    "config-file", f"{k}.rescale must be true or false, got {e['rescale']!r}"
+                )
             out[k] = e
     if out.get("contamination") is not None:
         c = dict(out["contamination"])
@@ -201,7 +213,7 @@ def _coerce(d: Mapping) -> dict:
             if "scale_level" in g:
                 g["scale_level"] = _int(g["scale_level"], "contamination.g.scale_level")
             if "values" in g:
-                g["values"] = np.asarray(g["values"], dtype=float).tolist()
+                g["values"] = _numbers(g["values"], "contamination.g.values")
             c["g"] = g
         out["contamination"] = c
     return out
@@ -430,7 +442,9 @@ def _g_from(gspec: Mapping, dim: int):
 def _spec_maker(cfg: ExperimentConfig, dim: int):
     c = cfg.contamination
     if c is None:
-        return None
+        # a placeholder for eps = 0, the only eps allowed without a block
+        g = uniform_density(dim)
+        return lambda eps: ContaminationSpec(eps, "unstructured", g=g)
     mode = c.get("mode")
     if mode not in ("structured", "unstructured"):
         raise ConfigError("contamination", f"mode must be structured or unstructured, got {mode!r}")
@@ -494,7 +508,7 @@ def _resolver_from(espec, *, what, cfg, family, gen, disc):
     def resolve(n: int, eps: float) -> EstimatorConfig:
         j0, j1 = choose_resolutions(n, eps, gen, disc, cfg.dim, cfg.regime)
         eps_r = eps if (rescale and eps > 0.0) else None
-        return EstimatorConfig(kind, j0, j1, K=K, rescale_epsilon=eps_r, regime=cfg.regime)
+        return EstimatorConfig(kind, j0, j1, K=K, rescale_epsilon=eps_r)
 
     return resolve
 
@@ -578,7 +592,7 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
             raise ConfigError("trials", "trials must be at least 2 for standard errors")
         plan.truths = _truths_from(cfg, plan.gen)
         plan.spec_for = _spec_maker(cfg, cfg.dim)
-        if plan.spec_for is None and any(e > 0.0 for e in cfg.eps_grid):
+        if cfg.contamination is None and any(e > 0.0 for e in cfg.eps_grid):
             raise ConfigError("contamination", "positive eps values need a contamination block")
         plan.estimator_for = _resolver_from(
             cfg.estimator, what="estimator", cfg=cfg, family=plan.family,
@@ -606,16 +620,12 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
         if cfg.command == "rate-check":
             if plan.theory is None:
                 raise ConfigError("regime", "rate-check needs gen and regime for the theory side")
-            positives = [e for e in cfg.eps_grid if e > 0.0]
-            if len(cfg.n_grid) >= 4 and len(cfg.eps_grid) == 1:
-                plan.axis = "n"
-            elif len(positives) >= 4 and len(cfg.n_grid) == 1:
-                plan.axis = "eps"
-            else:
+            plan.axis = fit_axis(cfg.n_grid, cfg.eps_grid)
+            if plan.axis is None:
                 raise ConfigError(
                     "grid",
-                    "rate-check needs >= 4 n values with one eps, "
-                    "or >= 4 positive eps values with one n",
+                    "rate-check needs >= 4 distinct n values with one eps, "
+                    "or >= 4 distinct positive eps values with one n",
                 )
         return plan
 
@@ -628,12 +638,8 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
             raise ConfigError("truth", "estimate runs on a single named truth, not the suite")
         plan.truths = _truths_from(cfg, plan.gen)
         plan.spec_for = _spec_maker(cfg, cfg.dim)
-        if plan.spec_for is None:
-            if cfg.eps > 0.0:
-                raise ConfigError("contamination", "positive eps needs a contamination block")
-            plan.spec_for = lambda e: ContaminationSpec(
-                0.0, "unstructured", g=uniform_density(cfg.dim)
-            )
+        if cfg.contamination is None and cfg.eps > 0.0:
+            raise ConfigError("contamination", "positive eps needs a contamination block")
         plan.estimator_for = _resolver_from(
             cfg.estimator, what="estimator", cfg=cfg, family=plan.family,
             gen=plan.gen, disc=plan.disc,

@@ -39,14 +39,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import (
-    EmptySample,
-    IncompatibleTrees,
-    MalformedTree,
-    OutOfDomain,
-    QuadratureFailure,
-    RejectionBudgetExceeded,
-)
+from .errors import EmptySample, IncompatibleTrees, MalformedTree, OutOfDomain, QuadratureFailure
 from .wavelets import (
     WaveletFamily,
     WaveletIndex,
@@ -594,19 +587,22 @@ class SmoothBump:
 
 
 class SpikePerturbation:
-    """A base density plus `coeff` times one daughter wavelet.
+    """A flat base density plus `coeff` times one Haar daughter wavelet.
 
-    Nonnegativity is enforced with the conservative bound
-    min(base) >= |coeff| * sup|daughter|.
+    Both lower-bound constructions perturb the uniform density this way, so
+    every spike is exactly piecewise constant. Nonnegativity is enforced
+    with the conservative bound min(base) >= |coeff| * sup|daughter|.
     """
 
     def __init__(self, base, family: WaveletFamily, index: WaveletIndex, coeff: float):
+        if not family.is_haar or not isinstance(base, PiecewiseConstant):
+            raise ValueError("a spike is a Haar daughter on a piecewise-constant base")
         if len(index.k) != base.dim:
             raise ValueError("index dimension does not match the base density")
         sup = 2.0 ** (base.dim * index.j / 2.0)
         for ei in index.e:
             sup *= family.psi_sup if ei else family.phi_sup
-        base_min = base.min_value() if hasattr(base, "min_value") else 0.0
+        base_min = base.min_value()
         if abs(coeff) * sup > base_min + 1e-12:
             raise ValueError(
                 f"spike amplitude {coeff} times daughter sup {sup:.3g} exceeds "
@@ -623,9 +619,8 @@ class SpikePerturbation:
         return self.base.pdf(x) + self.coeff * eval_wavelet(self.family, self.index, x)
 
     def as_piecewise_constant(self) -> PiecewiseConstant:
-        """Exact flat representation; Haar spikes on piecewise-constant bases only."""
-        if not self.family.is_haar or not isinstance(self.base, PiecewiseConstant):
-            raise ValueError("flat representation needs a Haar spike on a flat base")
+        """Exact flat representation on the finer of the base grid and the
+        daughter's half-cells."""
         s = max(self.base.scale_level, self.index.j + 1)
         grid = (np.indices((2**s,) * self.dim).reshape(self.dim, -1).T + 0.5) / 2**s
         vals = self.pdf(grid).reshape((2**s,) * self.dim)
@@ -633,9 +628,7 @@ class SpikePerturbation:
         return PiecewiseConstant(vals, s)
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.family.is_haar and isinstance(self.base, PiecewiseConstant):
-            return self.as_piecewise_constant().sample(n, rng)
-        return rejection_sample(self, n, rng)
+        return self.as_piecewise_constant().sample(n, rng)
 
     def sup_bound(self) -> float:
         base_sup = self.base.sup_bound()
@@ -643,38 +636,6 @@ class SpikePerturbation:
         for ei in self.index.e:
             sup *= self.family.psi_sup if ei else self.family.phi_sup
         return float(base_sup + abs(self.coeff) * sup)
-
-    def min_value(self) -> float:
-        if self.family.is_haar and isinstance(self.base, PiecewiseConstant):
-            return self.as_piecewise_constant().min_value()
-        raise NotImplementedError
-
-
-def rejection_sample(model, n: int, rng: np.random.Generator, budget_factor: int = 400) -> np.ndarray:
-    """Uniform-proposal rejection sampling on the cube, batch sized by the sup bound."""
-    if n < 0:
-        raise ValueError("sample size must be nonnegative")
-    if n == 0:
-        return np.zeros((0, model.dim))
-    m = model.sup_bound()
-    if not np.isfinite(m) or m <= 0:
-        raise ValueError("rejection sampling needs a positive finite sup bound")
-    budget = max(10**6, budget_factor * n * max(1, int(m)))
-    got: list[np.ndarray] = []
-    have = 0
-    spent = 0
-    while have < n:
-        batch = min(budget - spent, max(2048, int(1.5 * (n - have) * m)))
-        if batch <= 0:
-            raise RejectionBudgetExceeded(
-                f"accepted {have}/{n} after {spent} proposals (sup bound {m})"
-            )
-        pts = rng.random((batch, model.dim))
-        keep = rng.random(batch) * m < model.pdf(pts)
-        got.append(pts[keep])
-        have += int(keep.sum())
-        spent += batch
-    return np.concatenate(got)[:n]
 
 
 # -- the filter bank ---------------------------------------------------------
@@ -1073,7 +1034,7 @@ def exact_coeffs(model, family: WaveletFamily, j_max: int) -> CoefficientTree:
     Exact father integrals at level j_max + 1 (cell-integral tables for
     piecewise-constant models, certified polynomial-proxy quadrature for
     smooth bump factors) go through the periodic bank, one axis factor at a
-    time. Spike perturbations are exact for Haar.
+    time. Spike perturbations add their one Haar coefficient to the base's tree.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
@@ -1084,13 +1045,8 @@ def exact_coeffs(model, family: WaveletFamily, j_max: int) -> CoefficientTree:
     if isinstance(model, SpikePerturbation):
         if model.family.name != family.name or model.family.cascade_depth != family.cascade_depth:
             raise IncompatibleTrees("spike wavelet family differs from the requested basis")
-        if family.is_haar and isinstance(model.base, PiecewiseConstant):
-            base = _pwc_tree(model.base, family, j_max)
-            if model.index.j <= j_max:
-                base.set(model.index, base.get(model.index) + model.coeff)
-            return base
-        raise QuadratureFailure(
-            "exact spike trees need the Haar family on a flat base; "
-            "interpolated wavelets are only near-orthonormal"
-        )
+        base = _pwc_tree(model.base, family, j_max)
+        if model.index.j <= j_max:
+            base.set(model.index, base.get(model.index) + model.coeff)
+        return base
     raise TypeError(f"no exact coefficient rule for {type(model).__name__}")

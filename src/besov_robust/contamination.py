@@ -34,12 +34,17 @@ from .errors import BallViolation, InfeasibleEpsilon, NotSupBounded
 from .wavelets import WaveletFamily, WaveletIndex, eval_wavelet
 
 MODES = ("structured", "unstructured")
+# Points of the midpoint grid on which `grid_sup` checks a contaminator
+_GRID_SUP_POINTS = 32768
+# Level of the per-axis KS test in `verify_indistinguishable`, before the
+# Bonferroni split over the D axes
+_KS_ALPHA = 0.01
 
 
-def grid_sup(model, points_budget: int = 32768) -> float:
-    """Max of the pdf over a uniform midpoint grid with about the given size."""
+def grid_sup(model) -> float:
+    """Max of the pdf over a uniform midpoint grid of about _GRID_SUP_POINTS points."""
     d = model.dim
-    per_axis = max(2, int(round(points_budget ** (1.0 / d))))
+    per_axis = max(2, int(round(_GRID_SUP_POINTS ** (1.0 / d))))
     axis = (np.arange(per_axis) + 0.5) / per_axis
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.column_stack([m.ravel() for m in mesh])
@@ -212,19 +217,19 @@ class IndistinguishabilityReport:
     ks_statistic: float
     p_value: float
     ks_passed: bool
-    tree_difference: Optional[float]
+    tree_difference: float
     passed: bool
 
 
 def verify_indistinguishable(
-    pair_a, pair_b, eps: float, n: int, seed, family: WaveletFamily | None = None,
-    j_max: int | None = None, alpha: float = 0.01,
+    pair_a, pair_b, eps: float, n: int, seed, family: WaveletFamily, j_max: int
 ) -> IndistinguishabilityReport:
-    """Two-sample KS test between draws of the two mixtures, axiswise.
+    """Two-sample KS test between draws of the two mixtures, axiswise, and a
+    comparison of the mixtures' exact coefficient trees up to level j_max.
 
-    `pair_a` and `pair_b` are (truth, contaminator) tuples. When a family and
-    level are given, the exact coefficient trees of the two mixtures are also
-    compared; the reported tree difference is the largest coefficient gap.
+    `pair_a` and `pair_b` are (truth, contaminator) tuples. The reported tree
+    difference is the largest coefficient gap; the pair passes when the KS
+    test does not reject and the trees agree to 1e-12.
     """
     from scipy.stats import ks_2samp  # about 1 s to import; only the KS check needs it
 
@@ -238,17 +243,14 @@ def verify_indistinguishable(
         r = ks_2samp(xa[:, axis], xb[:, axis])
         if r.statistic > stat:
             stat, pval = float(r.statistic), float(r.pvalue)
-    ks_passed = pval > alpha / pa.dim
-    tree_diff = None
-    if family is not None:
-        top = j_max if j_max is not None else 4
+    ks_passed = pval > _KS_ALPHA / pa.dim
 
-        def mixture_tree(p_model, g_model):
-            tp = exact_coeffs(p_model, family, top)
-            tg = exact_coeffs(g_model, family, top)
-            return tree_axpy(eps, tg, tree_axpy(-eps, tp, tp))
+    def mixture_tree(p_model, g_model):
+        tp = exact_coeffs(p_model, family, j_max)
+        tg = exact_coeffs(g_model, family, j_max)
+        return tree_axpy(eps, tg, tree_axpy(-eps, tp, tp))
 
-        d = tree_axpy(-1.0, mixture_tree(pb, gb), mixture_tree(pa, ga))
-        tree_diff = max([abs(d.alpha)] + [abs(v) for _, v in d.items()])
-    passed = ks_passed and (tree_diff is None or tree_diff < 1e-12)
+    d = tree_axpy(-1.0, mixture_tree(pb, gb), mixture_tree(pa, ga))
+    tree_diff = max([abs(d.alpha)] + [abs(v) for _, v in d.items()])
+    passed = ks_passed and tree_diff < 1e-12
     return IndistinguishabilityReport(n, stat, pval, ks_passed, tree_diff, passed)

@@ -32,10 +32,6 @@ class UnstableFilter(BesovRobustError, ValueError):
     """A Daubechies filter of the requested order cannot be built to working accuracy."""
 
 
-class RejectionBudgetExceeded(BesovRobustError):
-    """Rejection sampling used up its proposal budget before accepting enough points."""
-
-
 class IncompatibleTrees(BesovRobustError, ValueError):
     """Two coefficient trees disagree on dimension, wavelet family or block size."""
 

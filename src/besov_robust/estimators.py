@@ -39,7 +39,6 @@ class EstimatorConfig:
     j1: int
     K: float = 1.0
     rescale_epsilon: float | None = None
-    regime: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -52,8 +51,6 @@ class EstimatorConfig:
             raise ValueError("threshold constant must be nonnegative")
         if self.rescale_epsilon is not None and not (0.0 <= self.rescale_epsilon < 1.0):
             raise ValueError("rescale epsilon must lie in [0, 1)")
-        if self.regime is not None and self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}")
 
 
 def _check_regime(regime: str, eps: float, gen: BesovParams, disc: BesovParams) -> None:

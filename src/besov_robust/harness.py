@@ -172,19 +172,20 @@ def breakdown_curve(
 # -- benchmark truths ---------------------------------------------------------
 
 
-def benchmark_suite(gen: BesovParams, dim: int, scale: int = 3) -> list[tuple[str, object]]:
+def benchmark_suite(gen: BesovParams, dim: int) -> list[tuple[str, object]]:
     """Deterministic truth densities spread through the generator ball.
 
-    Uniform (the ball center), a dyadic piecewise-constant profile pushed to
-    80% of the norm budget, and a single localized spike at 90%, all measured
-    in the Haar basis and realized as exactly sampleable piecewise-constant
-    models. Members that need more budget than L allows are dropped; uniform
-    always remains. Tests pin this construction, so changing it is a
-    versioning event.
+    Uniform (the ball center), a piecewise-constant profile on the 2^3 dyadic
+    grid pushed to 80% of the norm budget, and a single localized spike at
+    90%, all measured in the Haar basis and realized as exactly sampleable
+    piecewise-constant models. Members that need more budget than L allows
+    are dropped; uniform always remains. Tests pin this construction, so
+    changing it is a versioning event.
     """
     haar = wavelet_family("haar")
     members: list[tuple[str, object]] = [("uniform", uniform_density(dim))]
 
+    scale = 3
     cells = (2**scale,) * dim
     rng = np.random.default_rng(20240501)
     pattern = rng.uniform(-1.0, 1.0, size=cells)
@@ -217,6 +218,10 @@ def benchmark_suite(gen: BesovParams, dim: int, scale: int = 3) -> list[tuple[st
 # trial at a time on a 2-vCPU machine with a 2 MB per-core L2 cache, which
 # their working arrays outgrow.
 _BLOCK_ROWS = 2**14
+# Levels the exact truth tree reaches above the estimator's top level j1:
+# the truth's detail beyond j1 is bias the estimate cannot see, and the
+# IPM must count it
+_J_PAD = 2
 
 
 def risk_trials(
@@ -232,9 +237,8 @@ def risk_trials(
     truth_tree: CoefficientTree | None = None,
     cell_index: int = 0,
     slot_offset: int = 0,
-    j_pad: int = 2,
 ) -> np.ndarray:
-    """Per-trial IPM risks against the exact truth tree at j1 + j_pad.
+    """Per-trial IPM risks against the exact truth tree at j1 + _J_PAD.
 
     Trial t draws its sample stream from entropy (seed, cell_index,
     slot_offset + t); slot_offset keeps streams distinct when several truth
@@ -255,7 +259,7 @@ def risk_trials(
     if n < 1:
         raise ValueError("need at least one sample point per trial")
     if truth_tree is None:
-        truth_tree = exact_coeffs(truth, family, est.j1 + j_pad)
+        truth_tree = exact_coeffs(truth, family, est.j1 + _J_PAD)
     block = max(1, _BLOCK_ROWS // n)
     out = np.empty(trials)
     for start in range(0, trials, block):
@@ -381,17 +385,14 @@ def run_sweep(
     *,
     theory: ExponentSet | None = None,
     jobs: int | None = None,
-    j_pad: int = 2,
     meta=(),
 ) -> RiskReport:
     """Risk over the (n, eps) grid, taking the worst truth per cell.
 
     truths: list of (name, model). contamination: callable eps ->
-    ContaminationSpec, or None for a placeholder uniform contaminator (only
-    sensible with an all-zero eps grid). estimator_for: an EstimatorConfig or
-    a callable (n, eps) -> EstimatorConfig, so schedules may track the grid.
-    When the grid varies along exactly one axis with >= 4 points, the matching
-    rate fit is attached to the report.
+    ContaminationSpec. estimator_for: callable (n, eps) -> EstimatorConfig,
+    so schedules may track the grid. When `fit_axis` names an axis of the
+    grid, the matching rate fit is attached to the report.
     """
     truths = list(truths)
     if not truths:
@@ -401,12 +402,6 @@ def run_sweep(
         raise ValueError("duplicate truth names in the suite")
     if trials < 2:
         raise ValueError("need at least two trials for standard errors")
-    if contamination is None:
-        placeholder = uniform_density(truths[0][1].dim)
-        contamination = lambda e: ContaminationSpec(e, "unstructured", g=placeholder)
-    if not callable(estimator_for):
-        fixed_cfg = estimator_for
-        estimator_for = lambda n, e: fixed_cfg
     jobs = resolve_jobs(jobs)
 
     grid = [(int(n), float(e)) for n in n_grid for e in eps_grid]
@@ -415,7 +410,7 @@ def run_sweep(
     for ci, (n, eps) in enumerate(grid):
         cfg = estimator_for(n, eps)
         spec = contamination(eps)
-        j_max = cfg.j1 + j_pad
+        j_max = cfg.j1 + _J_PAD
         for ti, (name, model) in enumerate(truths):
             key = (ti, j_max)
             if key not in tree_cache:
@@ -472,23 +467,32 @@ def run_sweep(
         fitted=(),
         meta=tuple(meta),
     )
-    n_vals = sorted({n for n, _ in grid})
-    eps_vals = sorted({e for _, e in grid})
-    fitted = []
-    if len(n_vals) >= 4 and len(eps_vals) == 1:
-        try:
-            fitted.append(("n", fit_report_rate(report, "n")))
-        except DegenerateFit:
-            pass
-    if len([e for e in eps_vals if e > 0]) >= 4 and len(n_vals) == 1:
-        try:
-            fitted.append(("eps", fit_report_rate(report, "eps")))
-        except DegenerateFit:
-            pass
-    return replace(report, fitted=tuple(fitted))
+    axis = fit_axis(n_grid, eps_grid)
+    if axis is None:
+        return report
+    try:
+        return replace(report, fitted=((axis, fit_report_rate(report, axis)),))
+    except DegenerateFit:
+        return report
 
 
 # -- log-log fits -------------------------------------------------------------
+
+# Fewest cells a log-log rate fit uses
+_MIN_FIT_POINTS = 4
+
+
+def fit_axis(n_grid, eps_grid) -> str | None:
+    """The axis a sweep over n_grid x eps_grid fits, counting distinct values:
+    "n" for >= 4 sample sizes at one eps, "eps" for >= 4 positive eps at one
+    n, else None."""
+    n_vals = {int(n) for n in n_grid}
+    eps_vals = {float(e) for e in eps_grid}
+    if len(n_vals) >= _MIN_FIT_POINTS and len(eps_vals) == 1:
+        return "n"
+    if len({e for e in eps_vals if e > 0.0}) >= _MIN_FIT_POINTS and len(n_vals) == 1:
+        return "eps"
+    return None
 
 
 def fit_rate(
@@ -498,7 +502,6 @@ def fit_rate(
     *,
     kind: str = "decay",
     plateau: float | None = None,
-    min_points: int = 4,
 ) -> tuple[float, float]:
     """Log-log OLS exponent and its standard error.
 
@@ -522,9 +525,9 @@ def fit_rate(
     if plateau is not None:
         guard = 3.0 * np.asarray(stderrs, dtype=float) if stderrs is not None else 0.0
         keep = means > plateau + guard
-    if int(keep.sum()) < min_points:
+    if int(keep.sum()) < _MIN_FIT_POINTS:
         raise DegenerateFit(
-            f"{int(keep.sum())} usable cells after plateau exclusion, need >= {min_points}"
+            f"{int(keep.sum())} usable cells after plateau exclusion, need >= {_MIN_FIT_POINTS}"
         )
     lx = np.log(xs[keep])
     ly = np.log(means[keep])
@@ -537,32 +540,24 @@ def fit_rate(
     return float(exponent), float(stderr)
 
 
-def fit_report_rate(
-    report: RiskReport,
-    axis: str = "n",
-    *,
-    fixed=None,
-    plateau: float | None = None,
-    min_points: int = 4,
-) -> tuple[float, float]:
+def fit_report_rate(report: RiskReport, axis: str = "n") -> tuple[float, float]:
     """Fit one axis of a sweep report, holding the other coordinate fixed.
 
-    axis="n" fits cells at one eps (default: the smallest on the grid).
-    axis="eps" fits cells at one n (default: the largest); an eps = 0 cell,
-    when present, supplies the plateau level and is excluded from the fit.
+    axis="n" fits the cells at the smallest eps on the grid. axis="eps" fits
+    the cells at the largest n; an eps = 0 cell, when present, supplies the
+    plateau level and is excluded from the fit.
     """
+    plateau = None
     if axis == "n":
-        eps_vals = sorted({c.eps for c in report.cells})
-        target = eps_vals[0] if fixed is None else float(fixed)
+        target = min(c.eps for c in report.cells)
         cells = [c for c in report.cells if c.eps == target]
         xs = [c.n for c in cells]
         kind = "decay"
     elif axis == "eps":
-        n_vals = sorted({c.n for c in report.cells})
-        target = n_vals[-1] if fixed is None else int(fixed)
+        target = max(c.n for c in report.cells)
         cells = [c for c in report.cells if c.n == target]
         floor_cells = [c for c in cells if c.eps == 0.0]
-        if plateau is None and floor_cells:
+        if floor_cells:
             plateau = max(c.mean for c in floor_cells)
         cells = [c for c in cells if c.eps > 0.0]
         xs = [c.eps for c in cells]
@@ -571,4 +566,4 @@ def fit_report_rate(
         raise ValueError(f"unknown axis {axis!r}")
     means = [c.mean for c in cells]
     errs = [c.stderr for c in cells]
-    return fit_rate(xs, means, errs, kind=kind, plateau=plateau, min_points=min_points)
+    return fit_rate(xs, means, errs, kind=kind, plateau=plateau)

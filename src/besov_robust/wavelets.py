@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 

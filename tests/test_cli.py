@@ -61,6 +61,8 @@ GOLDEN_ESTIMATE_CONFIG = {
 }
 GOLDEN_COEFFS_SHA256 = "933246c9515325ac38f2166fc71a51230833d79baa12aada8f6dd8eff650ea5d"
 FAST_ADV_ARGS = ["adversary", "--preset", "sparse", "--samples", "20000"]
+DEMO_ESTIMATOR = PRESETS["dyadic-demo"]["estimator"]
+DEMO_CONTAMINATION = PRESETS["dyadic-demo"]["contamination"]
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -146,6 +148,39 @@ def test_risk_sweep_artifacts_byte_identical(capsys, tmp_path, preset):
         for name in GOLDEN_RISK_SWEEP_SHA256[preset]
     }
     assert got == GOLDEN_RISK_SWEEP_SHA256[preset]
+
+
+# SHA-256 of the adversary and breakdown artifacts, taken before spikes
+# were restricted to Haar daughters on a flat base. config.json is left
+# out: it records the output path.
+GOLDEN_PAIR_AND_BREAKDOWN_SHA256 = {
+    ("adversary", "sparse"): {
+        "indistinguishability.json": "0b1489ec3c7b310883efadd318a4434c79d1b4b6e8cfe482f4452c3440e8e144",
+        "pair.json": "3c384deb6414b72877853c8a665aa946eca3b7905ceec629cf18becfc74f3f68",
+    },
+    ("adversary", "structured"): {
+        "indistinguishability.json": "86daf5eaf8a7248ef1e31a6105542bc08589e4c81ed2a2eda96eff6838a39697",
+        "pair.json": "3291fcb2a7efccc6b2314bf3721258c5c284eef8043de3a9eccc0b916d5ef382",
+    },
+    ("breakdown", "sqrt-n-breakdown"): {
+        "breakdown.csv": "7f11e9e7694c9cde03e870d8c220bf918cab4c81aa485327773c9c24986c386a",
+        "breakdown.json": "4365439e66e357fcbf44960601d486d017d4850df698301bc5ef74b6c56bf3c8",
+        "breakdown.svg": "a5bbccabaaf8e85d322de19e0a5090de8df5198ca058b58005b1961c834a36e6",
+    },
+}
+
+
+@pytest.mark.parametrize("command,preset", sorted(GOLDEN_PAIR_AND_BREAKDOWN_SHA256))
+def test_pair_and_breakdown_artifacts_byte_identical(capsys, tmp_path, command, preset):
+    out = tmp_path / preset
+    extra = ["--samples", "20000"] if command == "adversary" else []
+    rc, _ = run_cli([command, "--preset", preset, "--out", str(out)] + extra, capsys)
+    assert rc == 0
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in GOLDEN_PAIR_AND_BREAKDOWN_SHA256[(command, preset)]
+    }
+    assert got == GOLDEN_PAIR_AND_BREAKDOWN_SHA256[(command, preset)]
 
 
 def test_perfbench_trace_names_still_bound(tmp_path):
@@ -411,6 +446,45 @@ class TestConfigErrors:
         cfg = build_config("estimate", preset="dyadic-demo", overrides={"samples": 4096.0, "seed": 5.0})
         assert (cfg.samples, cfg.seed) == (4096, 5)
         assert type(cfg.samples) is int and type(cfg.seed) is int
+
+    @pytest.mark.parametrize(
+        "preset,patch,precondition",
+        [
+            ("structured-eps-rate", {"n_grid": [256, 256, 512, 1024], "eps_grid": [0.0]}, "grid"),
+            ("structured-eps-rate", {"eps_grid": [0.0, 2.0**-8, 2.0**-6, 2.0**-6, 2.0**-4]}, "grid"),
+            ("dyadic-demo", {"estimator": {**DEMO_ESTIMATOR, "rescale": "false"}}, "config-file"),
+            ("dyadic-demo", {"estimator": {**DEMO_ESTIMATOR, "rescale": 0.5}}, "config-file"),
+            ("dyadic-demo", {"estimator": {**DEMO_ESTIMATOR, "rescale": 1}}, "config-file"),
+            ("dyadic-demo", {"contamination": {**DEMO_CONTAMINATION, "g": {
+                "kind": "piecewise", "values": ["2.0", "0"], "scale_level": 1}}}, "config-file"),
+            ("dyadic-demo", {"contamination": {**DEMO_CONTAMINATION, "g": {
+                "kind": "piecewise", "values": [True, 1.0], "scale_level": 1}}}, "config-file"),
+        ],
+        ids=[
+            "repeated-n", "repeated-eps", "rescale-string", "rescale-float", "rescale-int",
+            "values-strings", "values-bool",
+        ],
+    )
+    def test_loose_config_exit_2_before_output(self, capsys, tmp_path, preset, patch, precondition):
+        # a rate axis counted by grid entries passed validation and failed
+        # after the sweep; bool() and float() read strings and bools
+        command = PRESETS[preset]["command"]
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": command, **patch}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            [command, "--preset", preset, "--config", str(cfgfile), "--out", str(out)], capsys
+        )
+        assert rc == 2
+        assert text.count("\n") == 1
+        assert json.loads(text)["error"]["precondition"] == precondition
+        assert not out.exists()
+
+    def test_integer_contaminator_values_become_floats(self):
+        contamination = {**DEMO_CONTAMINATION, "g": {"kind": "piecewise", "values": [2, 0], "scale_level": 1}}
+        cfg = build_config("estimate", preset="dyadic-demo", overrides={"contamination": contamination})
+        assert cfg.contamination["g"]["values"] == [2.0, 0.0]
+        assert all(type(v) is float for v in cfg.contamination["g"]["values"])
 
     @pytest.mark.parametrize("family", ["db23", "db30"])
     def test_unstable_family_exit_2(self, capsys, tmp_path, family):

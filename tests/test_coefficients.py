@@ -30,7 +30,6 @@ from besov_robust.coefficients import (
     SpikePerturbation,
     empirical_coeffs,
     exact_coeffs,
-    rejection_sample,
     tree_axpy,
     uniform_density,
 )
@@ -40,8 +39,6 @@ from besov_robust.errors import (
     IncompatibleTrees,
     MalformedTree,
     OutOfDomain,
-    QuadratureFailure,
-    RejectionBudgetExceeded,
 )
 from besov_robust.estimators import _rescaled, apply_threshold
 from besov_robust.wavelets import WaveletIndex, eval_wavelet, orientations, wavelet_family
@@ -453,26 +450,7 @@ class TestDensityModels:
         xs = np.linspace(0, 1, 129)[:-1][:, None] + 1e-4
         np.testing.assert_allclose(flat.pdf(xs), spike.pdf(xs), atol=1e-12)
         with pytest.raises(ValueError):
-            SpikePerturbation(uniform_density(1), DB2, WaveletIndex(2, (1,), (1,)), 1e-3).as_piecewise_constant()
-
-
-class RampDensity:
-    """The density 2x on [0, 1), in the duck-typed model protocol."""
-
-    dim = 1
-
-    def pdf(self, x):
-        return 2.0 * x[:, 0]
-
-    def sup_bound(self):
-        return 2.0
-
-
-class ZeroDensity(RampDensity):
-    """A pdf that accepts no proposal."""
-
-    def pdf(self, x):
-        return np.zeros(x.shape[0])
+            SpikePerturbation(uniform_density(1), DB2, WaveletIndex(2, (1,), (1,)), 1e-3)
 
 
 class TestSampling:
@@ -553,15 +531,6 @@ class TestSampling:
             sample_huber(uniform_density(1), uniform_density(1), 1.0, 10, 0)
         with pytest.raises(ValueError):
             sample_huber(uniform_density(1), uniform_density(1), -0.1, 10, 0)
-
-    def test_rejection_sampling_matches_density(self):
-        pts = rejection_sample(RampDensity(), 20000, np.random.default_rng(3))
-        # E X = 2/3 for the ramp
-        assert abs(pts.mean() - 2.0 / 3.0) < 0.01
-
-    def test_rejection_budget_exceeded(self):
-        with pytest.raises(RejectionBudgetExceeded):
-            rejection_sample(ZeroDensity(), 10, np.random.default_rng(0))
 
 
 class TestEmpiricalCoeffs:
@@ -1093,9 +1062,8 @@ class TestExactCoeffsOracle:
         spike = SpikePerturbation(uniform_density(1), HAAR, WaveletIndex(1, (0,), (1,)), 0.2)
         with pytest.raises(IncompatibleTrees):
             exact_coeffs(spike, DB2, j_max=2)
-        db_spike = SpikePerturbation(uniform_density(1), DB2, WaveletIndex(1, (0,), (1,)), 1e-3)
-        with pytest.raises(QuadratureFailure):
-            exact_coeffs(db_spike, DB2, j_max=2)
+        with pytest.raises(ValueError):
+            SpikePerturbation(uniform_density(1), DB2, WaveletIndex(1, (0,), (1,)), 1e-3)
         with pytest.raises(ValueError):
             exact_coeffs(uniform_density(1), HAAR, j_max=-1)
         with pytest.raises(TypeError):

@@ -284,14 +284,14 @@ class TestLeCamPair:
 class TestVerifyIndistinguishable:
     def test_same_model_same_seed(self):
         u = uniform_density(1)
-        rep = verify_indistinguishable((u, u), (u, u), 0.2, 5000, 13)
+        rep = verify_indistinguishable((u, u), (u, u), 0.2, 5000, 13, family=HAAR, j_max=2)
         assert rep.ks_passed
-        assert rep.tree_difference is None
+        assert rep.tree_difference == 0.0
 
     def test_broken_pair_detected(self):
         p, p_tilde, g, g_tilde = lecam_structured_pair(GEN, 0.3, WaveletIndex(1, (0,), (1,)), HAAR)
         bad_g = SpikePerturbation(uniform_density(1), HAAR, WaveletIndex(1, (0,), (1,)), g.coeff * 2)
-        rep = verify_indistinguishable((p, bad_g), (p_tilde, g_tilde), 0.3, 10**6, 5)
+        rep = verify_indistinguishable((p, bad_g), (p_tilde, g_tilde), 0.3, 10**6, 5, family=HAAR, j_max=2)
         assert not rep.ks_passed
         # the tree check also localizes the discrepancy
         rep2 = verify_indistinguishable((p, bad_g), (p_tilde, g_tilde), 0.3, 100, 5, family=HAAR, j_max=2)

@@ -54,8 +54,6 @@ class TestConfig:
             EstimatorConfig("thresholded", 1, 2, K=math.nan)
         with pytest.raises(ValueError):
             EstimatorConfig("thresholded", 1, 2, rescale_epsilon=1.0)
-        with pytest.raises(ValueError):
-            EstimatorConfig("thresholded", 1, 2, regime="chaotic")
 
     def test_zero_threshold_allowed(self):
         cfg = EstimatorConfig("thresholded", 1, 3, K=0.0)

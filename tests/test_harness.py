@@ -321,10 +321,19 @@ def dense_linear_config(n, eps):
     return EstimatorConfig("linear", j0, j1)
 
 
+def uniform_spec(eps):
+    return ContaminationSpec(eps, "unstructured", g=uniform_density(1))
+
+
+def fixed(cfg):
+    """A schedule that gives cfg at every grid cell."""
+    return lambda n, eps: cfg
+
+
 class TestRunSweep:
     def test_uncontaminated_rate_fit(self):
         rep = run_sweep(
-            benchmark_suite(GEN, 1), None, dense_linear_config,
+            benchmark_suite(GEN, 1), uniform_spec, dense_linear_config,
             TV, DB2, [2**k for k in range(8, 15)], [0.0], 8, 42,
             theory=theoretical_exponents(GEN, TV, 1, "dense-unstructured"),
         )
@@ -341,7 +350,7 @@ class TestRunSweep:
         rep = run_sweep(
             benchmark_suite(GEN, 1)[:2],
             lambda e: ContaminationSpec(e, "unstructured", g=PiecewiseConstant(gvals, 3)),
-            EstimatorConfig("linear", 3, 3),
+            fixed(EstimatorConfig("linear", 3, 3)),
             TV, HAAR, [1024], [0.0, 0.05, 0.1, 0.2], 6, 11,
         )
         cells = rep.cells
@@ -356,7 +365,7 @@ class TestRunSweep:
         rep = run_sweep(
             benchmark_suite(GEN, 1)[:1],
             lambda e: ContaminationSpec(e, "unstructured", g=PiecewiseConstant(gvals, 3)),
-            EstimatorConfig("linear", 3, 3),
+            fixed(EstimatorConfig("linear", 3, 3)),
             TV, HAAR, [2048], [0.0, 0.05, 0.1, 0.2, 0.3, 0.4], 4, 13,
         )
         fits = dict(rep.fitted)
@@ -365,7 +374,7 @@ class TestRunSweep:
 
     def test_deterministic_across_jobs(self):
         args = (
-            benchmark_suite(GEN, 1)[:2], None, EstimatorConfig("linear", 2, 2),
+            benchmark_suite(GEN, 1)[:2], uniform_spec, fixed(EstimatorConfig("linear", 2, 2)),
             TV, HAAR, [256, 512], [0.0, 0.1], 2, 5,
         )
         r1 = run_sweep(*args, jobs=1)
@@ -395,7 +404,7 @@ class TestRunSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         args = (
-            benchmark_suite(GEN, 1)[:2], None, EstimatorConfig("linear", 2, 2),
+            benchmark_suite(GEN, 1)[:2], uniform_spec, fixed(EstimatorConfig("linear", 2, 2)),
             TV, HAAR, [256, 512], [0.0], 2, 5,
         )  # 2 cells x 2 truths = 4 tasks
         rep = run_sweep(*args, jobs=jobs)
@@ -412,14 +421,14 @@ class TestRunSweep:
 
     def test_two_axis_grid_gets_no_autofit(self):
         rep = run_sweep(
-            benchmark_suite(GEN, 1)[:1], None, EstimatorConfig("linear", 2, 2),
+            benchmark_suite(GEN, 1)[:1], uniform_spec, fixed(EstimatorConfig("linear", 2, 2)),
             TV, HAAR, [256, 512], [0.0, 0.1], 2, 5,
         )
         assert rep.fitted == ()
 
     def test_csv_round_trip(self, tmp_path):
         rep = run_sweep(
-            benchmark_suite(GEN, 1)[:2], None, EstimatorConfig("linear", 2, 2),
+            benchmark_suite(GEN, 1)[:2], uniform_spec, fixed(EstimatorConfig("linear", 2, 2)),
             TV, HAAR, [256], [0.0, 0.1], 3, 5,
         )
         cells = tmp_path / "cells.csv"
@@ -434,13 +443,13 @@ class TestRunSweep:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_sweep([], None, EstimatorConfig("linear", 2, 2), TV, HAAR, [256], [0.0], 2, 0)
+            run_sweep([], uniform_spec, fixed(EstimatorConfig("linear", 2, 2)), TV, HAAR, [256], [0.0], 2, 0)
         dup = [("u", uniform_density(1)), ("u", uniform_density(1))]
         with pytest.raises(ValueError):
-            run_sweep(dup, None, EstimatorConfig("linear", 2, 2), TV, HAAR, [256], [0.0], 2, 0)
+            run_sweep(dup, uniform_spec, fixed(EstimatorConfig("linear", 2, 2)), TV, HAAR, [256], [0.0], 2, 0)
         with pytest.raises(ValueError):
             run_sweep(
-                benchmark_suite(GEN, 1)[:1], None, EstimatorConfig("linear", 2, 2),
+                benchmark_suite(GEN, 1)[:1], uniform_spec, fixed(EstimatorConfig("linear", 2, 2)),
                 TV, HAAR, [256], [0.0], 1, 0,
             )
 
@@ -482,7 +491,7 @@ class TestFitRate:
 
     def test_report_rate_axis_validation(self):
         rep = run_sweep(
-            benchmark_suite(GEN, 1)[:1], None, EstimatorConfig("linear", 2, 2),
+            benchmark_suite(GEN, 1)[:1], uniform_spec, fixed(EstimatorConfig("linear", 2, 2)),
             TV, HAAR, [256], [0.0], 2, 5,
         )
         with pytest.raises(ValueError):
