@@ -117,14 +117,15 @@ class ExperimentConfig:
 _FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
-def _num(v) -> float:
-    if isinstance(v, str):
-        if v == "inf":
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        raise ConfigError("config-file", f"bad numeric literal {v!r}")
-    return float(v)
+def _num(v, field: str) -> float:
+    """A real-number field: a number other than a bool, or the string "inf"
+    or "-inf"; anything else, which `float` would read or fail on, is
+    rejected."""
+    if isinstance(v, str) and v in ("inf", "-inf"):
+        return float(v)
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        return float(v)
+    raise ConfigError("config-file", f"{field} must be a number, got {v!r}")
 
 
 def _int(v, field: str) -> int:
@@ -176,18 +177,18 @@ def _coerce(d: Mapping) -> dict:
             out[k] = _int(out[k], k)
     for k in ("eps", "tolerance"):
         if k in out:
-            out[k] = _num(out[k])
+            out[k] = _num(out[k], k)
     if out.get("jobs") is not None:
         out["jobs"] = _int(out["jobs"], "jobs")
     if out.get("gen") is not None:
-        out["gen"] = tuple(_num(v) for v in out["gen"])
+        out["gen"] = tuple(_num(v, "gen") for v in out["gen"])
     if not isinstance(out.get("disc", "tv"), str):
-        out["disc"] = tuple(_num(v) for v in out["disc"])
+        out["disc"] = tuple(_num(v, "disc") for v in out["disc"])
     if "n_grid" in out:
         out["n_grid"] = tuple(_int(v, "n_grid") for v in out["n_grid"])
     for k in ("eps_grid", "sigma_d_grid"):
         if k in out:
-            out[k] = tuple(_num(v) for v in out[k])
+            out[k] = tuple(_num(v, k) for v in out[k])
     if out.get("idx") is not None:
         j, kk, ee = out["idx"]
         out["idx"] = (_int(j, "idx"), tuple(_int(v, "idx") for v in kk), tuple(_int(v, "idx") for v in ee))
@@ -198,7 +199,7 @@ def _coerce(d: Mapping) -> dict:
                 if e.get(f) is not None:
                     e[f] = _int(e[f], f"{k}.{f}")
             if "K" in e:
-                e["K"] = _num(e["K"])
+                e["K"] = _num(e["K"], f"{k}.K")
             if "rescale" in e and not isinstance(e["rescale"], bool):
                 raise ConfigError(
                     "config-file", f"{k}.rescale must be true or false, got {e['rescale']!r}"
@@ -207,7 +208,7 @@ def _coerce(d: Mapping) -> dict:
     if out.get("contamination") is not None:
         c = dict(out["contamination"])
         if "M" in c and c["M"] is not None:
-            c["M"] = _num(c["M"])
+            c["M"] = _num(c["M"], "contamination.M")
         if "g" in c:
             g = dict(c["g"])
             if "scale_level" in g:
@@ -420,7 +421,7 @@ def _params_from(value, role: str, what: str) -> BesovParams:
         return BesovParams(base.sigma, base.p, base.q, base.L, role)
     try:
         sigma, p, q, L = value
-        return BesovParams(_num(sigma), _num(p), _num(q), _num(L), role)
+        return BesovParams(*(_num(v, what) for v in (sigma, p, q, L)), role)
     except (TypeError, ValueError) as err:
         raise ConfigError(what, f"need (sigma, p, q, L) or a preset name: {err}") from None
 

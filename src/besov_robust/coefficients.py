@@ -444,16 +444,39 @@ def _fold_points(x: np.ndarray) -> np.ndarray:
     return np.where(x == 1.0, 0.0, x)
 
 
-def _cell_draw(probs: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n draws of the index i with probability probs[i] (probs sum to 1).
+class _CellSearch:
+    """Draws of the index i with probability probs[i] (probs sum to 1), with
+    the search built once per model.
 
-    The same bits and the same stream use as rng.choice(probs.size, size=n,
-    p=probs), without its argument checks: the cumulative sums, rescaled by
-    their last entry, are searched for n uniforms.
+    A draw has the same bits and the same stream use as rng.choice(probs.size,
+    size=n, p=probs), without its argument checks: the cumulative sums,
+    rescaled by their last entry, are searched for n uniforms u, and the
+    index is the number of cdf entries <= u. A guide table (Chen & Asau
+    1974; Devroye 1986, section III.2.4) answers most of the search without
+    the branch mispredictions of `searchsorted`: with B a power of two,
+    b = floor(u B) is exact, so b/B <= u < (b+1)/B; `lo[b]` counts the cdf
+    entries <= b/B and is the answer unless a cdf entry lies inside bucket
+    b, and the few uniforms in such buckets (`amb`) are searched. B is the
+    smallest power of two with 64 buckets per cell, capped at 2^16, so a
+    large model builds no large table.
     """
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(n), side="right")
+
+    def __init__(self, probs: np.ndarray):
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        self.cdf = cdf
+        self.buckets = min(1 << (64 * cdf.size - 1).bit_length(), 2**16)
+        edges = np.arange(self.buckets + 1) / self.buckets
+        self.lo = cdf.searchsorted(edges[:-1], side="right")
+        self.amb = cdf.searchsorted(edges[1:], side="left") > self.lo
+
+    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        u = rng.random(n)
+        b = (u * self.buckets).astype(np.intp)
+        cells = self.lo.take(b)
+        redo = np.flatnonzero(self.amb.take(b))
+        cells[redo] = self.cdf.searchsorted(u.take(redo), side="right")
+        return cells
 
 
 class PiecewiseConstant:
@@ -462,6 +485,11 @@ class PiecewiseConstant:
     `values` holds the density value per cell, shape (2^s,)*D. Values must be
     finite, nonnegative and average to 1 (cell volume is 2^{-sD}); small
     normalization drift is corrected exactly.
+
+    The cell search (`_CellSearch`) is built at construction, so a draw
+    costs its uniforms and a table lookup; the cells keep the bits and the
+    stream use of `Generator.choice`. A model is not changed after it is
+    built: `values` must not be written to.
     """
 
     def __init__(self, values, scale_level: int):
@@ -477,6 +505,8 @@ class PiecewiseConstant:
         self.values = values / mean
         self.scale_level = s
         self.dim = values.ndim
+        probs = self.values.ravel() * 2.0 ** (-s * self.dim)
+        self._cells = _CellSearch(probs / probs.sum())
 
     def pdf(self, x) -> np.ndarray:
         x = _fold_points(np.atleast_2d(np.asarray(x, dtype=float)))
@@ -488,14 +518,12 @@ class PiecewiseConstant:
         if n < 0:
             raise ValueError("sample size must be nonnegative")
         s, d = self.scale_level, self.dim
-        probs = self.values.ravel() * 2.0 ** (-s * d)
-        probs = probs / probs.sum()
-        if probs.size == 1:
+        if self.values.size == 1:
             # the cell draw of one cell is n uniforms that pick cell 0; draw
             # them to move the stream on, then corner 0 and scale 1 leave u
             rng.random(n)
             return rng.random((n, d))
-        cells = _cell_draw(probs, n, rng)
+        cells = self._cells.draw(n, rng)
         u = rng.random((n, d))
         if d == 1:
             corners = cells[:, None]
@@ -528,6 +556,10 @@ class SmoothBump:
     m_b; its density is prod_i hann((x_i - c_i)/w_i)/w_i with
     hann(u) = (1+cos(pi u))/2 on [-1,1]. Bump supports must lie inside the
     cube. background + sum of masses must equal 1.
+
+    The component search (`_CellSearch`, component 0 the background) is
+    built at construction and keeps the bits and the stream use of
+    `Generator.choice`, as for `PiecewiseConstant`.
     """
 
     def __init__(self, centers, widths, masses, background: float = 0.0):
@@ -548,6 +580,8 @@ class SmoothBump:
         self.masses = masses / total
         self.background = background / total
         self.dim = centers.shape[1]
+        comp_probs = np.concatenate([[self.background], self.masses])
+        self._components = _CellSearch(comp_probs / comp_probs.sum())
 
     def pdf(self, x) -> np.ndarray:
         x = _fold_points(np.atleast_2d(np.asarray(x, dtype=float)))
@@ -562,8 +596,7 @@ class SmoothBump:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if n < 0:
             raise ValueError("sample size must be nonnegative")
-        comp_probs = np.concatenate([[self.background], self.masses])
-        comp = _cell_draw(comp_probs / comp_probs.sum(), n, rng)
+        comp = self._components.draw(n, rng)
         out = rng.random((n, self.dim))  # background draws; bump rows overwritten
         for b in range(self.masses.size):
             rows = np.where(comp == b + 1)[0]

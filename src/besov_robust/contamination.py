@@ -89,8 +89,13 @@ def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng) -> np.ndarra
     """Draw n points from the contaminated mixture (1-eps) p + eps g.
 
     Each point independently comes from g with probability eps. Component
-    draws use child streams spawned from the seed (mask, p, g in that
-    order), so eps=0 reproduces the pure-p sample for the same seed.
+    draws use the child streams i = 0, 1, 2 (mask, p, g) of the seed, so
+    eps=0 reproduces the pure-p sample for the same seed. Child i is built
+    directly as SeedSequence(seed, spawn_key=(i,)), which has the state of
+    SeedSequence(seed).spawn(3)[i] without building the root and the other
+    children, and only the children read are built. An unseeded call
+    (None) draws one root entropy and builds its children from it, so its
+    three streams still share one root.
 
     Work that changes no bit is skipped. With child streams (an int or tuple
     seed) and eps = 0 the mask is all False and its stream feeds nothing
@@ -107,16 +112,20 @@ def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng) -> np.ndarra
         p_rng = seed_or_rng
         mask = seed_or_rng.random(n) < eps
     else:
-        kids = np.random.SeedSequence(seed_or_rng).spawn(3)
-        p_rng = np.random.default_rng(kids[1])
+        entropy = np.random.SeedSequence().entropy if seed_or_rng is None else seed_or_rng
+
+        def child(i: int) -> np.random.Generator:
+            return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
+
+        p_rng = child(1)
         if eps == 0.0:
             return p_model.sample(n, p_rng)
-        mask = np.random.default_rng(kids[0]).random(n) < eps
+        mask = child(0).random(n) < eps
     n_g = int(np.count_nonzero(mask))
     if n_g == 0:
         return p_model.sample(n, p_rng)
     p_draw = p_model.sample(n - n_g, p_rng)
-    g_draw = g_model.sample(n_g, p_rng if shared else np.random.default_rng(kids[2]))
+    g_draw = g_model.sample(n_g, p_rng if shared else child(2))
     out = np.empty((n, p_model.dim))
     keep = ~mask
     for a in range(p_model.dim):  # 1-d boolean copies run 2-3x faster than row copies

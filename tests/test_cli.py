@@ -442,6 +442,55 @@ class TestConfigErrors:
         assert err["detail"].startswith(f"{field} must be an integer")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "patch,field",
+        [
+            ({"tolerance": True}, "tolerance"),
+            ({"tolerance": None}, "tolerance"),
+            ({"tolerance": [1]}, "tolerance"),
+            ({"tolerance": "0.15"}, "tolerance"),
+            ({"eps": False}, "eps"),
+            ({"estimator": {"kind": "thresholded", "schedule": "fixed", "j0": 0, "j1": 0, "K": True}},
+             "estimator.K"),
+            ({"baseline": {"kind": "linear", "schedule": "fixed", "j0": 0, "j1": 0, "K": "1"}}, "baseline.K"),
+            ({"eps_grid": [False, 0.0078125, 0.015625, 0.03125, 0.0625]}, "eps_grid"),
+            ({"sigma_d_grid": [0.5, True]}, "sigma_d_grid"),
+            ({"gen": [1.0, "inf", True, 2.0]}, "gen"),
+            ({"disc": [0.0, 1.0, "infinity", 1.0]}, "disc"),
+            ({"contamination": {"mode": "structured", "M": True, "g": {
+                "kind": "piecewise", "values": [2.0, 0.0], "scale_level": 1}}}, "contamination.M"),
+        ],
+        ids=[
+            "tolerance-bool", "tolerance-null", "tolerance-list", "tolerance-string", "eps-bool",
+            "estimator.K-bool", "baseline.K-string", "eps_grid-bool", "sigma_d_grid-bool", "gen-bool",
+            "disc-string", "contamination.M-bool",
+        ],
+    )
+    def test_non_number_config_field_exit_2(self, capsys, tmp_path, patch, field):
+        # float() read a bool as 0 or 1, so "tolerance": true ran a rate gate
+        # at tolerance 1.0 and passed it
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": "rate-check", **patch}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            ["rate-check", "--preset", "structured-eps-rate", "--config", str(cfgfile), "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert text.count("\n") == 1
+        err = json.loads(text)["error"]
+        assert err["precondition"] == "config-file"
+        assert err["detail"].startswith(f"{field} must be a number")
+        assert not out.exists()
+
+    def test_number_fields_accept_ints_and_infinities(self):
+        cfg = build_config(
+            "rate-check", preset="structured-eps-rate",
+            overrides={"tolerance": 1, "gen": [1, "inf", "-inf", 2], "eps_grid": [0, 0.5]},
+        )
+        assert cfg.tolerance == 1.0 and type(cfg.tolerance) is float
+        assert cfg.gen == (1.0, math.inf, -math.inf, 2.0) and cfg.eps_grid == (0.0, 0.5)
+
     def test_whole_float_integer_fields_are_accepted(self):
         cfg = build_config("estimate", preset="dyadic-demo", overrides={"samples": 4096.0, "seed": 5.0})
         assert (cfg.samples, cfg.seed) == (4096, 5)

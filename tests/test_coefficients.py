@@ -499,17 +499,65 @@ class TestSampling:
         digest.update(rng.random(4).tobytes())
         assert digest.hexdigest() == want
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("scale,seed,want", [
+        (5, 51, "b150406476c41610dd08f7f8778cde17be40fcf2a147f1e04d25aebc56fba288"),
+        (7, 71, "8bee6336ca48aa9d5819b5e7f439b739079e677019d5d165c7a022db77909898"),
+    ], ids=["pwc-1024-cells", "pwc-16384-cells"])
+    def test_golden_bits_many_cells(self, scale, seed, want):
+        # a D=2 model with a quarter of its cells empty, at 1024 cells and at
+        # 16384 cells, more cells than the search has buckets; hashed as in
+        # test_golden_bits, computed when the cells were drawn by searching
+        # the whole cdf
+        rng = np.random.default_rng(1000 + scale)
+        vals = rng.random((2**scale, 2**scale)) + 0.05
+        vals[rng.random(vals.shape) < 0.25] = 0.0
+        model = PiecewiseConstant(vals / vals.mean(), scale)
+        draws = np.random.default_rng(seed)
+        digest = hashlib.sha256(model.sample(1000, draws).tobytes())
+        digest.update(draws.random(4).tobytes())
+        assert digest.hexdigest() == want
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 64, 1000, 2**14])
     def test_cell_draw_matches_choice(self, k):
         rng = np.random.default_rng(k)
         for n in (0, 1, 5, 1000):
             probs = rng.random(k) + 0.01
             probs = probs / probs.sum()
             a, b = np.random.default_rng(n), np.random.default_rng(n)
-            got = coefficients._cell_draw(probs, n, a)
+            got = coefficients._CellSearch(probs).draw(n, a)
             want = b.choice(k, size=n, p=probs)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert a.random() == b.random()
+
+    @pytest.mark.parametrize(
+        "probs",
+        [
+            [0.25, 0.25, 0.5],
+            [0.1, 0.0, 0.0, 0.3, 0.6],
+            np.random.default_rng(8).random(1000),
+            np.where(np.arange(2**14) % 3 == 0, 0.0, np.random.default_rng(9).random(2**14)),
+        ],
+        ids=["on-edges", "empty-cells", "1000-cells", "16384-cells"],
+    )
+    def test_cell_draw_at_cdf_entries_and_bucket_edges(self, probs):
+        # uniforms exactly on the cdf entries, on the bucket edges b/B and
+        # one ulp below each; the draw must count the cdf entries <= u
+        probs = np.asarray(probs, dtype=float)
+        probs = probs / probs.sum()
+        search = coefficients._CellSearch(probs)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        edges = np.arange(search.buckets) / search.buckets
+        u = np.concatenate([cdf, edges, np.nextafter(cdf, 0.0), np.nextafter(edges, 0.0)])
+        u = u[(0.0 <= u) & (u < 1.0)]
+
+        class Stub:
+            def random(self, n):
+                assert n == u.size
+                return u.copy()
+
+        got = search.draw(u.size, Stub())
+        assert np.array_equal(got, cdf.searchsorted(u, side="right"))
 
     def test_huber_mixture_eps_zero_matches_pure(self):
         p = PiecewiseConstant(np.array([0.5, 1.5]), 1)

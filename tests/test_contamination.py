@@ -156,6 +156,21 @@ class TestSampling:
         assert x.dtype == np.float64 and x.shape == (1000, dim)
         assert hashlib.sha256(x.tobytes()).hexdigest() == GOLDEN_HUBER_SHA256[(dim, eps, seed_kind)]
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    @pytest.mark.parametrize("seed", [20240817, (7, 3, 11)], ids=["int", "tuple"])
+    def test_children_equal_spawned_children(self, dim, eps, seed):
+        # the mixture drawn from the children of SeedSequence(seed).spawn(3)
+        # (mask, p, g), the streams the direct children must reproduce
+        p, g = HUBER_MODELS[dim]
+        n = 1000
+        kids = np.random.SeedSequence(seed).spawn(3)
+        mask = np.random.default_rng(kids[0]).random(n) < eps
+        want = np.empty((n, dim))
+        want[~mask] = p.sample(n - int(mask.sum()), np.random.default_rng(kids[1]))
+        want[mask] = g.sample(int(mask.sum()), np.random.default_rng(kids[2]))
+        assert (eps == 0.0) == (not mask.any())
+        np.testing.assert_array_equal(sample_huber(p, g, eps, n, seed), want)
 
     def test_unseeded_draw(self):
         p, g = HUBER_MODELS[2]
