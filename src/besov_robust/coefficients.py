@@ -495,7 +495,9 @@ class PiecewiseConstant:
     def __init__(self, values, scale_level: int):
         values = np.asarray(values, dtype=float)
         s = int(scale_level)
-        if s < 0 or values.shape != (2**s,) * values.ndim:
+        # a side of 2^s cells is a power of two of bit length s + 1; 2**s
+        # itself is never built, since s can be as large as int64 allows
+        if s < 0 or any(m & (m - 1) or m.bit_length() != s + 1 for m in values.shape):
             raise ValueError(f"values shape {values.shape} does not match scale 2^{s}")
         if not np.all(np.isfinite(values)) or np.any(values < 0.0):
             raise ValueError("density values must be finite and nonnegative")

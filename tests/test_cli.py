@@ -6,6 +6,7 @@ directory.  Runs are kept small (few trials, modest sample sizes) so the
 whole file stays fast; determinism checks compare raw bytes.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,6 +18,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besov_robust.cli import (
     PRESETS,
@@ -865,3 +868,174 @@ class TestConfigSerialization:
         cfg = ExperimentConfig(command="estimate")
         with pytest.raises(Exception):
             cfg.seed = 2
+
+
+class TestFieldTable:
+    """Every config field, at every depth, is typed by one table: a wrong
+    type, shape or string and an unknown key exit 2 naming the dotted
+    field, a NaN exits 2 naming its top-level field, and nothing else
+    escapes build_config and validate."""
+
+    RATE_ESTIMATOR = PRESETS["structured-eps-rate"]["estimator"]
+    RATE_CONTAMINATION = PRESETS["structured-eps-rate"]["contamination"]
+
+    def test_table_covers_every_config_field(self):
+        assert set(besov_robust.cli._FIELDS) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
+    # each printed a traceback, left OUT behind, exited 2 with Python's own
+    # text, or passed with the misspelt key ignored
+    @pytest.mark.parametrize(
+        "patch,detail",
+        [
+            ({"family": None}, "family must be a string"),
+            ({"family": [1]}, "family must be a string"),
+            ({"family": 2.5}, "family must be a string"),
+            ({"regime": 3}, "regime must be one of"),
+            ({"dim": 1e308}, "dim must be an integer in"),
+            ({"out": 5}, "out must be a string"),
+            ({"n_grid": [1e20]}, "n_grid must be an integer in"),
+            ({"eps_grid": 0.5}, "eps_grid must be a list"),
+            ({"gen": 2.0}, "gen must be a list"),
+            ({"estimator": 3}, "estimator must be an object"),
+            ({"idx": 5}, "idx must be a list"),
+            ({"contamination": 3}, "contamination must be an object"),
+            ({"estimator": {**RATE_ESTIMATOR, "rescal": True}}, "unknown config field 'estimator.rescal'"),
+            ({"contamination": {**RATE_CONTAMINATION, "zzz": 1}}, "unknown config field 'contamination.zzz'"),
+        ],
+        ids=[
+            "family-null", "family-list", "family-float", "regime-int", "dim-1e308", "out-int",
+            "n_grid-1e20", "eps_grid-scalar", "gen-scalar", "estimator-int", "idx-int",
+            "contamination-int", "estimator.rescal", "contamination.zzz",
+        ],
+    )
+    def test_mistyped_field_exit_2_naming_it(self, capsys, tmp_path, monkeypatch, patch, detail):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.json").write_text(json.dumps({"command": "rate-check", **patch}))
+        out = [] if "out" in patch else ["--out", "o"]
+        rc, text = run_cli(["rate-check", "--preset", "structured-eps-rate", "--config", "c.json"] + out, capsys)
+        assert rc == 2
+        assert text.count("\n") == 1
+        err = json.loads(text)["error"]
+        assert err["precondition"] == "config-file"
+        assert err["detail"].startswith(detail)
+        assert os.listdir(tmp_path) == ["c.json"]
+
+    @pytest.mark.parametrize(
+        "patch,precondition",
+        [
+            ({"n_grid": [math.nan]}, "n_grid"),
+            ({"idx": [2, [math.nan], [1]]}, "idx"),
+            ({"contamination": {"mode": "structured", "g": {
+                "kind": "piecewise", "values": [2.0, 0.0], "scale_level": math.nan}}}, "contamination"),
+        ],
+        ids=["n_grid", "idx", "contamination.g.scale_level"],
+    )
+    def test_nan_in_integer_field_names_top_level_field(self, capsys, tmp_path, patch, precondition):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": "rate-check", **patch}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            ["rate-check", "--preset", "structured-eps-rate", "--config", str(cfgfile), "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert json.loads(text)["error"]["precondition"] == precondition
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset,patch,precondition",
+        [
+            ("structured-eps-rate", {"dim": 2}, "contamination"),
+            ("holder1-tv-uncontaminated", {"gen": [1e308, "inf", "inf", 2.0]}, "gen"),
+        ],
+        ids=["contaminator-dim", "gen-sigma-1e308"],
+    )
+    def test_values_out_of_reach_exit_2(self, capsys, tmp_path, preset, patch, precondition):
+        # a 1-D contaminator under dim 2 failed in the sampler after OUT
+        # existed; a huge smoothness overflowed the truths' level weights
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": "rate-check", **patch}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            ["rate-check", "--preset", preset, "--config", str(cfgfile), "--out", str(out)], capsys
+        )
+        assert rc == 2
+        assert json.loads(text)["error"]["precondition"] == precondition
+        assert not out.exists()
+
+    @pytest.mark.parametrize("depth", [600, 100000])
+    def test_deeply_nested_lists_exit_2(self, capsys, tmp_path, depth):
+        # past the recursion limit of the JSON reader or of the field walk
+        values = "[" * depth + "1.0" + "]" * depth
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(
+            '{"contamination": {"mode": "structured", "g": {"kind": "piecewise", '
+            '"scale_level": 1, "values": ' + values + "}}}"
+        )
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            ["rate-check", "--preset", "structured-eps-rate", "--config", str(cfgfile), "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert text.count("\n") == 1 and "error" in json.loads(text)
+        assert not out.exists()
+
+    def test_structured_pair_level_overflow_exit_2(self, capsys, tmp_path):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": "adversary", "idx": [2**62, [1], [1]]}))
+        out = tmp_path / "o"
+        rc, text = run_cli(["adversary", "--preset", "structured", "--config", str(cfgfile), "--out", str(out)], capsys)
+        assert rc == 2
+        assert json.loads(text)["error"]["precondition"] == "pair"
+        assert not out.exists()
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.sampled_from(["inf", "-inf", "tv", "haar", "fixed", "structured", "piecewise", "uniform"]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=8,
+)
+
+
+def nested_field_paths(fields, prefix=()):
+    for key, value in fields.items():
+        if isinstance(value, dict):
+            yield from nested_field_paths(value, prefix + (key,))
+        if prefix:
+            yield prefix + (key,)
+
+
+def too_many_dims(path, value):
+    # validate's memory grows exponentially in dim: a size limit, not a type rule
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return path == ("dim",) and number and 3 < value < 2**63
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_single_field_swap_raises_only_config_error(tmp_path_factory, preset, data):
+    config = json.loads(json.dumps(PRESETS[preset]))
+    paths = [(f.name,) for f in dataclasses.fields(ExperimentConfig)] + sorted(nested_field_paths(config))
+    path = data.draw(st.sampled_from(paths), label="path")
+    value = data.draw(JSON_VALUES.filter(lambda v: not too_many_dims(path, v)), label="value")
+    target = config
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cfgfile = tmp_path_factory.getbasetemp() / "swapped.json"
+    cfgfile.write_text(json.dumps(config))
+    try:
+        validate(build_config(PRESETS[preset]["command"], config_path=str(cfgfile)))
+    except ConfigError:
+        pass

@@ -12,6 +12,7 @@ import io
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -404,6 +405,24 @@ class TestDensityModels:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 PiecewiseConstant(np.array([bad, 1.0]), 1)
+
+    def test_pwc_huge_scale_rejected_at_once(self):
+        # the shape check reads s off the side length and never builds 2**s,
+        # which took seconds at s = 10**9 and did not finish at s = 10**300
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"values shape \(2,\) does not match scale 2\^"):
+            PiecewiseConstant(np.full(2, 1.0), 10**9)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("shape", [(0,), (1,), (2,), (3,), (4,), (6,), (8,), (2, 2), (2, 4), (4, 4), (8, 8, 8)])
+    @pytest.mark.parametrize("scale", [0, 1, 2, 3])
+    def test_pwc_shape_matches_scale_exactly_when_sides_are_two_to_the_s(self, shape, scale):
+        values = np.ones(shape)
+        if shape == (2**scale,) * len(shape):
+            assert PiecewiseConstant(values, scale).dim == len(shape)
+        else:
+            with pytest.raises(ValueError, match="does not match scale"):
+                PiecewiseConstant(values, scale)
 
     def test_pwc_pdf_lookup(self):
         model = PiecewiseConstant(np.array([0.5, 1.5]), 1)
