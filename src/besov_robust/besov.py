@@ -121,8 +121,8 @@ def _level_lp(level: np.ndarray, p: float) -> np.ndarray:
         k = sorted(range(2, level.ndim), key=lambda ax: level.strides[ax], reverse=True)
         level = level.transpose((0, 1, *k))
     total = None
-    for part in level.swapaxes(0, 1):
-        part = part.reshape(len(part), -1)  # one row per trial
+    for o in range(level.shape[1]):
+        part = level[:, o].reshape(len(level), -1)  # one row per trial
         if p == math.inf:
             s = np.abs(part).max(axis=1)
             total = s if total is None else np.maximum(total, s)
@@ -141,51 +141,59 @@ def _level_lp(level: np.ndarray, p: float) -> np.ndarray:
     return _root(total, p)
 
 
-def besov_norm(tree: CoefficientTree, params: BesovParams) -> float:
-    """|alpha| + l^q norm over levels of 2^{j(sigma + D/2 - D/p)} ||beta_j||_p."""
-    tree._single("besov_norm")
-    sp = params.sigma_prime(tree.dim)
-    terms = np.array(
-        [2.0 ** (j * sp) * _level_lp(tree._trial_levels(j), params.p)[0] for j in tree.levels()]
-    )
-    return abs(tree.alpha) + float(_lp(terms, params.q))
+def besov_norm(tree: CoefficientTree, params: BesovParams):
+    """|alpha| + l^q norm over levels of 2^{j(sigma + D/2 - D/p)} ||beta_j||_p:
+    a float, or for a block one norm per trial, with its own tree's bits."""
+    levels = ((j, tree._trial_levels(j)) for j in tree.levels())
+    u, kept = _level_terms(levels, params.sigma_prime(tree.dim), params.p, tree.trials or 1)
+    norm = abs(tree.alpha) + _kept_lp(u, kept, params.q)
+    return norm if tree.trials is not None else float(norm[0])
 
 
-def in_ball(tree: CoefficientTree, params: BesovParams, slack: float = 1e-9) -> bool:
-    """Whether the tree lies in the ball of radius L, up to relative slack."""
+def in_ball(tree: CoefficientTree, params: BesovParams, slack: float = 1e-9):
+    """Whether the tree lies in the ball of radius L, up to relative slack;
+    for a block, one bool per trial."""
     return besov_norm(tree, params) <= params.L * (1.0 + slack)
 
 
-def pairing(f: CoefficientTree, g: CoefficientTree) -> float:
+def pairing(f: CoefficientTree, g: CoefficientTree):
     """The L2 pairing <f, g> computed in coefficient space.
 
-    alpha_f alpha_g plus, level by level in increasing j, the pairwise sum of
-    the entrywise products over the level array.
+    alpha_f alpha_g plus, level by level in increasing j, the pairwise sum in
+    memory order of the entrywise products of each level both trees store.
+    A float, or for a block one pairing per trial, with its own trees' bits:
+    a trial's products form one row, and it skips the levels its row of
+    either tree lacks.
     """
-    f._single("pairing")
-    g._single("pairing")
     f.check_compatible(g)
-    total = f.alpha * g.alpha
+    trials = f.trials or g.trials
+    total = np.broadcast_to(f.alpha * g.alpha, (trials or 1,))
     for j in f.levels():
-        b = g.level_array(j)
-        if b is not None:
-            total += float((f.level_array(j) * b).sum())
-    return total
+        a, b = f._trial_levels(j), g._trial_levels(j)
+        if b is None:
+            continue
+        prod = a * b  # in memory the trial axis lies outermost
+        sums = prod.ravel(order="K").reshape(len(prod), -1).sum(axis=1)
+        total = np.where(_rows_any(a) & _rows_any(b), total + sums, total)
+    return total if trials is not None else float(total[0])
 
 
-def _level_dual_terms(levels, dim: int, disc: BesovParams, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Dual terms u_j = 2^{-j sigma_d'} ||delta beta_j||_{p'} of the (j, level
-    block) pairs of a difference, in increasing j, per trial: the terms,
-    shape (trials, levels), and which of them each trial keeps, since a
-    trial skips each level that is all zero in its row."""
-    pd = conjugate(disc.p)
-    sp = disc.sigma_prime(dim)
+def _rows_any(level: np.ndarray) -> np.ndarray:
+    """Per trial, whether the trial's row of a level block has an entry."""
+    return level.any(axis=tuple(range(1, level.ndim)))
+
+
+def _level_terms(levels, weight: float, p: float, trials: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Terms 2^{j weight} ||beta_j||_p of the (j, level block) pairs, in
+    increasing j, shape (trials, levels), and which of them each trial keeps:
+    a trial skips each level that is all zero in its row."""
     levels = list(levels)
     u = np.empty((trials, len(levels)))
     kept = np.empty((trials, len(levels)), dtype=bool)
     for i, (j, lev) in enumerate(levels):
-        u[:, i] = 2.0 ** (-j * sp) * _level_lp(lev, pd)
-        kept[:, i] = lev.any(axis=tuple(range(1, lev.ndim)))
+        # a level of a single tree, shape (1, ...), holds for every trial
+        np.multiply(2.0 ** (j * weight), _level_lp(lev, p), out=u[:, i])
+        kept[:, i] = _rows_any(lev)
     return u, kept
 
 
@@ -195,16 +203,6 @@ def _kept_lp(u: np.ndarray, kept: np.ndarray, q: float) -> np.ndarray:
     if kept.all():
         return _lp(u, q)
     return np.array([_lp(row[keep], q) for row, keep in zip(u, kept)])
-
-
-def _dual_parts(delta: CoefficientTree, disc: BesovParams) -> tuple[float, float, np.ndarray]:
-    """(alpha part, beta part, per-level dual terms) of the dual norm of delta."""
-    delta._single("ipm_witness")
-    u, kept = _level_dual_terms(
-        ((j, delta._trial_levels(j)) for j in delta.levels()), delta.dim, disc
-    )
-    u = u[0][kept[0]]
-    return abs(delta.alpha), float(_lp(u, conjugate(disc.q))), u
 
 
 def besov_ipm(t1: CoefficientTree, t2: CoefficientTree, disc: BesovParams):
@@ -222,8 +220,10 @@ def besov_ipm(t1: CoefficientTree, t2: CoefficientTree, disc: BesovParams):
     (`_level_lp`, `_kept_lp`). Otherwise it is a float.
     """
     trials = t1.trials or t2.trials
+    u, kept = _level_terms(
+        difference_levels(t1, t2), -disc.sigma_prime(t1.dim), conjugate(disc.p), trials or 1
+    )
     a_part = abs(-1.0 * t2.alpha + t1.alpha)
-    u, kept = _level_dual_terms(difference_levels(t1, t2), t1.dim, disc, trials or 1)
     risk = disc.L * np.maximum(a_part, _kept_lp(u, kept, conjugate(disc.q)))
     return risk if trials is not None else float(risk[0])
 
@@ -239,7 +239,12 @@ def ipm_witness(delta: CoefficientTree, disc: BesovParams) -> CoefficientTree:
 
     Raises ZeroDelta when delta has no stored coefficients and zero alpha.
     """
-    a_part, b_part, u = _dual_parts(delta, disc)
+    delta._single("ipm_witness")
+    p, pd = disc.p, conjugate(disc.p)
+    sp = disc.sigma_prime(delta.dim)
+    levels = delta.levels()
+    u = _level_terms(((j, delta._trial_levels(j)) for j in levels), -sp, pd)[0][0]
+    a_part, b_part = abs(delta.alpha), float(_lp(u, conjugate(disc.q)))
     if a_part == 0.0 and b_part == 0.0:
         raise ZeroDelta("the coefficient difference is identically zero")
     out = CoefficientTree(delta.family, delta.dim)
@@ -248,7 +253,6 @@ def ipm_witness(delta: CoefficientTree, disc: BesovParams) -> CoefficientTree:
         out.alpha = L * math.copysign(1.0, delta.alpha)
         return out
 
-    levels = delta.levels()
     q, qd = disc.q, conjugate(disc.q)
     # level budgets s_j with ||s||_q = L, maximizing sum s_j u_j = L ||u||_{q'}
     if qd == math.inf:
@@ -259,8 +263,6 @@ def ipm_witness(delta: CoefficientTree, disc: BesovParams) -> CoefficientTree:
     else:
         s = L * (u / b_part) ** (qd - 1.0)
 
-    p, pd = disc.p, conjugate(disc.p)
-    sp = disc.sigma_prime(delta.dim)
     for j, budget in zip(levels, s):
         if budget == 0.0:
             continue

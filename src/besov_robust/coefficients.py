@@ -11,14 +11,15 @@ zero is dropped, so `levels`, `n_coefficients` and `items` see only stored
 coefficients, in (j, e, row-major k) order.
 
 A tree may also hold the coefficients of a block of T Monte-Carlo trials
-(`trials=T`): level j is then one array of shape (T, 2^D - 1, 2^j, ...),
-trial t's tree in row t, and a level is stored while any trial has an
-entry in it. Such a block is built by `empirical_coeffs` and the
-estimators and measured by `besov.besov_ipm`, which returns one IPM per
-trial. The per-coefficient methods (`set`, `get`, `items`, `evaluate`,
-`to_jsonl`), `tree_axpy` and the norms and pairing of `besov` other than
-`besov_ipm` address a single tree only and raise ValueError on a block;
-`check_compatible` rejects two blocks of different sizes.
+(`trials=T`): `alpha` is then an array of shape (T,), level j one array of
+shape (T, 2^D - 1, 2^j, ...), trial t's tree in row t, and a level is
+stored while any trial has an entry in it. Such a block is built by
+`empirical_coeffs` and the estimators. The norms, `in_ball`, the pairing
+and the IPM of `besov` return one value per trial on a block. The
+per-coefficient methods (`set`, `get`, `items`, `evaluate`, `to_jsonl`),
+`tree_axpy` and `besov.ipm_witness` address a single tree only and raise
+ValueError on a block; `check_compatible` rejects two blocks of different
+sizes.
 
 Density models (`PiecewiseConstant`, `SmoothBump`, `SpikePerturbation`)
 share a small duck-typed protocol: a `dim` attribute, `pdf(points)` and
@@ -75,14 +76,14 @@ def _json_float(v: float) -> str:
 class CoefficientTree:
     """Periodized wavelet coefficients of a function on [0,1)^D, one array per level."""
 
-    def __init__(self, family: WaveletFamily, dim: int, alpha: float = 0.0, trials: int | None = None):
+    def __init__(self, family: WaveletFamily, dim: int, alpha: float | np.ndarray = 0.0, trials: int | None = None):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         if trials is not None and trials < 1:
             raise ValueError("a block needs at least one trial")
         self.family = family
         self.dim = int(dim)
-        self.alpha = float(alpha)
+        self.alpha = float(alpha) if trials is None else np.full(trials, alpha, dtype=float)
         self.trials = trials
         # orientation tuple -> position on a level's first axis
         self._opos = {e: o for o, e in enumerate(orientations(self.dim))}

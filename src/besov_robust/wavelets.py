@@ -222,26 +222,19 @@ class WaveletFamily:
             self.pb_psi = 1.0
         else:
             m = self.cascade_depth
-            phi_coarse = _refine(_integer_values(self.h), self.h, m - 1)
             # the lookup tables carry one trailing +0.0 (see pl_lookup); the
             # value arrays are views without it, so nothing is held twice
             self._phi_padded = np.zeros(w * 2**m + 2)
             self._psi_padded = np.zeros(w * 2**m + 2)
             self.phi_values = self._phi_padded[:-1]
-            self.phi_values[::2] = phi_coarse
-            odd = np.arange(1, self.phi_values.size, 2)
-            accp = np.zeros(odd.size)
-            accq = self._psi_padded[:-1]
+            self.phi_values[:] = _refine(_integer_values(self.h), self.h, m)
+            phi_coarse = self.phi_values[::2]
+            self.psi_values = self._psi_padded[:-1]
             f_all = np.arange(w * 2**m + 1)
             for k in range(w + 1):
-                src = odd - k * 2 ** (m - 1)
+                src = f_all - k * 2 ** (m - 1)
                 ok = (src >= 0) & (src <= w * 2 ** (m - 1))
-                accp[ok] += _SQRT2 * self.h[k] * phi_coarse[src[ok]]
-                src2 = f_all - k * 2 ** (m - 1)
-                ok2 = (src2 >= 0) & (src2 <= w * 2 ** (m - 1))
-                accq[ok2] += _SQRT2 * self.g[k] * phi_coarse[src2[ok2]]
-            self.phi_values[1::2] = accp
-            self.psi_values = accq
+                self.psi_values[ok] += _SQRT2 * self.g[k] * phi_coarse[src[ok]]
 
             self.phi_sup = float(np.max(np.abs(self.phi_values)))
             self.psi_sup = float(np.max(np.abs(self.psi_values)))

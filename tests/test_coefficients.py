@@ -22,7 +22,15 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from besov_robust import coefficients
-from besov_robust.besov import BesovParams, besov_ipm, besov_norm, conjugate, ipm_witness, pairing
+from besov_robust.besov import (
+    BesovParams,
+    besov_ipm,
+    besov_norm,
+    conjugate,
+    in_ball,
+    ipm_witness,
+    pairing,
+)
 from besov_robust.coefficients import (
     PRUNE_TOL,
     CoefficientTree,
@@ -670,7 +678,7 @@ class TestEmpiricalCoeffs:
         samples = [rng.random((150, dim)) for _ in range(5)]
         samples[3][:40] = 0.9  # 40 points on one spot: some levels differ in sparsity
         block = empirical_coeffs(np.concatenate(samples), family, 0, 3, trials=5)
-        assert block.trials == 5 and block.alpha == 1.0
+        assert block.trials == 5 and block.alpha.tolist() == [1.0] * 5
         assert block.n_coefficients == sum(
             empirical_coeffs(x, family, 0, 3).n_coefficients for x in samples
         )
@@ -699,9 +707,6 @@ class TestEmpiricalCoeffs:
         "items": lambda block, single: block.items(),
         "to_jsonl": lambda block, single: block.to_jsonl(io.StringIO()),
         "evaluate": lambda block, single: block.evaluate(np.array([[0.5]])),
-        "besov_norm": lambda block, single: besov_norm(block, BesovParams(1.0, 1.0, 1.0, 1.0)),
-        "pairing": lambda block, single: pairing(block, single),
-        "pairing-second": lambda block, single: pairing(single, block),
         "tree_axpy": lambda block, single: tree_axpy(1.0, block, single),
         "tree_axpy-second": lambda block, single: tree_axpy(1.0, single, block),
         "ipm_witness": lambda block, single: ipm_witness(
@@ -717,6 +722,96 @@ class TestEmpiricalCoeffs:
         single = empirical_coeffs(np.array([[0.1], [0.6]]), HAAR, 0, 1)
         with pytest.raises(ValueError, match="not a block of 2 trials"):
             self.SINGLE_TREE_CALLS[call](block, single)
+
+    @staticmethod
+    def _random_block(rng, family, dim, trials):
+        # rows of varied scale with a few entries per level; row 3 lacks
+        # level 1, which the other rows store, and row 1 has alpha 0.0 and
+        # no level, so its pairing is a signed zero no absent level may move
+        alpha = rng.normal(size=trials)
+        alpha[1:2] = 0.0
+        block = CoefficientTree(family, dim, alpha=alpha, trials=trials)
+        for j in range(4):
+            lev = np.zeros((trials, 2**dim - 1) + (2**j,) * dim)
+            flat = lev.reshape(trials, -1)
+            for row in flat:
+                pos = rng.choice(row.size, size=min(row.size, 3), replace=False)
+                row[pos] = rng.normal(size=pos.size) * 10.0 ** rng.integers(-3, 4, size=pos.size)
+            lev[1:2] = 0.0
+            if j == 1:
+                lev[3:4] = 0.0
+            block.set_level_array(j, lev)
+        return block
+
+    @staticmethod
+    def _row_tree(block, t):
+        tree = CoefficientTree(block.family, block.dim, alpha=float(block.alpha[t]))
+        for j in block.levels():
+            tree.set_level_array(j, block.level_array(j)[t].copy(order="K"))
+        return tree
+
+    @staticmethod
+    def _bits(values):
+        return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, INF])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 4.0, INF])
+    def test_block_norms_are_the_row_trees_norms(self, dim, p, q):
+        # row t of a block's norm and ball test has the bits of trial t's
+        # own tree, also where a row lacks a level other rows store
+        block = self._random_block(np.random.default_rng(80 + dim), DB2, dim, 4)
+        assert not block.level_array(1)[3].any() and block.level_array(1)[0].any()
+        params = BesovParams(0.7, p, q, 5.0)
+        rows = [self._row_tree(block, t) for t in range(4)]
+        norms = besov_norm(block, params)
+        assert norms.shape == (4,)
+        assert self._bits(norms) == self._bits([besov_norm(r, params) for r in rows])
+        assert in_ball(block, params).tolist() == [in_ball(r, params) for r in rows]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_block_pairings_are_the_row_trees_pairings(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        block = self._random_block(rng, DB2, dim, 4)
+        other = self._random_block(rng, DB2, dim, 4)
+        single = self._row_tree(other, 2)
+        single.alpha = -abs(single.alpha)
+        rows = [self._row_tree(block, t) for t in range(4)]
+        others = [self._row_tree(other, t) for t in range(4)]
+        for got, want in [
+            (pairing(block, single), [pairing(r, single) for r in rows]),
+            (pairing(single, block), [pairing(single, r) for r in rows]),
+            (pairing(block, other), [pairing(r, o) for r, o in zip(rows, others)]),
+        ]:
+            assert got.shape == (4,)
+            assert self._bits(got) == self._bits(want)
+
+    def test_estimate_block_pairings_keep_the_bank_layout(self):
+        # a D=2 estimate's levels lie column-major in k, row by row; each
+        # row's products are summed in the order trial t's own estimate gives.
+        # With alpha 0.0 the last bits of the level sums reach the result.
+        rng = np.random.default_rng(17)
+        samples = [rng.random((300, 2)) for _ in range(4)]
+        block = empirical_coeffs(np.concatenate(samples), DB2, 0, 4, trials=4)
+        singles = [empirical_coeffs(x, DB2, 0, 4) for x in samples]
+        assert not block.level_array(4).flags.c_contiguous
+        block.alpha[:] = 0.0
+        for s in singles:
+            s.alpha = 0.0
+        g = self._row_tree(self._random_block(rng, DB2, 2, 2), 0)
+
+        def summed_levels(f, g):
+            # the one-tree pairing: numpy sums each level's products in one call
+            total = f.alpha * g.alpha
+            for j in f.levels():
+                if g.level_array(j) is not None:
+                    total += float((f.level_array(j) * g.level_array(j)).sum())
+            return total
+
+        for other, others in ((g, [g] * 4), (block, singles)):
+            want = self._bits([summed_levels(s, o) for s, o in zip(singles, others)])
+            assert self._bits([pairing(s, o) for s, o in zip(singles, others)]) == want
+            assert self._bits(pairing(block, other)) == want
 
     def test_blocks_measure_against_one_tree_or_an_equal_block(self):
         x = np.array([[0.1], [0.6], [0.3], [0.8], [0.35], [0.9]])

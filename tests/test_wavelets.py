@@ -1,5 +1,6 @@
 """Wavelet layer checks: filters, exact dyadic tables, evaluation, moments."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -127,6 +128,34 @@ class TestTables:
             b = f16.father_values(np.array([x]))[0]
             assert abs(a - b) < 1e-6  # exact in fact
             assert a == b
+
+    # SHA-256 of the int64 bits of (phi_values, psi_values) at depth 14: a
+    # change to the cascade that moves any table bit moves every table lookup
+    TABLE_SHA256 = {
+        "db2": ("aadafadc44ba628c10166a1b0fdb0ef0e4ce4c247d8b7f7954457a978e55f9b6",
+                "41266fee4a035224eab779a6e2a3ab5436cedc012012f1793ec807df59260078"),
+        "db3": ("ac503af9757f5b5af58d171f20bfcb3bf042e6ffd1cc98c48ff342226042863d",
+                "2c4b82d731dc0cfdeb416451ed9b8e5a214f6aac28329014f34e93da6539f462"),
+        "db4": ("61c28ac81824de5fa88fe0742f764c3dbd30f9f1361945d249e33a1efb09de88",
+                "0cb7bf332926dad40f22c34ec50f5bca3814a6f11e102156ab8bc26334fbba7d"),
+        "db5": ("b38ad4726d7dfd5dbd8773a789bf4898ae9913b46e11274dad506d1127e01e57",
+                "d028ad24985ff596aa89bbc31cb8362b615a634dda5d1de88084391c777461c3"),
+        "db6": ("22deeab4f665a3eed97c626bf06dd6032f67ec747cd85fb1c9fc88e9a05cb0a4",
+                "528a222f6d2cb730c855e3b9b4c50ebed19aeb145b58cb8463dfbcf7ef7c189b"),
+        "db7": ("71dfbe0d8ed9b5eb0d8892e3163cbad5e4836129b0e4d082280b2deb5a6bc5e3",
+                "8e7aaa2d5102b9a8a156c402e225ce0fdeca21335c371861a56527ea524c49e3"),
+        "db8": ("5918c3fc74648e4a78458a080c0725d9e03e880d96d2740f4f6576e75b32ff01",
+                "be926182daf9d9121e7762c67b2264791a8827ba840886d2dd7a98b3d1dd1c15"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(TABLE_SHA256))
+    def test_tables_keep_their_bits(self, name):
+        fam = wavelet_family(name)
+        got = tuple(
+            hashlib.sha256(np.ascontiguousarray(t).view(np.int64).tobytes()).hexdigest()
+            for t in (fam.phi_values, fam.psi_values)
+        )
+        assert got == self.TABLE_SHA256[name]
 
     def test_sup_and_periodization_bounds(self):
         haar = wavelet_family("haar")
