@@ -109,17 +109,13 @@ def _level_lp(level: np.ndarray, p: float) -> np.ndarray:
     (T, 2^D - 1, 2^j, ..., 2^j) (zero entries are absent coefficients).
 
     The fixed sum order: each orientation's 2^{Dj} entries are reduced by
-    numpy's pairwise summation in the order they lie in memory (row-major,
-    or column-major where an estimate keeps the bank's layout), then the
-    orientation partial sums are added in orientation order. Each trial's
-    entries form one row, so every trial of a block is reduced as its own
-    level array alone would be. Working one orientation at a time bounds
-    the temporaries to one orientation's size.
+    numpy's pairwise summation in row-major order, whatever layout the
+    level lies in, then the orientation partial sums are added in
+    orientation order. Each trial's entries form one row, so every trial
+    of a block is reduced as its own level array alone would be. Working
+    one orientation at a time bounds the temporaries to one orientation's
+    size.
     """
-    if level.ndim > 3:
-        # list each orientation's entries in memory order: the k axes by stride
-        k = sorted(range(2, level.ndim), key=lambda ax: level.strides[ax], reverse=True)
-        level = level.transpose((0, 1, *k))
     total = None
     for o in range(level.shape[1]):
         part = level[:, o].reshape(len(level), -1)  # one row per trial
@@ -160,7 +156,7 @@ def pairing(f: CoefficientTree, g: CoefficientTree):
     """The L2 pairing <f, g> computed in coefficient space.
 
     alpha_f alpha_g plus, level by level in increasing j, the pairwise sum in
-    memory order of the entrywise products of each level both trees store.
+    row-major order of the entrywise products of each level both trees store.
     A float, or for a block one pairing per trial, with its own trees' bits:
     a trial's products form one row, and it skips the levels its row of
     either tree lacks.
@@ -172,8 +168,8 @@ def pairing(f: CoefficientTree, g: CoefficientTree):
         a, b = f._trial_levels(j), g._trial_levels(j)
         if b is None:
             continue
-        prod = a * b  # in memory the trial axis lies outermost
-        sums = prod.ravel(order="K").reshape(len(prod), -1).sum(axis=1)
+        prod = a * b
+        sums = prod.reshape(len(prod), -1).sum(axis=1)
         total = np.where(_rows_any(a) & _rows_any(b), total + sums, total)
     return total if trials is not None else float(total[0])
 

@@ -170,10 +170,6 @@ class CoefficientTree:
         return sorted(self._levels)
 
     @property
-    def max_level(self) -> int:
-        return max(self._levels) if self._levels else -1
-
-    @property
     def n_coefficients(self) -> int:
         return sum(int(np.count_nonzero(lev)) for lev in self._levels.values())
 
@@ -704,17 +700,16 @@ def _bank_level(a: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray
     of the orientation bits, the all-zero father first and then the details
     in `orientations` order.
 
-    Each orientation's entries are laid out column-major (k_0 varies
-    fastest), trial by trial. `besov._level_lp` sums a level in the order
-    it lies in memory, so this layout is part of every estimate's IPM bits."""
+    The details are copied into one row-major buffer, whatever layout the
+    bank's steps leave the parts in, so an estimate's levels lie like every
+    other tree's."""
     parts = [a]
     for ax in range(1, a.ndim):
         parts = [out for arr in parts for out in _bank_step(arr, taps, ax)]
-    flip = (0,) + tuple(range(a.ndim - 1, 0, -1))
-    details = np.empty((a.shape[0], len(parts) - 1) + parts[0].shape[:0:-1])
+    details = np.empty((a.shape[0], len(parts) - 1) + parts[0].shape[1:])
     for o, part in enumerate(parts[1:]):
-        details[:, o] = part.transpose(flip)
-    return parts[0], details.transpose((0, 1) + tuple(range(a.ndim, 1, -1)))
+        details[:, o] = part
+    return parts[0], details
 
 
 def _axis_pyramid(a: np.ndarray, family: WaveletFamily, j_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:

@@ -155,9 +155,8 @@ def estimate_thresholded(
     if config.kind not in ("thresholded", "adaptive"):
         raise ValueError(f"thresholded estimator called with kind={config.kind!r}")
     x = np.asarray(samples, dtype=float)
-    n = x.shape[0] // (trials or 1) if x.ndim > 0 else 0
     tree = empirical_coeffs(x, family, config.j0, config.j1, trials)
-    tree = apply_threshold(tree, config.j0, config.K, max(n, 1))
+    tree = apply_threshold(tree, config.j0, config.K, x.shape[0] // (trials or 1))
     return _rescaled(tree, config.rescale_epsilon)
 
 

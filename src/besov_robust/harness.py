@@ -159,10 +159,9 @@ def breakdown_curve(
     dim: int,
     regime: str,
     n_grid,
-    r: float | None = None,
 ) -> list[tuple[int, float]]:
     """eps*(n) over the grid; nonincreasing in n by construction."""
-    ex = theoretical_exponents(gen, disc, dim, regime, r=r)
+    ex = theoretical_exponents(gen, disc, dim, regime)
     return [
         (int(n), breakdown_point(float(n), ex.dominant_n, ex.dominant_eps))
         for n in n_grid
@@ -333,16 +332,14 @@ class RiskReport:
         }
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
-    def write_csv(self, cells_path, trials_path=None) -> None:
-        """Aggregate cell rows, plus one row per cell-truth-trial if asked."""
+    def write_csv(self, cells_path, trials_path) -> None:
+        """Aggregate cell rows, and one row per cell-truth-trial."""
         with open(cells_path, "w", newline="") as fh:
             fh.write(f"# {CELL_CSV_SCHEMA}\n")
             w = csv.writer(fh)
             w.writerow(["n", "eps", "mean", "stderr", "trials", "worst_truth"])
             for c in self.cells:
                 w.writerow([c.n, c.eps, repr(c.mean), repr(c.stderr), c.trials, c.worst_truth])
-        if trials_path is None:
-            return
         with open(trials_path, "w", newline="") as fh:
             fh.write(f"# {TRIAL_CSV_SCHEMA}\n")
             w = csv.writer(fh)

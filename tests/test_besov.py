@@ -163,6 +163,48 @@ class TestPairing:
             pairing(CoefficientTree(HAAR, 1), CoefficientTree(wavelet_family("db2"), 1))
 
 
+class TestLayoutIndependence:
+    """Norms, IPMs and pairings read each level in row-major order, so a
+    level's memory layout cannot move a bit of them."""
+
+    @staticmethod
+    def _dense_pair(rng, dim):
+        # every entry stored, at scales 1e-3..1e3, so each sum depends on
+        # its order; the Fortran copies lay the orientation axis fastest
+        trees = []
+        for _ in range(2):
+            tree = CoefficientTree(HAAR, dim, alpha=float(rng.normal()))
+            for j in range(4):
+                shape = (2**dim - 1,) + (2**j,) * dim
+                tree.set_level_array(j, rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape))
+            trees.append(tree)
+        fortran = []
+        for tree in trees:
+            out = CoefficientTree(HAAR, dim, alpha=tree.alpha)
+            for j in tree.levels():
+                out.set_level_array(j, np.asfortranarray(tree.level_array(j)))
+            assert not out.level_array(3).flags.c_contiguous
+            fortran.append(out)
+        return trees, fortran
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fortran_levels_give_the_row_major_bits(self, dim):
+        rng = np.random.default_rng(40 + dim)
+
+        def bits(value):
+            return np.float64(value).view(np.int64)
+
+        for _ in range(10):
+            (f, g), (ff, gf) = self._dense_pair(rng, dim)
+            for sigma, p, q in EXPONENT_COMBOS:
+                params = BesovParams(sigma, p, q, role="discriminator")
+                assert bits(besov_norm(ff, params)) == bits(besov_norm(f, params))
+                assert bits(besov_ipm(ff, gf, params)) == bits(besov_ipm(f, g, params))
+                assert bits(besov_ipm(ff, g, params)) == bits(besov_ipm(f, g, params))
+            assert bits(pairing(ff, gf)) == bits(pairing(f, g))
+            assert bits(pairing(f, gf)) == bits(pairing(f, g))
+
+
 class TestBesovIpm:
     def test_equal_trees_zero(self):
         rng = np.random.default_rng(6)

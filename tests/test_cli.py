@@ -8,6 +8,7 @@ whole file stays fast; determinism checks compare raw bytes.
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -17,6 +18,7 @@ import xml.dom.minidom
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,9 @@ from besov_robust.cli import (
     validate,
 )
 import besov_robust
-from besov_robust.coefficients import CoefficientTree
+from besov_robust.besov import LOSS_PRESETS, besov_ipm
+from besov_robust.coefficients import CoefficientTree, exact_coeffs, uniform_density
+from besov_robust.wavelets import wavelet_family
 
 
 def run_cli(args, capsys):
@@ -814,6 +818,28 @@ class TestEstimate:
         data = (out / "coeffs.jsonl").read_bytes()
         assert len(data.splitlines()) == 352
         assert hashlib.sha256(data).hexdigest() == GOLDEN_COEFFS_SHA256
+
+    @pytest.mark.parametrize("family,kind", [("haar", "linear"), ("db2", "thresholded")])
+    def test_d2_ipm_is_the_reloaded_trees_ipm(self, capsys, tmp_path, family, kind):
+        # the uniform truth stores no level, so every sum runs over the
+        # estimate's own levels: the printed IPM has the bits of the tree
+        # read back from coeffs.jsonl
+        est = {"kind": kind, "schedule": "fixed", "j0": 3, "j1": 3}
+        if kind == "thresholded":
+            est.update(j0=1, K=0.5)
+        for loss, seed in itertools.product(("tv", "l2"), (1, 2, 3)):
+            cfg = dict(GOLDEN_ESTIMATE_CONFIG, family=family, disc=loss, truth="uniform",
+                       estimator=est, samples=400, seed=seed)
+            cfgfile = tmp_path / "c.json"
+            cfgfile.write_text(json.dumps(cfg))
+            out = tmp_path / f"{loss}-{seed}"
+            rc, _ = run_cli(["estimate", "--config", str(cfgfile), "--out", str(out)], capsys)
+            assert rc == 0
+            printed = json.loads((out / "estimate.json").read_text())["ipm_to_truth"]
+            tree = CoefficientTree.from_jsonl(str(out / "coeffs.jsonl"))
+            truth = exact_coeffs(uniform_density(2), wavelet_family(family), 5)
+            again = besov_ipm(tree, truth, LOSS_PRESETS[loss])
+            assert np.float64(printed).view(np.int64) == np.float64(again).view(np.int64)
 
     def test_rerun_byte_identical(self, capsys, tmp_path):
         out = tmp_path / "o"

@@ -154,7 +154,6 @@ class TestTreeBasics:
         assert tree.get(idx) == 0.0
         assert tree.n_coefficients == 0
         assert tree.levels() == []
-        assert tree.max_level == -1
 
     def test_set_validates_index(self):
         tree = CoefficientTree(HAAR, 2)
@@ -747,7 +746,7 @@ class TestEmpiricalCoeffs:
     def _row_tree(block, t):
         tree = CoefficientTree(block.family, block.dim, alpha=float(block.alpha[t]))
         for j in block.levels():
-            tree.set_level_array(j, block.level_array(j)[t].copy(order="K"))
+            tree.set_level_array(j, block.level_array(j)[t].copy())
         return tree
 
     @staticmethod
@@ -786,15 +785,15 @@ class TestEmpiricalCoeffs:
             assert got.shape == (4,)
             assert self._bits(got) == self._bits(want)
 
-    def test_estimate_block_pairings_keep_the_bank_layout(self):
-        # a D=2 estimate's levels lie column-major in k, row by row; each
-        # row's products are summed in the order trial t's own estimate gives.
-        # With alpha 0.0 the last bits of the level sums reach the result.
+    def test_estimate_block_levels_are_row_major(self):
+        # a D=2 estimate's levels lie row-major, like every other tree's;
+        # each row's products are summed in the order trial t's own estimate
+        # gives. With alpha 0.0 the last bits of the level sums reach the result.
         rng = np.random.default_rng(17)
         samples = [rng.random((300, 2)) for _ in range(4)]
         block = empirical_coeffs(np.concatenate(samples), DB2, 0, 4, trials=4)
         singles = [empirical_coeffs(x, DB2, 0, 4) for x in samples]
-        assert not block.level_array(4).flags.c_contiguous
+        assert all(block.level_array(j).flags.c_contiguous for j in block.levels())
         block.alpha[:] = 0.0
         for s in singles:
             s.alpha = 0.0
@@ -1114,7 +1113,7 @@ class TestExactCoeffsFrozen:
         tree = exact_coeffs(model, HAAR, j_max=3)
         assert tree.get(WaveletIndex(0, (0,), (1,))) == pytest.approx(-0.5, abs=1e-14)
         # the step is resolved at level 0; everything finer vanishes
-        assert tree.max_level == 0
+        assert tree.levels() == [0]
         assert tree.alpha == 1.0
 
 

@@ -123,7 +123,7 @@ class TestLinearEstimator:
         x = uniform_density(1).sample(500, np.random.default_rng(3))
         est = estimate_linear(x, HAAR, EstimatorConfig("linear", 3, 3))
         assert est.alpha == 1.0
-        assert est.max_level <= 3
+        assert max(est.levels()) <= 3
 
     def test_rescale_doubles_everything(self):
         x = uniform_density(1).sample(500, np.random.default_rng(3))

@@ -284,11 +284,10 @@ class TestTrialBlocks:
 
     # SHA-256 of the risk bytes of D=2 runs against the uniform truth, whose
     # tree is empty: every level measured is the estimate's own, summed in
-    # its memory order (column-major per orientation, as the bank lays it
-    # out). Taken before the trials were batched.
+    # row-major order. Taken when the bank's levels became row-major.
     D2_RISKS_SHA256 = {
-        "db2": "3ded3559a3879752d1fda056c88b1d756ce4eed11a20b60ff981c74a96b5be9e",
-        "haar": "0bee951383f7442bb820718fa87f0b23dd5fb28ac4769ca8b396783f97c4edf2",
+        "db2": "cac4babb2e77208310d8e8c398e20ef0adcea1f508696bdca734565cad0dccc7",
+        "haar": "d6d998a04c2eba7bf9fb436490361b842a8e510c79a28e82c66e13ada22af2bc",
     }
 
     @pytest.mark.parametrize("fam", sorted(D2_RISKS_SHA256))
