@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from typing import Iterator
 
 import numpy as np
@@ -50,8 +51,9 @@ from .wavelets import (
 )
 
 PRUNE_TOL = 1e-14
-# Points handled per pass of `CoefficientTree.evaluate`, and records parsed
-# per `json.loads` call in `CoefficientTree.from_jsonl`.
+# Points handled per pass of `CoefficientTree.evaluate`, and lines matched
+# per `findall` in `CoefficientTree.from_jsonl`, which bounds the matched
+# strings held at once.
 _EVAL_ROWS = 4096
 _PARSE_ROWS = 2048
 
@@ -71,6 +73,28 @@ def _prune_level(arr: np.ndarray) -> bool:
 def _json_float(v: float) -> str:
     """A float exactly as `json.dumps` writes it."""
     return repr(v) if math.isfinite(v) else json.dumps(v)
+
+
+def _record_pattern(dim: int) -> re.Pattern:
+    """The coefficient records `to_jsonl` writes for a D-dim tree, one per
+    line under re.M, with the groups e, j, k and v.
+
+    The form is a subset of JSON that `json.loads` reads to the same values:
+    e holds D digits 0 or 1, j and k integers without leading zeros, and v a
+    float literal (with a fraction or an exponent, as `repr` writes one),
+    NaN, Infinity or -Infinity. It admits no booleans and no other spacing
+    or key order.
+    """
+    num = "(?:0|[1-9][0-9]*)"
+    e = ", ".join(["[01]"] * dim)
+    k = ", ".join([num] * dim)
+    v = rf"-?{num}(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)|NaN|-?Infinity"
+    return re.compile(rf'^\{{"e": \[({e})\], "j": ({num}), "k": \[({k})\], "v": ({v})\}}$', re.M)
+
+
+def _is_int(x) -> bool:
+    """Whether x is an integer, and not a bool, which is a mask to numpy."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class CoefficientTree:
@@ -114,11 +138,11 @@ class CoefficientTree:
         self._single("set")
         j, k = index.j, tuple(index.k)
         o = self._opos.get(tuple(index.e))
-        if j < 0 or len(k) != self.dim or o is None:
+        if not _is_int(j) or j < 0 or len(k) != self.dim or o is None:
             raise ValueError(f"bad index {index} for dimension {self.dim}")
         size = 2**j
         for kk in k:
-            if not (isinstance(kk, (int, np.integer)) and 0 <= kk < size):
+            if not (_is_int(kk) and 0 <= kk < size):
                 raise ValueError(f"translate out of range in {index}")
         lev = self._levels.get(j)
         if abs(value) < PRUNE_TOL:
@@ -265,6 +289,8 @@ class CoefficientTree:
 
         Records carry sorted keys and floats as `json.dumps` writes them, so
         the bytes equal `json.dumps(record, sort_keys=True)` line by line.
+        Each (level, orientation) fills one %-template, so a record costs the
+        text of its numbers; `from_jsonl` reads these lines back in bulk.
         """
         self._single("to_jsonl")
         header = {
@@ -276,13 +302,15 @@ class CoefficientTree:
             "alpha": self.alpha,
         }
         lines = [json.dumps(header, sort_keys=True)]
-        e_text = [", ".join(map(str, e)) for e in self._orients]
+        k_form = ", ".join(["%d"] * self.dim)
         for j in self.levels():
-            for o, k, v in zip(*self._stored(j)):
-                lines.append(
-                    f'{{"e": [{e_text[o]}], "j": {j}, "k": [{", ".join(map(str, k))}], '
-                    f'"v": {_json_float(v)}}}'
-                )
+            for e, part in zip(self._orients, self._levels[j]):
+                ks = part.nonzero()
+                vals = part[ks]
+                # %s writes a finite float as its repr, as json.dumps does
+                vs = vals.tolist() if np.isfinite(vals).all() else list(map(_json_float, vals.tolist()))
+                form = f'{{"e": [{", ".join(map(str, e))}], "j": {j}, "k": [{k_form}], "v": %s}}'
+                lines += map(form.__mod__, zip(*[k.tolist() for k in ks], vs))
         text = "\n".join(lines) + "\n"
         if hasattr(path_or_fp, "write"):
             path_or_fp.write(text)
@@ -292,6 +320,13 @@ class CoefficientTree:
 
     @classmethod
     def from_jsonl(cls, path_or_fp) -> "CoefficientTree":
+        """Read a tree file: the header line, then one JSON record per line.
+
+        Records in the form `to_jsonl` writes load in bulk (`_load_records`).
+        Any other file is replayed record by record with `set`, in file
+        order, with the same result; a record that is not a valid index and
+        number (a JSON boolean included) raises MalformedTree naming its line.
+        """
         if hasattr(path_or_fp, "read"):
             text = path_or_fp.read()
         else:
@@ -318,7 +353,10 @@ class CoefficientTree:
             for line in lines[1:]:
                 try:
                     rec = json.loads(line)
-                    out.set(WaveletIndex(rec["j"], tuple(rec["k"]), tuple(rec["e"])), rec["v"])
+                    index = WaveletIndex(rec["j"], tuple(rec["k"]), tuple(rec["e"]))
+                    if any(isinstance(x, bool) for x in (index.j, *index.k, *index.e, rec["v"])):
+                        raise ValueError("a JSON boolean is not a number")
+                    out.set(index, rec["v"])
                 except KeyError as err:
                     raise MalformedTree(f"record lacks field {err}: {line[:80]}") from None
                 except (AttributeError, TypeError, ValueError) as err:
@@ -326,33 +364,38 @@ class CoefficientTree:
         return out
 
     def _load_records(self, lines: list[str]) -> bool:
-        """Bulk-parse coefficient records into the levels.
+        """Bulk-parse coefficient records in the form `to_jsonl` writes them
+        (`_record_pattern`), in any line order; a repeated index keeps its
+        last record.
 
-        Returns False, leaving the levels to be rebuilt, whenever a record is
-        not a plain well-formed one; `from_jsonl` then replays the records one
-        at a time with `set`, which names the bad line.
+        Returns False, leaving the levels to be rebuilt, as soon as a line is
+        not in that form or an index does not fit a level; `from_jsonl` then
+        replays the records one at a time with `set`, which names the bad
+        line. Either way the same file gives the same tree.
         """
         if not lines:
             return True
-        cols: dict[str, list] = {f: [] for f in "jkev"}
-        try:
-            # a few thousand records per json.loads keeps the parsed objects small
-            for start in range(0, len(lines), _PARSE_ROWS):
-                recs = json.loads("[" + ",".join(lines[start : start + _PARSE_ROWS]) + "]")
-                for f, col in cols.items():
-                    col.append(np.array([r[f] for r in recs]))
-            js, ks, es, vs = (np.concatenate(cols[f]) for f in "jkev")
-        except (KeyError, TypeError, ValueError):
+        d = self.dim
+        pattern = _record_pattern(d)
+        es, js, ks, vs = [], [], [], []
+        for start in range(0, len(lines), _PARSE_ROWS):
+            chunk = lines[start : start + _PARSE_ROWS]
+            found = pattern.findall("\n".join(chunk))
+            if len(found) != len(chunk):
+                return False
+            e, j, k, v = zip(*found)
+            try:
+                js.append(np.array(j, dtype=np.int64))
+            except OverflowError:
+                return False
+            # the pattern fixes D numbers per row; a k beyond int64 saturates,
+            # then fails the range check or sits in a level too large to hold
+            es.append(np.fromstring(", ".join(e), dtype=np.int64, sep=",").reshape(-1, d))
+            ks.append(np.fromstring(", ".join(k), dtype=np.int64, sep=",").reshape(-1, d))
+            vs.append(np.array(v, dtype=float))
+        es, js, ks, vs = map(np.concatenate, (es, js, ks, vs))
+        if not np.all(es.any(axis=1)):
             return False
-        n, d = len(lines), self.dim
-        if (
-            js.dtype.kind != "i" or ks.dtype.kind != "i" or es.dtype.kind != "i"
-            or vs.dtype.kind not in "biuf" or ks.shape != (n, d) or es.shape != (n, d)
-        ):
-            return False
-        if np.any(js < 0) or np.any((es != 0) & (es != 1)) or not np.all(es.any(axis=1)):
-            return False
-        vs = vs.astype(float)
         o = es @ (1 << np.arange(d - 1, -1, -1)) - 1
         for j in sorted(set(js.tolist())):
             rows = js == j
@@ -518,9 +561,15 @@ class PiecewiseConstant:
             raise ValueError("sample size must be nonnegative")
         s, d = self.scale_level, self.dim
         if self.values.size == 1:
-            # the cell draw of one cell is n uniforms that pick cell 0; draw
-            # them to move the stream on, then corner 0 and scale 1 leave u
-            rng.random(n)
+            # the cell draw of one cell is n uniforms that pick cell 0: skip
+            # their n 64-bit outputs, then corner 0 and scale 1 leave u. A
+            # PCG64 `advance` would drop a buffered 32-bit half, so a stream
+            # holding one, or of another kind, draws them
+            bits = rng.bit_generator
+            if type(bits) is np.random.PCG64 and bits.state["has_uint32"] == 0:
+                bits.advance(n)
+            else:
+                rng.random(n)
             return rng.random((n, d))
         cells = self._cells.draw(n, rng)
         u = rng.random((n, d))

@@ -12,8 +12,10 @@ import io
 import itertools
 import json
 import math
+import re
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -141,6 +143,135 @@ def random_tree(rng, family, dim, j_max, n_coeffs=8):
         e = es[int(rng.integers(len(es)))]
         tree.set(WaveletIndex(j, k, e), float(rng.normal()))
     return tree
+
+
+# v texts for edited records: JSON ones in and out of the bulk form, and
+# spellings that are not JSON at all
+ODD_VALUES = [
+    "NaN", "Infinity", "-Infinity", "1e-300", "-0.0", "5e-324", "1", "1E5", "0.75",
+    "true", "01.5", "nan", "-inf", "+0.5",
+]
+
+
+@st.composite
+def tree_strategy(draw):
+    """A small single tree of D = 1, 2 or 3 whose values and alpha may be any
+    float: NaN, infinities and subnormals (which are stored as absent) too.
+    A NaN is the one that JSON's NaN reads back as."""
+    floats = st.floats(allow_nan=False) | st.just(math.nan)
+    dim = draw(st.sampled_from([1, 2, 3]))
+    tree = CoefficientTree(HAAR, dim, alpha=draw(floats))
+    es = list(orientations(dim))
+    for _ in range(draw(st.integers(0, 12))):
+        j = draw(st.integers(0, 3))
+        k = tuple(draw(st.integers(0, 2**j - 1)) for _ in range(dim))
+        tree.set(WaveletIndex(j, k, draw(st.sampled_from(es))), draw(floats))
+    return tree
+
+
+def _edit_one(records, data, edit):
+    """records with one drawn record line replaced by edit(line)."""
+    if not records:
+        return records
+    i = data.draw(st.integers(0, len(records) - 1))
+    return records[:i] + [edit(records[i])] + records[i + 1 :]
+
+
+def _shuffle(records, data):
+    return data.draw(st.permutations(records))
+
+
+def _with_value(data):
+    """An edit that writes one of ODD_VALUES as a line's v."""
+    odd = data.draw(st.sampled_from(ODD_VALUES))
+    return lambda line: re.sub(r'"v": [^}]*', '"v": ' + odd, line)
+
+
+def _repeat(records, data):
+    """One record again at the end, with another value: a repeated index."""
+    if not records:
+        return records
+    return records + [_with_value(data)(data.draw(st.sampled_from(records)))]
+
+
+def _value(records, data):
+    return _edit_one(records, data, _with_value(data))
+
+
+def _space(records, data):
+    """One more space after a comma or a colon, or inside the braces."""
+    spot = data.draw(st.sampled_from([", ", ": ", "{", "}"]))
+    spaced = {", ": ",  ", ": ": ":  ", "{": "{ ", "}": " }"}[spot]
+    return _edit_one(records, data, lambda line: line.replace(spot, spaced, 1))
+
+
+def _key_order(records, data):
+    """One record with its keys in reverse order, if it still parses."""
+
+    def edit(line):
+        try:
+            return json.dumps(dict(reversed(json.loads(line).items())))
+        except ValueError:
+            return line
+
+    return _edit_one(records, data, edit)
+
+
+def _int_field(records, data):
+    """One int of e, j or k written as N.0, 0N, true or false."""
+    field = data.draw(st.sampled_from(['"e": [', '"j": ', '"k": [']))
+    form = data.draw(st.sampled_from(["{}.0", "0{}", "true", "false"]))
+
+    def edit(line):
+        head, sep, tail = line.partition(field)
+        digits = re.match(r"[0-9]+", tail)
+        if digits is None:
+            return line
+        return head + sep + form.format(digits.group()) + tail[digits.end() :]
+
+    return _edit_one(records, data, edit)
+
+
+def _blank(records, data):
+    i = data.draw(st.integers(0, len(records)))
+    return records[:i] + [data.draw(st.sampled_from(["", " ", "\t"]))] + records[i:]
+
+
+# Line edits of a written tree file: each keeps or breaks the form
+# `to_jsonl` writes, and the record replay is the reference either way.
+RECORD_MUTATIONS = {
+    f.__name__[1:]: f for f in (_shuffle, _repeat, _value, _space, _key_order, _int_field, _blank)
+}
+
+
+def load_or_none(text):
+    """The tree `from_jsonl` reads from text, or None if it is malformed."""
+    try:
+        return CoefficientTree.from_jsonl(io.StringIO(text))
+    except MalformedTree:
+        return None
+
+
+def replayed_or_none(text):
+    """`load_or_none` with the bulk path refused: every record goes through `set`."""
+    with mock.patch.object(CoefficientTree, "_load_records", lambda self, lines: False):
+        return load_or_none(text)
+
+
+def bulk_only():
+    """Patch `set` to raise, so that only the bulk path can load a file."""
+
+    def refuse(*args):
+        raise AssertionError("the record-by-record path ran")
+
+    return mock.patch.object(CoefficientTree, "set", refuse)
+
+
+def assert_same_tree(got, want):
+    """Same dimension, alpha and stored levels, all bit for bit."""
+    assert got.dim == want.dim
+    assert np.float64(got.alpha).view(np.int64) == np.float64(want.alpha).view(np.int64)
+    assert_levels_bitwise_equal(got, want)
 
 
 class TestTreeBasics:
@@ -400,6 +531,112 @@ class TestSerialization:
             CoefficientTree.from_jsonl(io.StringIO(text))
         assert record[:40] in str(info.value)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"e": [1], "j": 1, "k": [true], "v": 0.5}',
+            '{"e": [1], "j": true, "k": [0], "v": 0.5}',
+            '{"e": [true], "j": 1, "k": [0], "v": 0.5}',
+            '{"e": [1], "j": 1, "k": [0], "v": false}',
+        ],
+        ids=["k", "j", "e", "v"],
+    )
+    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "among-good"])
+    def test_json_boolean_names_the_line(self, record, alone):
+        # a bool is an int to Python and a mask to numpy: read as a number
+        # it made a level keyed True, or set a whole row of a level
+        header = json.dumps(
+            {"alpha": 1.0, "cascade_depth": 14, "dim": 1, "family": "haar",
+             "format": "besov-robust-tree", "version": 1}, sort_keys=True,
+        )
+        good = '{"e": [1], "j": 2, "k": [3], "v": 0.25}'
+        lines = [header, record] if alone else [header, good, record, good]
+        with pytest.raises(MalformedTree, match="boolean") as info:
+            CoefficientTree.from_jsonl(io.StringIO("\n".join(lines) + "\n"))
+        assert record[:40] in str(info.value)
+
+    def test_set_rejects_bool_level_and_translate(self):
+        tree = CoefficientTree(HAAR, 2)
+        for index in (
+            WaveletIndex(True, (0, 1), (1, 1)),
+            WaveletIndex(1, (True, 0), (1, 1)),
+            WaveletIndex(1, (0, np.True_), (1, 1)),
+            WaveletIndex(1.0, (0, 1), (1, 1)),
+        ):
+            with pytest.raises(ValueError):
+                tree.set(index, 0.5)
+        assert tree.levels() == []
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_lines_are_json_dumps_with_non_finite_values(self, dim):
+        # NaN and infinities are written as json.dumps writes them; a
+        # subnormal alpha keeps its digits, a subnormal entry is absent
+        tree = CoefficientTree(DB2, dim, alpha=5e-324)
+        es = list(orientations(dim))
+        values = [math.nan, INF, -INF, 5e-324, -2.2250738585072014e-308, 1e300, -0.1, 1e-14]
+        for i, v in enumerate(values):
+            tree.set(WaveletIndex(3, tuple((i + a) % 8 for a in range(dim)), es[i % len(es)]), v)
+        buf = io.StringIO()
+        tree.to_jsonl(buf)
+        header, *lines = buf.getvalue().splitlines()
+        assert json.loads(header)["alpha"] == 5e-324 and '"alpha": 5e-324' in header
+        assert len(lines) == tree.n_coefficients == len(values) - 2
+        for line, (idx, v) in zip(lines, tree.items()):
+            rec = {"e": list(idx.e), "j": idx.j, "k": list(idx.k), "v": v}
+            assert line == json.dumps(rec, sort_keys=True)
+        assert {"NaN", "Infinity", "-Infinity"} <= {ln.rsplit(" ", 1)[1][:-1] for ln in lines}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_written_files_load_in_bulk(self, data):
+        tree = data.draw(tree_strategy())
+        buf = io.StringIO()
+        tree.to_jsonl(buf)
+
+        with bulk_only():
+            back = CoefficientTree.from_jsonl(io.StringIO(buf.getvalue()))
+        assert_same_tree(back, tree)
+
+    def test_bulk_read_spans_chunks_in_any_order(self):
+        # a dense D=2 tree over several chunks of _PARSE_ROWS lines, shuffled,
+        # with repeats of early records at the end: the bulk path alone must
+        # build the tree the record replay builds
+        rng = np.random.default_rng(14)
+        tree = CoefficientTree(DB2, 2, alpha=1.0)
+        for j in range(6):
+            tree.set_level_array(j, rng.normal(size=(3, 2**j, 2**j)))
+        buf = io.StringIO()
+        tree.to_jsonl(buf)
+        header, *records = buf.getvalue().splitlines()
+        assert len(records) > coefficients._PARSE_ROWS
+        records = [records[i] for i in rng.permutation(len(records))]
+        records += [re.sub(r'"v": [^}]*', f'"v": {0.5 * i}', records[i]) for i in range(0, 3000, 7)]
+        text = "\n".join([header] + records) + "\n"
+
+        with bulk_only():
+            got = CoefficientTree.from_jsonl(io.StringIO(text))
+        assert_same_tree(got, replayed_or_none(text))
+        rec = json.loads(records[7])
+        assert got.get(WaveletIndex(rec["j"], tuple(rec["k"]), tuple(rec["e"]))) == 3.5
+        assert got.n_coefficients == tree.n_coefficients - 1  # record 0 now holds 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_bulk_reader_agrees_with_record_replay(self, data):
+        tree = data.draw(tree_strategy())
+        buf = io.StringIO()
+        tree.to_jsonl(buf)
+        header, *records = buf.getvalue().splitlines()
+        for _ in range(data.draw(st.integers(0, 3))):
+            mutate = data.draw(st.sampled_from(sorted(RECORD_MUTATIONS)))
+            records = RECORD_MUTATIONS[mutate](records, data)
+        end = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = end.join([header] + records) + end
+        got, want = load_or_none(text), replayed_or_none(text)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_same_tree(got, want)
+
 
 class TestDensityModels:
     def test_pwc_validation(self):
@@ -584,6 +821,33 @@ class TestSampling:
 
         got = search.draw(u.size, Stub())
         assert np.array_equal(got, cdf.searchsorted(u, side="right"))
+
+    @pytest.mark.parametrize("bits", ["pcg64", "pcg64-half-buffered", "philox", "mt19937"])
+    @pytest.mark.parametrize("n", [0, 1, 5, 2**14])
+    def test_one_cell_skip_leaves_the_drawn_state(self, bits, n):
+        # a one-cell draw skips its n cell uniforms: the points and the state
+        # after them are those of drawing the uniforms, also with a buffered
+        # 32-bit half, which `advance` would drop
+        def make():
+            if bits == "philox":
+                return np.random.Generator(np.random.Philox(n))
+            if bits == "mt19937":
+                return np.random.Generator(np.random.MT19937(n))
+            rng = np.random.default_rng(n)
+            if bits == "pcg64-half-buffered":
+                state = rng.bit_generator.state
+                rng.bit_generator.state = {**state, "has_uint32": 1, "uinteger": 12345}
+            return rng
+
+        def state(rng):  # Philox and MT19937 keep arrays in their state
+            return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+        for dim in (1, 2):
+            a, b = make(), make()
+            got = uniform_density(dim).sample(n, a)
+            b.random(n)
+            assert np.array_equal(got, b.random((n, dim)))
+            assert state(a) == state(b)
 
     def test_huber_mixture_eps_zero_matches_pure(self):
         p = PiecewiseConstant(np.array([0.5, 1.5]), 1)
