@@ -97,6 +97,12 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _indexable(j: int, dim: int) -> bool:
+    """Whether a level j of a D-dim tree, 2^(jD) translates per orientation,
+    can be indexed by int64 at all; checked before 2^j is computed."""
+    return j * dim < 63
+
+
 class CoefficientTree:
     """Periodized wavelet coefficients of a function on [0,1)^D, one array per level."""
 
@@ -140,6 +146,8 @@ class CoefficientTree:
         o = self._opos.get(tuple(index.e))
         if not _is_int(j) or j < 0 or len(k) != self.dim or o is None:
             raise ValueError(f"bad index {index} for dimension {self.dim}")
+        if not _indexable(j, self.dim):
+            raise ValueError(f"level {j} is too large to index")
         size = 2**j
         for kk in k:
             if not (_is_int(kk) and 0 <= kk < size):
@@ -325,7 +333,10 @@ class CoefficientTree:
         Records in the form `to_jsonl` writes load in bulk (`_load_records`).
         Any other file is replayed record by record with `set`, in file
         order, with the same result; a record that is not a valid index and
-        number (a JSON boolean included) raises MalformedTree naming its line.
+        number (a JSON boolean included), or whose level is too large to
+        index or to hold, raises MalformedTree naming its line, as does a
+        header field of the wrong type (an integer field given a boolean or
+        a fraction, alpha given a boolean or a string).
         """
         if hasattr(path_or_fp, "read"):
             text = path_or_fp.read()
@@ -340,13 +351,18 @@ class CoefficientTree:
             header = json.loads(line)
             if header.get("format") != "besov-robust-tree" or header.get("version") != 1:
                 raise MalformedTree(f"unrecognized tree header: {line[:80]}")
+            for key, kind in (("version", int), ("cascade_depth", int), ("dim", int), ("alpha", (int, float))):
+                value = header.get(key, 0)  # a missing field is named below
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    need = "a number" if key == "alpha" else "an integer"
+                    raise ValueError(f"header field {key} must be {need}, not {json.dumps(value)}")
             fam = wavelet_family(header["family"], header["cascade_depth"])
             out = cls(fam, header["dim"], header["alpha"])
         except MalformedTree:
             raise
         except KeyError as err:
             raise MalformedTree(f"record lacks field {err}: {line[:80]}") from None
-        except (AttributeError, TypeError, ValueError) as err:
+        except (AttributeError, TypeError, ValueError, OverflowError) as err:
             raise MalformedTree(f"bad record ({err}): {line[:80]}") from None
         if not out._load_records(lines[1:]):
             out._levels.clear()
@@ -359,7 +375,7 @@ class CoefficientTree:
                     out.set(index, rec["v"])
                 except KeyError as err:
                     raise MalformedTree(f"record lacks field {err}: {line[:80]}") from None
-                except (AttributeError, TypeError, ValueError) as err:
+                except (AttributeError, TypeError, ValueError, OverflowError, MemoryError) as err:
                     raise MalformedTree(f"bad record ({err}): {line[:80]}") from None
         return out
 
@@ -400,12 +416,12 @@ class CoefficientTree:
         for j in sorted(set(js.tolist())):
             rows = js == j
             kj = ks[rows]
-            if np.any(kj < 0) or np.any(kj >= 2**j):
+            if not _indexable(j, d) or np.any(kj < 0) or np.any(kj >= 2**j):
                 return False
             try:
                 flat = np.ravel_multi_index((o[rows],) + tuple(kj.T), self._shape(j))
                 lev = np.zeros(self._shape(j))
-            except ValueError:  # a level too large to hold
+            except (ValueError, MemoryError):  # a level too large to hold
                 return False
             # a repeated index keeps its last record, as a loop of `set` would
             order = np.argsort(flat, kind="stable")
@@ -783,6 +799,14 @@ def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int, trials: i
     the block of their T trees (see `CoefficientTree`); a single sample is
     the block of one trial, returned as a plain tree.
 
+    `samples` is one numpy array of shape (T n, D) or (T n,), or chunks of
+    it: any other iterable of such arrays, each holding whole trials. Each
+    chunk is binned as it arrives and its points are not kept, so a block
+    of many trials never holds all its points at once. n is the stacked
+    rows over T (`_trial_size`), and binning a chunk needs it before the
+    later chunks arrive: chunks come as a list or tuple, or as an iterable
+    with the `shape` of the sample they stack.
+
     The basis is the filter-bank basis of `wavelets` with top level
     J = j1 + 1. The result is fixed bit for bit by this summation order:
     `_father_sums` bins the sample once into the unnormalized father sums
@@ -793,32 +817,51 @@ def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int, trials: i
     and the taps are +-1, so every sum is an exact integer: the same one
     that summing +-1 over the sample level by level gives.
 
-    A block gives each trial the bits of its own sample alone: trial t's
-    points go to bins of their own (cell index + t 2^{DJ}), `np.bincount`
-    adds each bin's weights in input order, which is the trial's sample
-    order, and the bank and the scaling act entry by entry.
+    A block gives each trial the bits of its own sample alone, however it
+    is chunked: trial t's points go to bins of their own (cell index +
+    t 2^{DJ}), `np.bincount` adds each bin's weights in input order, which
+    is the trial's sample order, and the bank and the scaling act entry by
+    entry on the stacked sums.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise ValueError("samples must have shape (n, D)")
-    if x.shape[0] == 0:
-        raise EmptySample("no samples given")
     if not (0 <= j0 <= j1):
         raise ValueError(f"need 0 <= j0 <= j1, got ({j0}, {j1})")
-    block = 1 if trials is None else trials
-    if block < 1 or x.shape[0] % block:
-        raise ValueError(f"{x.shape[0]} sample rows do not split into {trials} trials")
-    x = _fold_points(x)
-    n, d = x.shape[0] // block, x.shape[1]
-    sums = _father_sums(x, family, j1 + 1, block)
+    n = _trial_size(samples, trials)
+    parts, d = [], None
+    for chunk in [samples] if isinstance(samples, np.ndarray) else samples:
+        x = np.asarray(chunk, dtype=float)
+        if x.ndim == 1:
+            x = x[:, None]
+        if x.ndim != 2 or d not in (None, x.shape[1]):
+            raise ValueError("samples must have shape (n, D), with one D for every chunk")
+        d = x.shape[1]
+        if x.shape[0] % n:
+            raise ValueError(f"a chunk of {x.shape[0]} rows does not hold whole trials of {n} points")
+        parts.append(_father_sums(_fold_points(x), family, j1 + 1, x.shape[0] // n))
+    sums = parts[0] if len(parts) == 1 else np.concatenate(parts)
     tree = CoefficientTree(family, d, alpha=1.0, trials=trials)
     for j in range(j1, -1, -1):
         sums, details = _bank_level(sums, family.taps)
         details *= 2.0 ** (d * j / 2.0) / n
         tree.set_level_array(j, details if trials is not None else details[0])
     return tree
+
+
+def _trial_size(samples, trials: int | None) -> int:
+    """The rows n of each of the `trials` trials (one if None) that
+    `samples`, an array or its chunks (`empirical_coeffs`), stacks."""
+    shape = getattr(samples, "shape", None)
+    if shape is None:
+        if not isinstance(samples, (list, tuple)):
+            raise TypeError("chunks of a sample come as a list, a tuple or an iterable with a shape")
+        shape = (sum(len(chunk) for chunk in samples),)
+    if len(shape) not in (1, 2):
+        raise ValueError("samples must have shape (n, D)")
+    if shape[0] == 0:
+        raise EmptySample("no samples given")
+    block = 1 if trials is None else trials
+    if block < 1 or shape[0] % block:
+        raise ValueError(f"{shape[0]} sample rows do not split into {trials} trials")
+    return shape[0] // block
 
 
 def _father_sums(x: np.ndarray, family: WaveletFamily, top: int, trials: int = 1) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import BesovParams, conjugate
-from .coefficients import CoefficientTree, empirical_coeffs
+from .coefficients import CoefficientTree, _trial_size, empirical_coeffs
 from .errors import RegimeMismatch
 from .wavelets import WaveletFamily
 
@@ -154,9 +154,8 @@ def estimate_thresholded(
     """Keep levels up to j0, hard-threshold (j0, j1], then rescale."""
     if config.kind not in ("thresholded", "adaptive"):
         raise ValueError(f"thresholded estimator called with kind={config.kind!r}")
-    x = np.asarray(samples, dtype=float)
-    tree = empirical_coeffs(x, family, config.j0, config.j1, trials)
-    tree = apply_threshold(tree, config.j0, config.K, x.shape[0] // (trials or 1))
+    tree = empirical_coeffs(samples, family, config.j0, config.j1, trials)
+    tree = apply_threshold(tree, config.j0, config.K, _trial_size(samples, trials))
     return _rescaled(tree, config.rescale_epsilon)
 
 
@@ -166,9 +165,9 @@ def estimate(
     """Run the estimator `config.kind` names; adaptive configs are thresholded.
 
     With `trials=T`, samples holds T samples of equal size one after
-    another, and the result is the block of their T estimates
-    (`empirical_coeffs`), each bit-identical to estimating that sample
-    alone."""
+    another, as one array or in chunks of whole trials, and the result is
+    the block of their T estimates (`empirical_coeffs`), each bit-identical
+    to estimating that sample alone."""
     if config.kind == "linear":
         return estimate_linear(samples, family, config, trials)
     return estimate_thresholded(samples, family, config, trials)

@@ -212,15 +212,37 @@ def benchmark_suite(gen: BesovParams, dim: int) -> list[tuple[str, object]]:
 # -- Monte-Carlo risk ---------------------------------------------------------
 
 
-# Most sample rows stacked into one block of trials; a larger sample is a
-# block of one trial. Blocks of 2^15 rows lost most of the gain over one
-# trial at a time on a 2-vCPU machine with a 2 MB per-core L2 cache, which
-# their working arrays outgrow.
+# Most sample rows drawn and binned at once (at least one trial), and most
+# father sums, 2^(D(j1+1)) per trial, in one bank block (at least one
+# trial). Chunks of 2^15 rows lost most of the gain over one trial at a time
+# on a 2-vCPU machine with a 2 MB per-core L2 cache, which the binning's
+# working arrays outgrow.
 _BLOCK_ROWS = 2**14
 # Levels the exact truth tree reaches above the estimator's top level j1:
 # the truth's detail beyond j1 is bias the estimate cannot see, and the
 # IPM must count it
 _J_PAD = 2
+
+
+class _Draws:
+    """The samples of the trials with the given seeds, stacked in trial
+    order, which is the array of `shape`; iterating draws them in chunks of
+    at most _BLOCK_ROWS rows (at least one trial), a one-trial chunk being
+    the sample itself. `empirical_coeffs` bins each chunk as it arrives and
+    reads the trial size from `shape`, as perfbench's tracer does."""
+
+    def __init__(self, truth, spec: ContaminationSpec, n: int, seeds: list):
+        self.truth, self.spec, self.n, self.seeds = truth, spec, n, seeds
+        self.shape = (len(seeds) * n, truth.dim)
+
+    def __iter__(self):
+        per = max(1, _BLOCK_ROWS // self.n)
+        for i in range(0, len(self.seeds), per):
+            samples = [
+                sample_huber(self.truth, self.spec.g, self.spec.eps, self.n, s)
+                for s in self.seeds[i : i + per]
+            ]
+            yield samples[0] if len(samples) == 1 else np.concatenate(samples)
 
 
 def risk_trials(
@@ -243,15 +265,18 @@ def risk_trials(
     slot_offset + t); slot_offset keeps streams distinct when several truth
     models share a grid cell.
 
-    The trials run in blocks of at most _BLOCK_ROWS sample rows (at least
-    one trial): the block's samples, each drawn from its own stream, are
-    stacked in trial order, and one estimate (`estimate(..., trials=m)`)
-    and one IPM cover them all. Every risk has the bits of estimating and
-    measuring that trial alone: `np.bincount` adds each bin's weights in
-    input order and each trial bins into cells of its own, the bank, the
-    threshold and the rescaling act entry by entry, and every reduction of
-    the IPM runs over one trial's row in the one-trial order. A block of
-    one trial is the sample itself, with no copy and no cell offsets.
+    The trials run in bank blocks of max(1, _BLOCK_ROWS // 2^(D(j1+1)))
+    trials, so a block's father sums hold about as many entries as one
+    binning chunk has rows: one estimate (`estimate(..., trials=m)`) and
+    one IPM cover a block. Within it the samples are drawn and binned in
+    chunks of at most _BLOCK_ROWS rows (`_Draws`), each trial's from its
+    own stream, so the binning's working arrays stay in cache and the
+    block's points are never all held. Every risk has the bits of
+    estimating and measuring that trial alone: `np.bincount` adds each
+    bin's weights in input order and each trial bins into cells of its
+    own, whatever chunk it is in; the bank, the threshold and the
+    rescaling act entry by entry; and every reduction of the IPM runs over
+    one trial's row in the one-trial order.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -259,16 +284,12 @@ def risk_trials(
         raise ValueError("need at least one sample point per trial")
     if truth_tree is None:
         truth_tree = exact_coeffs(truth, family, est.j1 + _J_PAD)
-    block = max(1, _BLOCK_ROWS // n)
+    block = max(1, _BLOCK_ROWS // 2 ** (truth_tree.dim * (est.j1 + 1)))
     out = np.empty(trials)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        samples = [
-            sample_huber(truth, spec.g, spec.eps, n, (seed, cell_index, slot_offset + t))
-            for t in range(start, stop)
-        ]
-        pts = samples[0] if len(samples) == 1 else np.concatenate(samples)
-        out[start:stop] = besov_ipm(estimate(pts, family, est, stop - start), truth_tree, disc)
+        draws = _Draws(truth, spec, n, [(seed, cell_index, slot_offset + t) for t in range(start, stop)])
+        out[start:stop] = besov_ipm(estimate(draws, family, est, stop - start), truth_tree, disc)
     return out
 
 

@@ -51,7 +51,7 @@ from besov_robust.errors import (
     MalformedTree,
     OutOfDomain,
 )
-from besov_robust.estimators import _rescaled, apply_threshold
+from besov_robust.estimators import EstimatorConfig, _rescaled, apply_threshold, estimate
 from besov_robust.wavelets import WaveletIndex, eval_wavelet, orientations, wavelet_family
 
 INF = math.inf
@@ -132,6 +132,13 @@ def assert_levels_bitwise_equal(got, want):
         a, b = got.level_array(j), want.level_array(j)
         assert a.shape == b.shape
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def assert_blocks_identical(got, want):
+    """Two blocks of the same trials, alpha and levels equal bit for bit."""
+    assert got.trials == want.trials
+    assert np.array_equal(got.alpha, want.alpha)
+    assert_levels_bitwise_equal(got, want)
 
 
 def random_tree(rng, family, dim, j_max, n_coeffs=8):
@@ -567,6 +574,58 @@ class TestSerialization:
                 tree.set(index, 0.5)
         assert tree.levels() == []
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("version", True), ("cascade_depth", True), ("dim", True), ("alpha", True),
+         ("version", 1.0), ("cascade_depth", 3.5), ("dim", 2.5), ("alpha", "1"), ("dim", 10**30)],
+    )
+    def test_header_field_of_wrong_type_names_the_header(self, key, value):
+        # true passed as 1 (a D=1 tree, a depth-1 family, version 1, alpha
+        # 1), 2.5 as dimension 2 and "1" as alpha 1.0; 10^30 overflowed
+        fields = {"alpha": 1.0, "cascade_depth": 14, "dim": 1, "family": "haar",
+                  "format": "besov-robust-tree", "version": 1}
+        header = json.dumps(dict(fields, **{key: value}), sort_keys=True)
+        text = header + '\n{"e": [1], "j": 2, "k": [3], "v": 0.25}\n'
+        with pytest.raises(MalformedTree) as info:
+            CoefficientTree.from_jsonl(io.StringIO(text))
+        assert header[:60] in str(info.value)
+
+    ABSURD_RECORDS = {
+        # a level of 2^40 floats: a MemoryError from the allocation
+        "unholdable-level": '{"e": [1], "j": 40, "k": [5], "v": 0.5}',
+        # an int beyond the float range: an OverflowError from the store
+        "huge-int-value": '{"e": [1], "j": 1, "k": [1], "v": ' + "9" * 401 + "}",
+        # 2^j alone took seconds before the level was refused
+        "unindexable-level": '{"e": [1], "j": 100000000, "k": [5], "v": 0.5}',
+        "unindexable-level-int-value": '{"e": [1], "j": 100000000, "k": [5], "v": 5}',
+    }
+
+    @pytest.mark.parametrize("record", sorted(ABSURD_RECORDS))
+    @pytest.mark.parametrize("path", ["bulk", "replay"])
+    def test_absurd_record_names_the_line(self, record, path):
+        # "bulk" puts the record among lines in the writer's form, "replay"
+        # after a line in another form, which sends the file to `set`
+        header = json.dumps(
+            {"alpha": 1.0, "cascade_depth": 14, "dim": 1, "family": "haar",
+             "format": "besov-robust-tree", "version": 1}, sort_keys=True,
+        )
+        good = '{"e": [1], "j": 2, "k": [3], "v": 0.25}'
+        first = good if path == "bulk" else '{"v": 0.25, "k": [3], "j": 2, "e": [1]}'
+        line = self.ABSURD_RECORDS[record]
+        start = time.perf_counter()
+        with pytest.raises(MalformedTree) as info:
+            CoefficientTree.from_jsonl(io.StringIO("\n".join([header, first, line, good]) + "\n"))
+        assert time.perf_counter() - start < 0.5
+        assert line[:40] in str(info.value)
+
+    def test_level_bound_is_checked_per_dimension(self):
+        # a level has 2^(jD) translates per orientation: jD = 63 is refused
+        # before 2^j is computed, for D = 3 at j = 21 as for D = 1 at j = 63
+        with pytest.raises(ValueError, match="too large to index"):
+            CoefficientTree(HAAR, 3).set(WaveletIndex(21, (0, 0, 0), (1, 1, 1)), 0.5)
+        with pytest.raises(ValueError, match="too large to index"):
+            CoefficientTree(HAAR, 1).set(WaveletIndex(63, (0,), (1,)), 0.5)
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_lines_are_json_dumps_with_non_finite_values(self, dim):
         # NaN and infinities are written as json.dumps writes them; a
@@ -962,6 +1021,60 @@ class TestEmpiricalCoeffs:
             empirical_coeffs(np.full((7, 1), 0.5), HAAR, 0, 1, trials=2)
         with pytest.raises(ValueError, match="do not split"):
             empirical_coeffs(np.full((4, 1), 0.5), HAAR, 0, 1, trials=0)
+
+    class Chunks:
+        """Chunks yielded one at a time, with the shape of their stack."""
+
+        def __init__(self, chunks):
+            self.chunks = chunks
+            self.shape = (sum(len(c) for c in chunks), np.shape(chunks[0])[1])
+
+        def __iter__(self):
+            return iter(self.chunks)
+
+    @pytest.mark.parametrize("family,dim", [(HAAR, 1), (HAAR, 2), (DB2, 1), (DB2, 2), (DB4, 1)])
+    def test_chunks_are_the_stacked_sample(self, family, dim):
+        # chunks of 2, 3, 1 and 1 trials of 120 points give the bits of the
+        # stacked 7-trial block, whichever form the chunks come in
+        rng = np.random.default_rng(91 + dim)
+        x = rng.random((7 * 120, dim))
+        x[:30] = 0.25  # one trial much sparser than the others
+        cuts = np.split(x, [240, 600, 720])
+        want = empirical_coeffs(x, family, 0, 3, trials=7)
+        for chunks in (cuts, tuple(cuts), self.Chunks(cuts)):
+            assert_blocks_identical(empirical_coeffs(chunks, family, 0, 3, trials=7), want)
+        assert_trees_identical(empirical_coeffs([x[:120]], family, 0, 3), empirical_coeffs(x[:120], family, 0, 3))
+
+    def test_chunks_thresholded_with_the_trial_size(self):
+        # the threshold K sqrt(j/n) takes n per trial, not the rows of a chunk
+        rng = np.random.default_rng(93)
+        x = rng.random((6 * 200, 1))
+        cfg = EstimatorConfig("thresholded", 1, 4, K=0.5)
+        want = estimate(x, DB2, cfg, 6)
+        assert want.n_coefficients < empirical_coeffs(x, DB2, 1, 4, trials=6).n_coefficients
+        for chunks in (np.split(x, [400, 1000]), self.Chunks(np.split(x, 6))):
+            assert_blocks_identical(estimate(chunks, DB2, cfg, 6), want)
+
+    def test_chunk_of_part_trials_is_refused(self):
+        x = np.random.default_rng(95).random((12, 1))
+        with pytest.raises(ValueError, match="whole trials of 4 points"):
+            empirical_coeffs([x[:6], x[6:]], HAAR, 0, 1, trials=3)
+        # trials of 6 and 3 points: 9 rows over 2 trials split into none
+        with pytest.raises(ValueError, match="do not split"):
+            empirical_coeffs([x[:6], x[6:9]], HAAR, 0, 1, trials=2)
+        # two trials of 4 points, then one of 2: 10 rows give n = 5
+        with pytest.raises(ValueError, match="whole trials of 5 points"):
+            empirical_coeffs([x[:8], x[8:10]], HAAR, 0, 1, trials=2)
+        with pytest.raises(ValueError, match="one D for every chunk"):
+            empirical_coeffs([x[:4], np.full((4, 2), 0.5)], HAAR, 0, 1, trials=2)
+
+    def test_chunks_need_their_stacked_size(self):
+        # a chunk is binned as it arrives, so n must be known first
+        x = np.full((8, 1), 0.5)
+        with pytest.raises(TypeError, match="shape"):
+            empirical_coeffs(iter([x[:4], x[4:]]), HAAR, 0, 1, trials=2)
+        with pytest.raises(EmptySample):
+            empirical_coeffs([], HAAR, 0, 1)
 
     # every call that reads coefficients one tree at a time, on a block
     SINGLE_TREE_CALLS = {

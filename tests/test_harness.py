@@ -4,6 +4,7 @@ import concurrent.futures
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,8 +244,10 @@ def structured(eps, dim):
 
 
 class TestTrialBlocks:
-    """risk_trials stacks the samples of up to 2^14 rows of trials into one
-    estimate and one IPM; every risk must keep the bits of its own trial."""
+    """risk_trials draws and bins the samples in chunks of up to 2^14 rows
+    and runs one estimate and one IPM per bank block of trials, whose
+    father sums hold up to 2^14 entries; every risk must keep the bits of
+    its own trial."""
 
     CASES = {
         # name: (family, dim, truth, spec, config, loss, n, trials)
@@ -264,6 +267,20 @@ class TestTrialBlocks:
         "db2-above-limit": (
             "db2", 1, "spike", structured(0.05, 1),
             EstimatorConfig("thresholded", 2, 5, rescale_epsilon=0.05), "tv", 2**14 + 5, 2,
+        ),
+        # the eps-rate-haar task: 50 one-trial chunks, one bank block
+        "haar-eps-rate-task": (
+            "haar", 1, "uniform", structured(2.0**-4, 1), EstimatorConfig("linear", 0, 0), "tv", 2**14, 50,
+        ),
+        # 25 chunks of two trials, one bank block
+        "db3-two-trial-chunks": (
+            "db3", 1, "dyadic-pwc", NOSPEC, EstimatorConfig("linear", 4, 4), "tv", 2**13, 50,
+        ),
+        # bank blocks of 16 trials (2^(2*5) sums each), the last one of 8;
+        # chunks of 10 trials, so a block's chunks are 10 and 6 trials
+        "db2-d2-partial-bank-block": (
+            "db2", 2, "dyadic-pwc", structured(0.1, 2),
+            EstimatorConfig("thresholded", 1, 4, K=0.5, rescale_epsilon=0.1), "tv", 1500, 40,
         ),
     }
 
@@ -301,6 +318,42 @@ class TestTrialBlocks:
             family=wavelet_family(fam),
         )
         assert hashlib.sha256(risks.tobytes()).hexdigest() == self.D2_RISKS_SHA256[fam]
+
+    @pytest.mark.parametrize("case,blocks", [("haar-eps-rate-task", [50]), ("db2-d2-partial-bank-block", [16, 16, 8])])
+    def test_one_estimate_and_ipm_per_bank_block(self, monkeypatch, case, blocks):
+        fam, dim, truth_name, spec, cfg, loss, n, trials = self.CASES[case]
+        family = wavelet_family(fam)
+        truth = dict(benchmark_suite(GEN, dim))[truth_name]
+        estimates, ipms = [], []
+
+        def counted_estimate(samples, family, config, trials=None):
+            estimates.append(trials)
+            return estimate(samples, family, config, trials)
+
+        def counted_ipm(t1, t2, disc):
+            ipms.append(t1.trials)
+            return besov_ipm(t1, t2, disc)
+
+        monkeypatch.setattr(harness, "estimate", counted_estimate)
+        monkeypatch.setattr(harness, "besov_ipm", counted_ipm)
+        risk_trials(truth, spec, cfg, LOSS_PRESETS[loss], n, trials, 31, family=family)
+        assert estimates == ipms == blocks
+
+    def test_task_points_are_never_all_held(self):
+        # the eps-rate-haar task holds 50 x 2^14 points (6.5 MB); drawn and
+        # binned one chunk at a time, it peaks at a few chunks' worth
+        fam, dim, truth_name, spec, cfg, loss, n, trials = self.CASES["haar-eps-rate-task"]
+        family = wavelet_family(fam)
+        truth = dict(benchmark_suite(GEN, dim))[truth_name]
+        tree = exact_coeffs(truth, family, cfg.j1 + 2)
+        chunk_bytes = 8 * n  # one trial of n doubles is one chunk
+        tracemalloc.start()
+        try:
+            risk_trials(truth, spec, cfg, LOSS_PRESETS[loss], n, trials, 31, family=family, truth_tree=tree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * chunk_bytes
 
     def test_adaptive_block_skips_zero_levels_per_trial(self):
         # the db4 adaptive case above measures against the uniform truth,
