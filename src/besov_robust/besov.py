@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficients import CoefficientTree, difference_levels
 from .errors import NotSupBounded, RegimeMismatch, ZeroDelta
-from .wavelets import WaveletFamily, WaveletIndex, orientations
+from .wavelets import WaveletFamily
 
 _ROLES = ("generator", "discriminator", "contamination")
 
@@ -268,11 +268,9 @@ def ipm_witness(delta: CoefficientTree, disc: BesovParams) -> CoefficientTree:
             # (k..., e) row-major order is the (k, e) sort order
             by_k = np.moveaxis(vals, 0, -1)
             pos = np.unravel_index(int(np.argmax(np.abs(by_k))), by_k.shape)
-            k = tuple(int(v) for v in pos[:-1])
-            e = list(orientations(delta.dim))[pos[-1]]
-            out.set(WaveletIndex(j, k, e), target * math.copysign(1.0, float(by_k[pos])))
-            continue
-        if pd == 1.0:
+            shape = np.zeros_like(vals)
+            np.moveaxis(shape, 0, -1)[pos] = math.copysign(1.0, float(by_k[pos]))
+        elif pd == 1.0:
             shape = np.sign(vals)
         else:
             shape = np.sign(vals) * (np.abs(vals) / _level_lp(vals[None], pd)[0]) ** (pd - 1.0)

@@ -15,11 +15,12 @@ A tree may also hold the coefficients of a block of T Monte-Carlo trials
 shape (T, 2^D - 1, 2^j, ...), trial t's tree in row t, and a level is
 stored while any trial has an entry in it. Such a block is built by
 `empirical_coeffs` and the estimators. The norms, `in_ball`, the pairing
-and the IPM of `besov` return one value per trial on a block. The
-per-coefficient methods (`set`, `get`, `items`, `evaluate`, `to_jsonl`),
-`tree_axpy` and `besov.ipm_witness` address a single tree only and raise
-ValueError on a block; `check_compatible` rejects two blocks of different
-sizes.
+and the IPM of `besov` return one value per trial on a block. `set`, `get`,
+`items`, `evaluate`, `to_jsonl`, `tree_axpy` and `besov.ipm_witness`
+address a single tree only and raise ValueError on a block;
+`check_compatible` rejects two blocks of different sizes. Every path of the
+package works on whole levels, the one tree-file reader `from_jsonl` too;
+`set`, `get` and `items` address one coefficient, for tests and by hand.
 
 Density models (`PiecewiseConstant`, `SmoothBump`, `SpikePerturbation`)
 share a small duck-typed protocol: a `dim` attribute, `pdf(points)` and
@@ -56,6 +57,10 @@ PRUNE_TOL = 1e-14
 # strings held at once.
 _EVAL_ROWS = 4096
 _PARSE_ROWS = 2048
+# The largest `dim` of a tree file's header: a tree of dimension D builds its
+# 2^D - 1 orientations before any record is read (0.1 s and 16 MB at D = 16;
+# memory runs out near D = 30); no command writes a tree above D of about 9.
+_MAX_DIM = 16
 
 
 def _prune(arr: np.ndarray) -> bool:
@@ -97,9 +102,9 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _indexable(j: int, dim: int) -> bool:
-    """Whether a level j of a D-dim tree, 2^(jD) translates per orientation,
-    can be indexed by int64 at all; checked before 2^j is computed."""
+def _indexable(j, dim: int):
+    """Whether level j of a D-dim tree (2^(jD) translates per orientation; j
+    may be an array) can be indexed by int64; checked before 2^j is computed."""
     return j * dim < 63
 
 
@@ -139,9 +144,9 @@ class CoefficientTree:
 
     # -- mutation and access ------------------------------------------------
 
-    def set(self, index: WaveletIndex, value: float) -> None:
-        """Store one coefficient; magnitudes below 1e-14 are stored as absent."""
-        self._single("set")
+    def _locate(self, index: WaveletIndex) -> tuple[int, ...]:
+        """The position (o, k...) of index in its level array; ValueError if
+        it is not an index of this tree."""
         j, k = index.j, tuple(index.k)
         o = self._opos.get(tuple(index.e))
         if not _is_int(j) or j < 0 or len(k) != self.dim or o is None:
@@ -152,16 +157,25 @@ class CoefficientTree:
         for kk in k:
             if not (_is_int(kk) and 0 <= kk < size):
                 raise ValueError(f"translate out of range in {index}")
-        lev = self._levels.get(j)
+        return (o,) + k
+
+    def set(self, index: WaveletIndex, value: float) -> None:
+        """Store one coefficient; magnitudes below 1e-14 are stored as absent.
+
+        `set`, `get` and `items` stay public to build and inspect a tree
+        index by index, as tests do; no path of the package calls them."""
+        self._single("set")
+        pos = self._locate(index)
+        lev = self._levels.get(index.j)
         if abs(value) < PRUNE_TOL:
             if lev is not None:
-                lev[(o,) + k] = 0.0
+                lev[pos] = 0.0
                 if not lev.any():
-                    del self._levels[j]
+                    del self._levels[index.j]
             return
         if lev is None:
-            lev = self._levels[j] = np.zeros(self._shape(j))
-        lev[(o,) + k] = value
+            lev = self._levels[index.j] = np.zeros(self._shape(index.j))
+        lev[pos] = value
 
     def set_level_array(self, j: int, values) -> None:
         """Store the whole level j, shape (2^D - 1, 2^j, ..., 2^j), after the
@@ -178,19 +192,13 @@ class CoefficientTree:
         return self._levels.get(j)
 
     def get(self, index: WaveletIndex) -> float:
+        """The coefficient at index; 0.0 if it is absent or not an index of the tree."""
         self._single("get")
         lev = self._levels.get(index.j)
-        if lev is None:
+        try:
+            return 0.0 if lev is None else lev.item(self._locate(index))
+        except ValueError:
             return 0.0
-        k = tuple(index.k)
-        o = self._opos.get(tuple(index.e))
-        if o is None or len(k) != self.dim:
-            return 0.0
-        side = lev.shape[1]
-        for kk in k:
-            if not 0 <= kk < side:
-                return 0.0
-        return lev.item((o,) + k)
 
     def _trial_levels(self, j: int) -> np.ndarray | None:
         """Level j with a leading trial axis (of length 1 for a single tree),
@@ -330,23 +338,24 @@ class CoefficientTree:
     def from_jsonl(cls, path_or_fp) -> "CoefficientTree":
         """Read a tree file: the header line, then one JSON record per line.
 
-        Records in the form `to_jsonl` writes load in bulk (`_load_records`).
-        Any other file is replayed record by record with `set`, in file
-        order, with the same result; a record that is not a valid index and
-        number (a JSON boolean included), or whose level is too large to
-        index or to hold, raises MalformedTree naming its line, as does a
-        header field of the wrong type (an integer field given a boolean or
-        a fraction, alpha given a boolean or a string).
+        One reader loads every file: each record line becomes a row
+        (orientation position, j, k, v). A chunk of _PARSE_ROWS lines in the
+        form `to_jsonl` writes goes through one `_record_pattern` findall,
+        any other chunk line by line through `json.loads` (`_record`).
+        Then each level is filled once; a repeated index keeps its last
+        record. A bad header (its form, a field's type, a `dim` above
+        _MAX_DIM), the first bad record and the first record that stores a
+        value in a level too large to hold raise MalformedTree naming the line.
         """
         if hasattr(path_or_fp, "read"):
             text = path_or_fp.read()
         else:
             with open(path_or_fp) as fp:
                 text = fp.read()
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = list(filter(str.strip, text.splitlines()))  # blank lines are skipped
         if not lines:
             raise MalformedTree("empty tree file")
-        line = lines[0]
+        line, lines = lines[0], lines[1:]
         try:
             header = json.loads(line)
             if header.get("format") != "besov-robust-tree" or header.get("version") != 1:
@@ -356,80 +365,73 @@ class CoefficientTree:
                 if isinstance(value, bool) or not isinstance(value, kind):
                     need = "a number" if key == "alpha" else "an integer"
                     raise ValueError(f"header field {key} must be {need}, not {json.dumps(value)}")
+            if header.get("dim", 0) > _MAX_DIM:
+                raise ValueError(f"header field dim must be at most {_MAX_DIM}, not {header['dim']}")
             fam = wavelet_family(header["family"], header["cascade_depth"])
             out = cls(fam, header["dim"], header["alpha"])
         except MalformedTree:
             raise
-        except KeyError as err:
-            raise MalformedTree(f"record lacks field {err}: {line[:80]}") from None
-        except (AttributeError, TypeError, ValueError, OverflowError) as err:
-            raise MalformedTree(f"bad record ({err}): {line[:80]}") from None
-        if not out._load_records(lines[1:]):
-            out._levels.clear()
-            for line in lines[1:]:
-                try:
-                    rec = json.loads(line)
-                    index = WaveletIndex(rec["j"], tuple(rec["k"]), tuple(rec["e"]))
-                    if any(isinstance(x, bool) for x in (index.j, *index.k, *index.e, rec["v"])):
-                        raise ValueError("a JSON boolean is not a number")
-                    out.set(index, rec["v"])
-                except KeyError as err:
-                    raise MalformedTree(f"record lacks field {err}: {line[:80]}") from None
-                except (AttributeError, TypeError, ValueError, OverflowError, MemoryError) as err:
-                    raise MalformedTree(f"bad record ({err}): {line[:80]}") from None
-        return out
-
-    def _load_records(self, lines: list[str]) -> bool:
-        """Bulk-parse coefficient records in the form `to_jsonl` writes them
-        (`_record_pattern`), in any line order; a repeated index keeps its
-        last record.
-
-        Returns False, leaving the levels to be rebuilt, as soon as a line is
-        not in that form or an index does not fit a level; `from_jsonl` then
-        replays the records one at a time with `set`, which names the bad
-        line. Either way the same file gives the same tree.
-        """
-        if not lines:
-            return True
-        d = self.dim
+        except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as err:
+            raise _malformed(line, err) from None
+        d = out.dim
         pattern = _record_pattern(d)
-        es, js, ks, vs = [], [], [], []
+        cols = []
         for start in range(0, len(lines), _PARSE_ROWS):
             chunk = lines[start : start + _PARSE_ROWS]
             found = pattern.findall("\n".join(chunk))
-            if len(found) != len(chunk):
-                return False
-            e, j, k, v = zip(*found)
-            try:
-                js.append(np.array(j, dtype=np.int64))
-            except OverflowError:
-                return False
-            # the pattern fixes D numbers per row; a k beyond int64 saturates,
-            # then fails the range check or sits in a level too large to hold
-            es.append(np.fromstring(", ".join(e), dtype=np.int64, sep=",").reshape(-1, d))
-            ks.append(np.fromstring(", ".join(k), dtype=np.int64, sep=",").reshape(-1, d))
-            vs.append(np.array(v, dtype=float))
-        es, js, ks, vs = map(np.concatenate, (es, js, ks, vs))
-        if not np.all(es.any(axis=1)):
-            return False
-        o = es @ (1 << np.arange(d - 1, -1, -1)) - 1
+            if len(found) == len(chunk):
+                e, j, k, v = zip(*found)
+                es = np.fromstring(", ".join(e), dtype=np.int64, sep=",").reshape(-1, d)
+                o = es @ (1 << np.arange(d - 1, -1, -1)) - 1
+                js = np.array(j, dtype=float)  # a j beyond int64 is a float too large to index
+                # a k beyond int64 saturates, then fails the range check
+                ks = np.fromstring(", ".join(k), dtype=np.int64, sep=",").reshape(-1, d)
+                if np.all((o >= 0) & _indexable(js, d)) and np.all(ks < (1 << js.astype(np.int64))[:, None]):
+                    cols.append((o, js.astype(np.int64), ks, np.array(v, dtype=float)))
+                    continue
+            cols.append(tuple(map(np.array, zip(*[out._record(line) for line in chunk]))))
+        if not cols:
+            return out
+        o, js, ks, vs = map(np.concatenate, zip(*cols))
+        stored = ~(np.abs(vs) < PRUNE_TOL)  # a NaN is stored, as by `set`
         for j in sorted(set(js.tolist())):
-            rows = js == j
-            kj = ks[rows]
-            if not _indexable(j, d) or np.any(kj < 0) or np.any(kj >= 2**j):
-                return False
+            rows = np.flatnonzero(js == j)
+            if not stored[rows].any():
+                continue  # as with `set`, records that all prune allocate nothing
             try:
-                flat = np.ravel_multi_index((o[rows],) + tuple(kj.T), self._shape(j))
-                lev = np.zeros(self._shape(j))
-            except (ValueError, MemoryError):  # a level too large to hold
-                return False
+                lev = np.zeros(out._shape(j))
+            except (ValueError, MemoryError) as err:  # a level too large to hold
+                raise _malformed(lines[rows[stored[rows]][0]], err) from None
+            flat = np.ravel_multi_index((o[rows],) + tuple(ks[rows].T), lev.shape)
             # a repeated index keeps its last record, as a loop of `set` would
             order = np.argsort(flat, kind="stable")
             flat = flat[order]
             last = np.append(flat[1:] != flat[:-1], True)
             lev.flat[flat[last]] = vs[rows][order][last]
-            self._adopt(j, lev)
-        return True
+            out._adopt(j, lev)
+        return out
+
+    def _record(self, line: str) -> tuple[int, int, list[int], float]:
+        """The row (orientation position, j, k, v) of one record line, read by
+        `json.loads` with the checks of `set` (a v below PRUNE_TOL is 0.0);
+        MalformedTree names a bad line."""
+        try:
+            rec = json.loads(line)
+            index = WaveletIndex(rec["j"], tuple(rec["k"]), tuple(rec["e"]))
+            v = rec["v"]
+            if any(isinstance(x, bool) for x in (index.j, *index.k, *index.e, v)):
+                raise ValueError("a JSON boolean is not a number")
+            o, *k = self._locate(index)
+            return o, index.j, k, 0.0 if abs(v) < PRUNE_TOL else float(v)
+        except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as err:
+            raise _malformed(line, err) from None
+
+
+def _malformed(line: str, err: Exception) -> MalformedTree:
+    """The MalformedTree that names a bad line of a tree file and its error."""
+    if isinstance(err, KeyError):
+        return MalformedTree(f"record lacks field {err}: {line[:80]}")
+    return MalformedTree(f"bad record ({err}): {line[:80]}")
 
 
 def tree_axpy(a: float, x: CoefficientTree, y: CoefficientTree) -> CoefficientTree:
@@ -1169,7 +1171,11 @@ def exact_coeffs(model, family: WaveletFamily, j_max: int) -> CoefficientTree:
         if model.family.name != family.name or model.family.cascade_depth != family.cascade_depth:
             raise IncompatibleTrees("spike wavelet family differs from the requested basis")
         base = _pwc_tree(model.base, family, j_max)
-        if model.index.j <= j_max:
-            base.set(model.index, base.get(model.index) + model.coeff)
+        j = model.index.j
+        if j <= j_max:
+            lev = base.level_array(j)
+            lev = np.zeros(base._shape(j)) if lev is None else lev.copy()
+            lev[base._locate(model.index)] += model.coeff
+            base.set_level_array(j, lev)
         return base
     raise TypeError(f"no exact coefficient rule for {type(model).__name__}")

@@ -17,6 +17,7 @@ import sys
 import xml.dom.minidom
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,9 +33,16 @@ from besov_robust.cli import (
     validate,
 )
 import besov_robust
-from besov_robust.besov import LOSS_PRESETS, besov_ipm
-from besov_robust.coefficients import CoefficientTree, exact_coeffs, uniform_density
-from besov_robust.wavelets import wavelet_family
+from besov_robust.besov import LOSS_PRESETS, BesovParams, besov_ipm, ipm_witness
+from besov_robust.coefficients import (
+    CoefficientTree,
+    PiecewiseConstant,
+    SpikePerturbation,
+    exact_coeffs,
+    tree_axpy,
+    uniform_density,
+)
+from besov_robust.wavelets import WaveletIndex, wavelet_family
 
 
 def run_cli(args, capsys):
@@ -188,6 +196,45 @@ def test_pair_and_breakdown_artifacts_byte_identical(capsys, tmp_path, command, 
         for name in GOLDEN_PAIR_AND_BREAKDOWN_SHA256[(command, preset)]
     }
     assert got == GOLDEN_PAIR_AND_BREAKDOWN_SHA256[(command, preset)]
+
+
+def per_coefficient_methods_refused():
+    """Patch `CoefficientTree.set`, `get` and `items` to raise: the package
+    works on whole levels, and only tests address one coefficient."""
+
+    def refuse(*args):
+        raise AssertionError("a per-coefficient tree method ran")
+
+    return mock.patch.multiple(CoefficientTree, set=refuse, get=refuse, items=refuse)
+
+
+@pytest.mark.parametrize("preset", ["sparse", "structured"])
+def test_adversary_calls_no_per_coefficient_method(capsys, tmp_path, preset):
+    out = tmp_path / preset
+    with per_coefficient_methods_refused():
+        rc, _ = run_cli(["adversary", "--preset", preset, "--out", str(out), "--samples", "20000"], capsys)
+    assert rc == 0
+    want = GOLDEN_PAIR_AND_BREAKDOWN_SHA256[("adversary", preset)]
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want} == want
+
+
+def test_spike_truth_and_witness_call_no_per_coefficient_method():
+    # a spike on a base with levels of its own, added into the base's level;
+    # p = 1 makes the witness one coefficient per level
+    haar = wavelet_family("haar")
+    base = PiecewiseConstant(np.arange(8.0, 24.0).reshape(4, 4) / 15.5, 2)
+    idx = WaveletIndex(1, (1, 0), (1, 1))
+    spike = SpikePerturbation(base, haar, idx, 0.125)
+    with per_coefficient_methods_refused():
+        truth = exact_coeffs(spike, haar, 3)
+        delta = tree_axpy(-1.0, exact_coeffs(uniform_density(2), haar, 3), truth)
+        witness = ipm_witness(delta, BesovParams(0.5, 1.0, 1.0, 1.0))
+    want = exact_coeffs(base, haar, 3)
+    want.set(idx, want.get(idx) + 0.125)
+    assert truth.levels() == want.levels() == [0, 1]
+    for j in want.levels():
+        assert np.array_equal(truth.level_array(j).view(np.int64), want.level_array(j).view(np.int64))
+    assert witness.n_coefficients == 1
 
 
 def test_perfbench_trace_names_still_bound(tmp_path):

@@ -245,31 +245,60 @@ def _blank(records, data):
 
 
 # Line edits of a written tree file: each keeps or breaks the form
-# `to_jsonl` writes, and the record replay is the reference either way.
+# `to_jsonl` writes, and `reference_tree` is the reference either way.
 RECORD_MUTATIONS = {
     f.__name__[1:]: f for f in (_shuffle, _repeat, _value, _space, _key_order, _int_field, _blank)
 }
 
 
-def load_or_none(text):
-    """The tree `from_jsonl` reads from text, or None if it is malformed."""
+def load_or_error(text):
+    """The tree `from_jsonl` reads from text, or its MalformedTree message."""
     try:
         return CoefficientTree.from_jsonl(io.StringIO(text))
-    except MalformedTree:
-        return None
+    except MalformedTree as err:
+        return str(err)
 
 
-def replayed_or_none(text):
-    """`load_or_none` with the bulk path refused: every record goes through `set`."""
-    with mock.patch.object(CoefficientTree, "_load_records", lambda self, lines: False):
-        return load_or_none(text)
+def reference_tree(text):
+    """A tree file read by `json.loads` into a dict, or its first bad record
+    line: each record gets the checks of `set` (no booleans, integer j and
+    k, an orientation, k in range, jD < 63 and a number v), the last record
+    of an index wins, and values below PRUNE_TOL are absent."""
+    header, *records = [ln for ln in text.splitlines() if ln.strip()]
+    head = json.loads(header)
+    dim, orients = head["dim"], list(orientations(head["dim"]))
+    coeffs = {}
+    for line in records:
+        try:
+            rec = json.loads(line)
+            e, j, k, v = tuple(rec["e"]), rec["j"], tuple(rec["k"]), rec["v"]
+            v = float(v) if isinstance(v, (int, float)) else None
+        except (ValueError, KeyError, TypeError, OverflowError):
+            return line
+        ints = (j, *k)
+        if (
+            any(isinstance(x, bool) for x in (*ints, *e, rec["v"])) or v is None
+            or not all(isinstance(x, int) for x in ints) or e not in orients
+            or len(k) != dim or not 0 <= j < 63 / dim or not all(0 <= x < 2**j for x in k)
+        ):
+            return line
+        coeffs[j, orients.index(e), k] = v
+    tree = CoefficientTree(wavelet_family(head["family"], head["cascade_depth"]), dim, alpha=head["alpha"])
+    for j in sorted({j for j, _, _ in coeffs}):
+        lev = np.zeros((len(orients),) + (2**j,) * dim)
+        for (jj, o, k), v in coeffs.items():
+            if jj == j and not abs(v) < PRUNE_TOL:
+                lev[(o,) + k] = v
+        tree.set_level_array(j, lev)
+    return tree
 
 
 def bulk_only():
-    """Patch `set` to raise, so that only the bulk path can load a file."""
+    """Patch `set` to raise, so that a file loads only if the reader never
+    calls it."""
 
     def refuse(*args):
-        raise AssertionError("the record-by-record path ran")
+        raise AssertionError("the reader called `set`")
 
     return mock.patch.object(CoefficientTree, "set", refuse)
 
@@ -618,6 +647,41 @@ class TestSerialization:
         assert time.perf_counter() - start < 0.5
         assert line[:40] in str(info.value)
 
+    def test_pruned_records_allocate_no_level(self):
+        # as with `set`, values stored as absent allocate nothing, even in a
+        # level of 2^40 floats, which would raise MemoryError
+        header = json.dumps(
+            {"alpha": 1.0, "cascade_depth": 14, "dim": 1, "family": "haar",
+             "format": "besov-robust-tree", "version": 1}, sort_keys=True,
+        )
+        records = ['{"e": [1], "j": 40, "k": [5], "v": 1e-15}', '{"e": [1], "j": 40, "k": [5], "v": 0}']
+        tree = CoefficientTree.from_jsonl(io.StringIO("\n".join([header] + records) + "\n"))
+        assert tree.levels() == [] and tree.alpha == 1.0
+
+    @pytest.mark.parametrize("dim", [18, 20, 30, 40])
+    def test_header_dim_above_the_cap_names_the_header(self, dim):
+        # a tree builds its 2^dim - 1 orientations before it reads a record:
+        # 0.33 s and 99 MB at dim 18, and memory runs out near dim 30
+        header = json.dumps(
+            {"alpha": 1.0, "cascade_depth": 14, "dim": dim, "family": "haar",
+             "format": "besov-robust-tree", "version": 1}, sort_keys=True,
+        )
+        start = time.perf_counter()
+        with mock.patch.object(coefficients, "orientations", side_effect=AssertionError("orientations built")):
+            with pytest.raises(MalformedTree, match="at most 16") as info:
+                CoefficientTree.from_jsonl(io.StringIO(header + "\n"))
+        assert time.perf_counter() - start < 0.5
+        assert header[:60] in str(info.value)
+
+    def test_header_dim_at_the_cap_loads(self):
+        header = json.dumps(
+            {"alpha": 1.0, "cascade_depth": 14, "dim": 16, "family": "haar",
+             "format": "besov-robust-tree", "version": 1}, sort_keys=True,
+        )
+        record = json.dumps({"e": [0] * 15 + [1], "j": 0, "k": [0] * 16, "v": 0.5}, sort_keys=True)
+        tree = CoefficientTree.from_jsonl(io.StringIO(header + "\n" + record + "\n"))
+        assert list(tree.items()) == [(WaveletIndex(0, (0,) * 16, (0,) * 15 + (1,)), 0.5)]
+
     def test_level_bound_is_checked_per_dimension(self):
         # a level has 2^(jD) translates per orientation: jD = 63 is refused
         # before 2^j is computed, for D = 3 at j = 21 as for D = 1 at j = 63
@@ -658,8 +722,8 @@ class TestSerialization:
 
     def test_bulk_read_spans_chunks_in_any_order(self):
         # a dense D=2 tree over several chunks of _PARSE_ROWS lines, shuffled,
-        # with repeats of early records at the end: the bulk path alone must
-        # build the tree the record replay builds
+        # with repeats of early records at the end: the reader must build the
+        # tree of the dict reference, without a call of `set`
         rng = np.random.default_rng(14)
         tree = CoefficientTree(DB2, 2, alpha=1.0)
         for j in range(6):
@@ -674,14 +738,32 @@ class TestSerialization:
 
         with bulk_only():
             got = CoefficientTree.from_jsonl(io.StringIO(text))
-        assert_same_tree(got, replayed_or_none(text))
+        assert_same_tree(got, reference_tree(text))
         rec = json.loads(records[7])
         assert got.get(WaveletIndex(rec["j"], tuple(rec["k"]), tuple(rec["e"]))) == 3.5
         assert got.n_coefficients == tree.n_coefficients - 1  # record 0 now holds 0.0
 
+    def test_reader_never_calls_set(self):
+        # the legacy file, and a written one shuffled, with its keys in
+        # another order and CRLF line ends: neither is in the writer's form
+        with bulk_only():
+            legacy = CoefficientTree.from_jsonl(io.StringIO(LEGACY_TREE_JSONL))
+        assert_same_tree(legacy, reference_tree(LEGACY_TREE_JSONL))
+        rng = np.random.default_rng(16)
+        tree = random_tree(rng, HAAR, 3, j_max=3, n_coeffs=60)
+        buf = io.StringIO()
+        tree.to_jsonl(buf)
+        header, *records = buf.getvalue().splitlines()
+        records = [json.dumps(dict(reversed(json.loads(records[i]).items()))) for i in rng.permutation(len(records))]
+        text = "\r\n".join([header] + records) + "\r\n"
+        with bulk_only():
+            got = CoefficientTree.from_jsonl(io.StringIO(text))
+        assert_same_tree(got, tree)
+        assert_same_tree(got, reference_tree(text))
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_bulk_reader_agrees_with_record_replay(self, data):
+    def test_reader_agrees_with_dict_reference(self, data):
         tree = data.draw(tree_strategy())
         buf = io.StringIO()
         tree.to_jsonl(buf)
@@ -691,9 +773,12 @@ class TestSerialization:
             records = RECORD_MUTATIONS[mutate](records, data)
         end = data.draw(st.sampled_from(["\n", "\r\n"]))
         text = end.join([header] + records) + end
-        got, want = load_or_none(text), replayed_or_none(text)
-        assert (got is None) == (want is None)
-        if got is not None:
+        with bulk_only():
+            got = load_or_error(text)
+        want = reference_tree(text)
+        if isinstance(want, str):  # the message names the first bad record
+            assert isinstance(got, str) and want[:80] in got
+        else:
             assert_same_tree(got, want)
 
 
