@@ -53,6 +53,7 @@ from .estimators import (
     estimate,
 )
 from .harness import (
+    J_PAD,
     RiskReport,
     benchmark_suite,
     breakdown_curve,
@@ -750,7 +751,7 @@ def _run_estimate(cfg: ExperimentConfig, plan: _Plan, out: Path) -> int:
     pts = sample_huber(model, spec.g, spec.eps, cfg.samples, cfg.seed)
     est = plan.estimator_for(cfg.samples, cfg.eps)
     tree = estimate(pts, plan.family, est)
-    truth_tree = exact_coeffs(model, plan.family, est.j1 + 2)
+    truth_tree = exact_coeffs(model, plan.family, est.j1 + J_PAD)
     ipm = besov_ipm(tree, truth_tree, plan.disc)
     tree.to_jsonl(out / "coeffs.jsonl")
     payload = {

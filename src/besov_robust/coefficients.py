@@ -26,10 +26,12 @@ Density models (`PiecewiseConstant`, `SmoothBump`, `SpikePerturbation`)
 share a small duck-typed protocol: a `dim` attribute, `pdf(points)` and
 `sample(n, rng)`. `empirical_coeffs` and `exact_coeffs` share one transform:
 father sums or integrals at a top level J, then the periodic filter bank
-down to level 0. Their coefficients are those of the filter-bank basis of
-`wavelets` with that J, exact where closed forms exist and by certified
-polynomial-proxy quadrature for smooth factors. The Huber mixture of two
-models is sampled by `contamination.sample_huber`.
+(`_bank_level`) down to level 0; an exact truth banks the 1-d integrals of
+its axis factors and assembles its levels in one place (`_separable_tree`).
+Their coefficients are those of the filter-bank basis of `wavelets` with
+that J, exact where closed forms exist and by certified polynomial-proxy
+quadrature for smooth factors. The Huber mixture of two models is sampled
+by `contamination.sample_huber`.
 """
 
 from __future__ import annotations
@@ -698,9 +700,7 @@ class SpikePerturbation:
             raise ValueError("a spike is a Haar daughter on a piecewise-constant base")
         if len(index.k) != base.dim:
             raise ValueError("index dimension does not match the base density")
-        sup = 2.0 ** (base.dim * index.j / 2.0)
-        for ei in index.e:
-            sup *= family.psi_sup if ei else family.phi_sup
+        sup = family.daughter_sup(index)
         base_min = base.min_value()
         if abs(coeff) * sup > base_min + 1e-12:
             raise ValueError(
@@ -730,17 +730,13 @@ class SpikePerturbation:
         return self.as_piecewise_constant().sample(n, rng)
 
     def sup_bound(self) -> float:
-        base_sup = self.base.sup_bound()
-        sup = 2.0 ** (self.dim * self.index.j / 2.0)
-        for ei in self.index.e:
-            sup *= self.family.psi_sup if ei else self.family.phi_sup
-        return float(base_sup + abs(self.coeff) * sup)
+        return float(self.base.sup_bound() + abs(self.coeff) * self.family.daughter_sup(self.index))
 
 
 # -- the filter bank ---------------------------------------------------------
 
 
-def _bank_step(a: np.ndarray, taps: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _bank_step(a: np.ndarray, taps: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """One periodic analysis step along `axis`: for the low- and high-pass
     rows f of taps (`WaveletFamily.taps`), out[k] = sum_l f[l] a[(2k + l) mod N],
     k < N/2.
@@ -762,10 +758,10 @@ def _bank_step(a: np.ndarray, taps: np.ndarray, axis: int = 0) -> tuple[np.ndarr
 def _bank_level(a: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Level-j father sums, shape (T, 2^j, ..., 2^j), and detail sums,
     shape (T, 2^D - 1, 2^j, ..., 2^j), from the level-(j+1) father sums a
-    of T trials, shape (T, 2^(j+1), ..., 2^(j+1)). The step runs axis after
-    axis, low-pass then high-pass, so the parts come out in product order
-    of the orientation bits, the all-zero father first and then the details
-    in `orientations` order.
+    of T trials (or axis factors), shape (T, 2^(j+1), ..., 2^(j+1)). The
+    step runs axis after axis, low-pass then high-pass, so the parts come
+    out in product order of the orientation bits, the all-zero father first
+    and then the details in `orientations` order.
 
     The details are copied into one row-major buffer, whatever layout the
     bank's steps leave the parts in, so an estimate's levels lie like every
@@ -777,15 +773,6 @@ def _bank_level(a: np.ndarray, taps: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for o, part in enumerate(parts[1:]):
         details[:, o] = part
     return parts[0], details
-
-
-def _axis_pyramid(a: np.ndarray, family: WaveletFamily, j_max: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Run the 1-d bank down axis 0 of level-(j_max+1) father values a, top
-    down: (j, father, mother) for j = j_max..0. Only the level in hand and
-    the father above it are held."""
-    for j in range(j_max, -1, -1):
-        a, mother = _bank_step(a, family.taps)
-        yield j, a, mother
 
 
 # -- empirical coefficients -------------------------------------------------
@@ -980,30 +967,46 @@ def _father_cell_matrix(family: WaveletFamily, j: int, s: int) -> np.ndarray:
     return out
 
 
-def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> CoefficientTree:
-    d, s = model.dim, model.scale_level
+def _separable_tree(core: np.ndarray, tops: list, family: WaveletFamily, j_max: int) -> CoefficientTree:
+    """The tree, levels 0..j_max, of sum_r core[r] prod_i f_{i, r_i}(x_i),
+    from each axis's father integrals tops[i][r, k] of its factors at level
+    j_max + 1, shape (R_i, 2^(j_max+1)).
+
+    The integrals go down the estimator's bank (`_bank_level`, the factors
+    as trials); tops is overwritten level by level, so one level is held at
+    a time. Level j contracts core with each axis's father (bit 0) or mother
+    (bit 1) integrals in axis order, one orientation at a time, and hands
+    tensordot C-contiguous (2^j, R_i) operands: BLAS would round the
+    products of a transposed view otherwise.
+    """
+    d = core.ndim
     tree = CoefficientTree(family, d, alpha=1.0)
+    for j in range(j_max, -1, -1):
+        mats = []
+        for i in range(d):
+            tops[i], details = _bank_level(tops[i], family.taps)
+            mats.append([np.ascontiguousarray(tops[i].T), np.ascontiguousarray(details[:, 0].T)])
+        lev = np.empty((2**d - 1,) + (2**j,) * d)
+        for o, e in enumerate(orientations(d)):
+            arr = core
+            for ax in range(d):
+                arr = np.tensordot(mats[ax][e[ax]], arr, axes=([1], [ax]))
+            # tensordot prepends the contracted axis: axes are reversed overall
+            lev[o] = np.transpose(arr, axes=tuple(range(d - 1, -1, -1))) * 2.0 ** (d * j / 2.0)
+        tree.set_level_array(j, lev)
+    return tree
+
+
+def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> CoefficientTree:
+    s = model.scale_level
     if family.is_haar:
         # a Haar mother of level j >= s lies in one cell, where the model is
         # flat: its integral is exactly 0, and the bank from level s gives
         # the lower levels bit for bit as from any higher top
         j_max = min(j_max, s - 1)
-    if j_max < 0:
-        return tree
-    # mats[f][k, c] = integral over cell c of the periodized axis factor f
-    # (0 father, 1 mother) of level j at k: the bank run down the rows of the
-    # exact father matrix at level j_max + 1, one level held at a time
-    for j, *mats in _axis_pyramid(_father_cell_matrix(family, j_max + 1, s), family, j_max):
-        lev = np.empty((2**d - 1,) + (2**j,) * d)
-        for o, e in enumerate(orientations(d)):
-            arr = model.values
-            for ax in range(d):
-                arr = np.tensordot(mats[e[ax]], arr, axes=([1], [ax]))
-            # tensordot prepends the contracted axis: axes are reversed overall
-            arr = np.transpose(arr, axes=tuple(range(d - 1, -1, -1)))
-            lev[o] = arr * 2.0 ** (d * j / 2.0)
-        tree.set_level_array(j, lev)
-    return tree
+    # the factors of every axis are the 2^s cell indicators
+    tops = [_father_cell_matrix(family, j_max + 1, s).T] * model.dim
+    return _separable_tree(model.values, tops, family, j_max)
 
 
 def _panel_rule(
@@ -1118,48 +1121,35 @@ def _smooth_axis_integrals(
 
 
 def _bump_tree(model: SmoothBump, family: WaveletFamily, j_max: int) -> CoefficientTree:
-    d = model.dim
-    # per bump and axis: the (father, mother) axis integrals of every level
-    axis_levels = []
-    for b in range(model.masses.size):
-        per_axis = []
-        for i in range(d):
-            c, wdt = model.centers[b, i], model.widths[b, i]
+    d, count = model.dim, model.masses.size
+    # bump b is the product of its axis factors, its mass on the core's diagonal
+    core = np.zeros((count,) * d)
+    core[(np.arange(count),) * d] = model.masses
+    tops = []
+    for i in range(d):
+        rows = []
+        for c, wdt in zip(model.centers[:, i], model.widths[:, i]):
 
             def factor(xx, c=c, wdt=wdt):
                 u = (xx - c) / wdt
                 return np.where(np.abs(u) < 1.0, (1.0 + np.cos(np.pi * u)) / 2.0 / wdt, 0.0)
 
-            top = _smooth_axis_integrals(
-                family, j_max + 1, factor, float(wdt), kinks_x=(c - wdt, c + wdt)
+            rows.append(
+                _smooth_axis_integrals(family, j_max + 1, factor, float(wdt), kinks_x=(c - wdt, c + wdt))
             )
-            per_axis.append([pair for _, *pair in _axis_pyramid(top, family, j_max)][::-1])
-        axis_levels.append(per_axis)
-    tree = CoefficientTree(family, d, alpha=1.0)
-    for j in range(0, j_max + 1):
-        lev = np.empty((2**d - 1,) + (2**j,) * d)
-        for o, e in enumerate(orientations(d)):
-            arr = np.zeros((2**j,) * d)
-            for b in range(model.masses.size):
-                part = model.masses[b]
-                block = None
-                for i in range(d):
-                    ax = axis_levels[b][i][j][e[i]]
-                    block = ax if block is None else np.multiply.outer(block, ax)
-                arr = arr + part * block
-            lev[o] = arr * 2.0 ** (d * j / 2.0)
-        tree.set_level_array(j, lev)
-    return tree
+        tops.append(np.stack(rows))
+    return _separable_tree(core, tops, family, j_max)
 
 
 def exact_coeffs(model, family: WaveletFamily, j_max: int) -> CoefficientTree:
     """Coefficient tree of a density model for levels 0..j_max, in the
     filter-bank basis with top level j_max + 1.
 
-    Exact father integrals at level j_max + 1 (cell-integral tables for
-    piecewise-constant models, certified polynomial-proxy quadrature for
-    smooth bump factors) go through the periodic bank, one axis factor at a
-    time. Spike perturbations add their one Haar coefficient to the base's tree.
+    Each axis's exact father integrals at level j_max + 1 (cell-integral
+    tables for the cells of piecewise-constant models, certified
+    polynomial-proxy quadrature for bump factors) go down the estimator's
+    bank and are assembled in one place (`_separable_tree`). Spike
+    perturbations add their one Haar coefficient to the base's tree.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")

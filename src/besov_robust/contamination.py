@@ -197,9 +197,7 @@ def lecam_structured_pair(
     if not (0.0 < eps < 1.0):
         raise ValueError("the two-point pair needs eps in (0, 1)")
     dim = len(idx.k)
-    sup = 2.0 ** (dim * idx.j / 2.0)
-    for ei in idx.e:
-        sup *= family.psi_sup if ei else family.phi_sup
+    sup = family.daughter_sup(idx)
     room = (gen.L - 1.0) * 2.0 ** (-idx.j * gen.sigma_prime(dim))
     c = min(1.0 / sup, room)
     if c <= 0.0:

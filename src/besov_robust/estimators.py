@@ -186,16 +186,3 @@ def adaptive_config(n: int, r: int, dim: int, K: float = 1.0) -> EstimatorConfig
     j1 = max(0, math.floor(math.log2(n / math.log(n)) / dim + 1e-12))
     j1 = max(j0, j1)
     return EstimatorConfig("adaptive", j0, j1, K=K)
-
-
-def estimate_adaptive(
-    samples, family: WaveletFamily, r: int, dim: int | None = None, K: float = 1.0
-) -> CoefficientTree:
-    """Thresholded estimate under the adaptive schedule; never rescaled."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if dim is None:
-        dim = x.shape[1]
-    config = adaptive_config(x.shape[0], r, dim, K=K)
-    return estimate_thresholded(x, family, config)

@@ -220,8 +220,8 @@ def benchmark_suite(gen: BesovParams, dim: int) -> list[tuple[str, object]]:
 _BLOCK_ROWS = 2**14
 # Levels the exact truth tree reaches above the estimator's top level j1:
 # the truth's detail beyond j1 is bias the estimate cannot see, and the
-# IPM must count it
-_J_PAD = 2
+# IPM must count it. The sweeps and the `estimate` command all pad by it
+J_PAD = 2
 
 
 class _Draws:
@@ -259,7 +259,7 @@ def risk_trials(
     cell_index: int = 0,
     slot_offset: int = 0,
 ) -> np.ndarray:
-    """Per-trial IPM risks against the exact truth tree at j1 + _J_PAD.
+    """Per-trial IPM risks against the exact truth tree at j1 + J_PAD.
 
     Trial t draws its sample stream from entropy (seed, cell_index,
     slot_offset + t); slot_offset keeps streams distinct when several truth
@@ -283,7 +283,7 @@ def risk_trials(
     if n < 1:
         raise ValueError("need at least one sample point per trial")
     if truth_tree is None:
-        truth_tree = exact_coeffs(truth, family, est.j1 + _J_PAD)
+        truth_tree = exact_coeffs(truth, family, est.j1 + J_PAD)
     block = max(1, _BLOCK_ROWS // 2 ** (truth_tree.dim * (est.j1 + 1)))
     out = np.empty(trials)
     for start in range(0, trials, block):
@@ -428,7 +428,7 @@ def run_sweep(
     for ci, (n, eps) in enumerate(grid):
         cfg = estimator_for(n, eps)
         spec = contamination(eps)
-        j_max = cfg.j1 + _J_PAD
+        j_max = cfg.j1 + J_PAD
         for ti, (name, model) in enumerate(truths):
             key = (ti, j_max)
             if key not in tree_cache:

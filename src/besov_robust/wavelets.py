@@ -249,6 +249,14 @@ class WaveletFamily:
     def __repr__(self) -> str:
         return f"WaveletFamily({self.name!r})"
 
+    def daughter_sup(self, index: WaveletIndex) -> float:
+        """2^{Dj/2} prod_i (psi_sup if e_i else phi_sup), multiplied in that
+        order: the sup of the daughter `index` for Haar, a bound otherwise."""
+        sup = 2.0 ** (len(index.k) * index.j / 2.0)
+        for ei in index.e:
+            sup *= self.psi_sup if ei else self.phi_sup
+        return sup
+
     # raw (non-periodized) evaluation at unit scale, vectorized
 
     def father_values(self, u) -> np.ndarray:

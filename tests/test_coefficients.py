@@ -52,6 +52,7 @@ from besov_robust.errors import (
     OutOfDomain,
 )
 from besov_robust.estimators import EstimatorConfig, _rescaled, apply_threshold, estimate
+from besov_robust.harness import benchmark_suite
 from besov_robust.wavelets import WaveletIndex, eval_wavelet, orientations, wavelet_family
 
 INF = math.inf
@@ -84,25 +85,25 @@ def deep_family(family, top, j):
     return wavelet_family(family.name, family.cascade_depth + top - j)
 
 
-def brute_coeff_1d(model, family, index, top, cap: int = 18) -> float:
-    """Quadrature oracle for a coefficient of the filter-bank basis with top
-    level `top`: GL-10 panels aligned to the value grid of its level."""
-    family = deep_family(family, top, index.j)
-    nseg = 2 ** min(family.cascade_depth + index.j, cap)
+def brute_coeffs_1d(model, family, indices, top, cap: int = 18) -> list[float]:
+    """Quadrature oracle for coefficients of the filter-bank basis with top
+    level `top`: GL-10 panels aligned to the value grid of their levels.
+    Level j's tables have depth m + top - j, so every level's grid is the
+    one of spacing 2^-(m + top), and its panels (at most 2^cap) serve all
+    the indices: the density is evaluated on them once."""
+    nseg = 2 ** min(family.cascade_depth + top, cap)
     gl_x, gl_w = leggauss(10)
     edges = np.linspace(0.0, 1.0, nseg + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = 0.5 / nseg
-    pts = (mid[:, None] + half * gl_x[None, :]).ravel()
-    wts = np.tile(gl_w * half, nseg)
-    f = model.pdf(pts.reshape(-1, 1))
-    psi = eval_wavelet(family, index, pts.reshape(-1, 1))
-    return float(np.sum(wts * f * psi))
+    pts = (mid[:, None] + half * gl_x[None, :]).reshape(-1, 1)
+    wf = np.tile(gl_w * half, nseg) * model.pdf(pts)
+    return [float(np.sum(wf * eval_wavelet(deep_family(family, top, idx.j), idx, pts))) for idx in indices]
 
 
 def brute_coeff_2d(model, family, index, top) -> float:
     """Tensor GL oracle on the value grid of the level's tables (see
-    `brute_coeff_1d`); fine enough for shallow tables."""
+    `brute_coeffs_1d`); fine enough for shallow tables."""
     family = deep_family(family, top, index.j)
     nseg = 2 ** min(family.cascade_depth + index.j, 9)
     gl_x, gl_w = leggauss(3)
@@ -1486,10 +1487,6 @@ class TestCellMatrixCache:
         first = exact_coeffs(model, family, 5)
         assert_trees_identical(exact_coeffs(model, family, 5), first)
 
-    def test_pyramid_runs_top_down(self):
-        pyramid = coefficients._axis_pyramid(coefficients._father_cell_matrix(DB2, 5, 3), DB2, 4)
-        assert [(j, father.shape) for j, father, _ in pyramid] == [(j, (2**j, 8)) for j in range(4, -1, -1)]
-
     @pytest.mark.parametrize("name,j,s", [("haar", 5, 2), ("haar", 2, 2), ("db2", 6, 3), ("db3", 4, 4), ("db2", 1, 0)])
     def test_rolled_columns_equal_direct_integrals(self, name, j, s):
         # at j >= s the father matrix is its column 0 rolled down; integrate
@@ -1529,8 +1526,12 @@ def traced_peak(fn) -> int:
 
 
 def haar_pyramid(j_max, s):
-    """(j, father, mother) cell matrices of the Haar truth with top level j_max + 1."""
-    return coefficients._axis_pyramid(coefficients._father_cell_matrix(HAAR, j_max + 1, s), HAAR, j_max)
+    """(j, father, mother) cell integrals, shape (2^s, 2^j) each, of the Haar
+    truth with top level j_max + 1: the cells as the trial axis of the bank."""
+    father = coefficients._father_cell_matrix(HAAR, j_max + 1, s).T
+    for j in range(j_max, -1, -1):
+        father, details = coefficients._bank_level(father, HAAR.taps)
+        yield j, father, details[:, 0]
 
 
 class TestExactTruthMemory:
@@ -1567,6 +1568,43 @@ class TestExactTruthMemory:
         assert_trees_identical(exact_coeffs(flat2, HAAR, 6), exact_coeffs(flat2, HAAR, 2))
 
 
+# SHA-256 over every `benchmark_suite` truth of the Hölder-1 ball (L = 2), in
+# suite order, of its name, alpha and every stored level's bytes from
+# `exact_coeffs` at j_max = 4 (3 for D = 3). They pin the bits of every
+# piecewise-constant truth in each family and dimension, which the CLI
+# goldens reach only in part.
+GOLDEN_SUITE_TREES_SHA256 = {
+    ("haar", 1): "7a76a01c6fc059021d28e54b8a436e180ab5fe7282136101b5ebf9bd72699e2f",
+    ("haar", 2): "cce2e8dc9ccf8aab8718dc24275c1dbb8c9d76eb60d31ed4014e6874ebf48d79",
+    ("haar", 3): "54389cf3900fcf1926a3f83079872a1ed8c2e3fd47672307d23429b7a6da48c0",
+    ("db2", 1): "a526d80c69addcf9ea9db76508c022c8719de2edd959910899ec22d118776dea",
+    ("db2", 2): "1bd6eb809458dd88e20160ba44cc0e747f01fb5436305d206a1a483702e8384b",
+    ("db2", 3): "49bb3db9cf641739c1ecbefcd7d82369be4a495c9424b43a720374decfe3e85f",
+    ("db3", 1): "9d759bc0a725bc7775889f9b5a8568fcbbdd4489d816945473dc77847a1ee298",
+    ("db3", 2): "6c564094b7df16c611e650830345d1b95a303015cb16ef289e539ad9c6e16cce",
+    ("db3", 3): "9b0edb7ff5af12cdf822e4f903c3c483a1d8c25dbd769620bba41181e3ab623f",
+    ("db4", 1): "04bca69312c412bc8f12208a6121a75a5af6aea6f81c8c45632eaa35dabe3386",
+    ("db4", 2): "ae6782e55521917aad1640ba51b5e67d3b4965271b42451eedb694e93f45c494",
+    ("db4", 3): "f4c4e385e7c1223cf41d505debc7e6a34b250656663f0fc5c2b0f1522c94f2da",
+}
+
+
+def suite_trees_digest(name: str, dim: int) -> str:
+    digest = hashlib.sha256()
+    for truth, model in benchmark_suite(BesovParams(1.0, INF, INF, 2.0), dim):
+        tree = exact_coeffs(model, wavelet_family(name), 3 if dim == 3 else 4)
+        digest.update(truth.encode() + np.float64(tree.alpha).tobytes())
+        for j in tree.levels():
+            digest.update(np.int64(j).tobytes() + tree.level_array(j).tobytes())
+    return digest.hexdigest()
+
+
+class TestExactSuiteTreesFrozen:
+    @pytest.mark.parametrize("name,dim", sorted(GOLDEN_SUITE_TREES_SHA256))
+    def test_suite_trees_golden(self, name, dim):
+        assert suite_trees_digest(name, dim) == GOLDEN_SUITE_TREES_SHA256[(name, dim)]
+
+
 class TestExactCoeffsFrozen:
     """Values frozen from an independent quadrature oracle."""
 
@@ -1584,12 +1622,9 @@ class TestExactCoeffsOracle:
         rng = np.random.default_rng(31)
         model = random_pwc(rng, scale=3, dim=1)
         tree = exact_coeffs(model, HAAR, j_max=4)
-        worst = 0.0
-        for j in (0, 2, 3):
-            for k in range(2**j):
-                idx = WaveletIndex(j, (k,), (1,))
-                worst = max(worst, abs(tree.get(idx) - brute_coeff_1d(model, HAAR, idx, 5, cap=12)))
-        assert worst < 1e-12
+        idxs = [WaveletIndex(j, (k,), (1,)) for j in (0, 2, 3) for k in range(2**j)]
+        want = brute_coeffs_1d(model, HAAR, idxs, 5, cap=12)
+        assert max(abs(tree.get(idx) - w) for idx, w in zip(idxs, want)) < 1e-12
 
     def test_pwc_db2_vs_oracle(self):
         rng = np.random.default_rng(37)
@@ -1597,19 +1632,17 @@ class TestExactCoeffsOracle:
         tree = exact_coeffs(model, DB2_S, j_max=3)
         rngc = np.random.default_rng(0)
         items = list(tree.items())
-        worst = 0.0
-        for i in rngc.choice(len(items), size=min(20, len(items)), replace=False):
-            idx, v = items[i]
-            worst = max(worst, abs(v - brute_coeff_1d(model, DB2_S, idx, 4)))
-        assert worst < 1e-11
+        picked = [items[i] for i in rngc.choice(len(items), size=min(20, len(items)), replace=False)]
+        want = brute_coeffs_1d(model, DB2_S, [idx for idx, _ in picked], 4)
+        assert max(abs(v - w) for (_, v), w in zip(picked, want)) < 1e-11
 
     def test_pwc_db2_default_depth_vs_oracle(self):
         rng = np.random.default_rng(41)
         model = random_pwc(rng, scale=1, dim=1)
         tree = exact_coeffs(model, DB2, j_max=2)
         idxs = [WaveletIndex(0, (0,), (1,)), WaveletIndex(2, (3,), (1,))]
-        for idx in idxs:
-            assert tree.get(idx) == pytest.approx(brute_coeff_1d(model, DB2, idx, 3), abs=1e-11)
+        for idx, want in zip(idxs, brute_coeffs_1d(model, DB2, idxs, 3)):
+            assert tree.get(idx) == pytest.approx(want, abs=1e-11)
 
     def test_pwc_db2_2d_vs_oracle(self):
         rng = np.random.default_rng(43)
@@ -1638,21 +1671,17 @@ class TestExactCoeffsOracle:
         tree = exact_coeffs(model, DB4, j_max=4)
         rng = np.random.default_rng(1)
         items = list(tree.items())
-        worst = 0.0
-        for i in rng.choice(len(items), size=min(20, len(items)), replace=False):
-            idx, v = items[i]
-            worst = max(worst, abs(v - brute_coeff_1d(model, DB4, idx, 5)))
-        assert worst < 1e-10
+        picked = [items[i] for i in rng.choice(len(items), size=min(20, len(items)), replace=False)]
+        want = brute_coeffs_1d(model, DB4, [idx for idx, _ in picked], 5)
+        assert max(abs(v - w) for (_, v), w in zip(picked, want)) < 1e-10
 
     def test_bump_haar_vs_oracle(self):
         model = SmoothBump([[0.5]], [[0.3]], [0.8], background=0.2)
         tree = exact_coeffs(model, HAAR, j_max=3)
-        worst = 0.0
-        for j in (0, 1, 3):
-            for k in sorted({0, 2**j - 1, 2 ** max(j - 1, 0) % 2**j}):
-                idx = WaveletIndex(j, (int(k),), (1,))
-                worst = max(worst, abs(tree.get(idx) - brute_coeff_1d(model, HAAR, idx, 4)))
-        assert worst < 1e-12
+        ks = {j: sorted({0, 2**j - 1, 2 ** max(j - 1, 0) % 2**j}) for j in (0, 1, 3)}
+        idxs = [WaveletIndex(j, (int(k),), (1,)) for j in ks for k in ks[j]]
+        want = brute_coeffs_1d(model, HAAR, idxs, 4)
+        assert max(abs(tree.get(idx) - w) for idx, w in zip(idxs, want)) < 1e-12
 
     def test_bump_2d_separable_product(self):
         # a product bump's 2-d coefficient factors into axis integrals
@@ -1661,10 +1690,9 @@ class TestExactCoeffsOracle:
         mx = SmoothBump([[0.4]], [[0.25]], [1.0])
         my = SmoothBump([[0.6]], [[0.3]], [1.0])
         idx = WaveletIndex(2, (1, 2), (1, 1))
-        want = brute_coeff_1d(mx, HAAR, WaveletIndex(2, (1,), (1,)), 3) * brute_coeff_1d(
-            my, HAAR, WaveletIndex(2, (2,), (1,)), 3
-        )
-        assert tree2.get(idx) == pytest.approx(want, abs=1e-12)
+        (ax,) = brute_coeffs_1d(mx, HAAR, [WaveletIndex(2, (1,), (1,))], 3)
+        (ay,) = brute_coeffs_1d(my, HAAR, [WaveletIndex(2, (2,), (1,))], 3)
+        assert tree2.get(idx) == pytest.approx(ax * ay, abs=1e-12)
 
     def test_spike_tree_haar(self):
         idx = WaveletIndex(2, (1,), (1,))

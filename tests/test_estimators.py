@@ -20,7 +20,6 @@ from besov_robust.estimators import (
     apply_threshold,
     choose_resolutions,
     estimate,
-    estimate_adaptive,
     estimate_linear,
     estimate_thresholded,
 )
@@ -271,13 +270,13 @@ class TestAdaptiveEstimator:
 
     def test_runs_without_any_contamination_input(self):
         x = uniform_density(1).sample(200, np.random.default_rng(13))
-        est = estimate_adaptive(x, DB2, r=1)
+        est = estimate(x, DB2, adaptive_config(len(x), 1, 1))
         assert est.alpha == 1.0
 
     def test_flat_samples_accepted(self):
         x = uniform_density(1).sample(50, np.random.default_rng(13))
-        a = estimate_adaptive(x[:, 0], DB2, r=1)
-        b = estimate_adaptive(x, DB2, r=1)
+        a = estimate(x[:, 0], DB2, adaptive_config(len(x), 1, 1))
+        b = estimate(x, DB2, adaptive_config(len(x), 1, 1))
         assert trees_equal(a, b)
 
 
