@@ -12,6 +12,8 @@ import math
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH = 720
+_HEIGHT = 520
 _MARGIN_LEFT = 74.0
 _MARGIN_RIGHT = 190.0
 _MARGIN_TOP = 44.0
@@ -47,9 +49,7 @@ def _ticks(lo: float, hi: float) -> list[int]:
 
 
 class _Axes:
-    def __init__(self, xs, ys, width, height):
-        self.width = width
-        self.height = height
+    def __init__(self, xs, ys):
         lx = [math.log2(v) for v in xs]
         ly = [math.log2(v) for v in ys]
         padx = 0.25 + 0.03 * (max(lx) - min(lx))
@@ -57,9 +57,9 @@ class _Axes:
         self.x0, self.x1 = min(lx) - padx, max(lx) + padx
         self.y0, self.y1 = min(ly) - pady, max(ly) + pady
         self.px0 = _MARGIN_LEFT
-        self.px1 = width - _MARGIN_RIGHT
+        self.px1 = _WIDTH - _MARGIN_RIGHT
         self.py0 = _MARGIN_TOP
-        self.py1 = height - _MARGIN_BOTTOM
+        self.py1 = _HEIGHT - _MARGIN_BOTTOM
 
     def px(self, v: float) -> float:
         t = (math.log2(v) - self.x0) / (self.x1 - self.x0)
@@ -77,8 +77,6 @@ def log_log_svg(
     ylabel: str,
     points=(),
     lines=(),
-    width: int = 720,
-    height: int = 520,
 ) -> str:
     """Render scatter series and reference lines on log-log axes.
 
@@ -100,13 +98,13 @@ def log_log_svg(
         ys.extend(s["y"])
         for e, y in zip(s.get("yerr") or (), s["y"]):
             ys.append(y + e)
-    ax = _Axes(xs, ys, float(width), float(height))
+    ax = _Axes(xs, ys)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{_fmt(width / 2.0)}" y="26" text-anchor="middle" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_fmt(_WIDTH / 2.0)}" y="26" text-anchor="middle" '
         f'font-family="sans-serif" font-size="16">{_esc(title)}</text>',
     ]
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -61,7 +62,7 @@ class BesovParams:
 
     def sigma_prime(self, dim: int) -> float:
         """The level-weight exponent sigma + D/2 - D/p."""
-        return self.sigma + dim / 2.0 - (0.0 if self.p == math.inf else dim / self.p)
+        return self.sigma + dim / 2.0 - dim / self.p
 
 
 # named discriminator balls for common losses; radius 1 throughout
@@ -80,8 +81,10 @@ def loss_params(name: str) -> BesovParams:
         raise ValueError(f"unknown loss {name!r}; choose from {sorted(LOSS_PRESETS)}") from None
 
 
-def _lp(values: np.ndarray, p: float) -> np.ndarray:
-    """l^p norms along the last axis, summed in numpy's pairwise order.
+def _power_sums(values: np.ndarray, p: float) -> np.ndarray:
+    """Sums of |v|^p along the last axis (the max for p = inf), in numpy's
+    pairwise order. The power is taken in place on the one temporary, and
+    not at all for p = 1; numpy takes a ** 2.0 as a square, which is exact.
 
     A reduction along the last axis of a C-contiguous array sums each row
     exactly as numpy sums that row alone, so the rows of a block get the
@@ -91,17 +94,26 @@ def _lp(values: np.ndarray, p: float) -> np.ndarray:
         return np.zeros(a.shape[:-1])
     if p == math.inf:
         return a.max(axis=-1)
-    if p == 1.0:
-        return a.sum(axis=-1)
-    if p == 2.0:
-        return np.sqrt((a * a).sum(axis=-1))
-    return _root((a**p).sum(axis=-1), p)
+    if p != 1.0:
+        a **= p
+    return a.sum(axis=-1)
 
 
 def _root(sums: np.ndarray, p: float) -> np.ndarray:
-    """sums ** (1/p) entry by entry with the C library's pow, the one a
-    scalar power calls, so no vectorized power can move a last bit."""
+    """The l^p norms from `_power_sums`: the sums themselves for p in
+    {1, inf}, their square roots for p = 2, else sums ** (1/p) entry by
+    entry with the C library's pow, the one a scalar power calls, so no
+    vectorized power can move a last bit."""
+    if p in (1.0, math.inf):
+        return sums
+    if p == 2.0:
+        return np.sqrt(sums)
     return np.array([s ** (1.0 / p) for s in sums.ravel().tolist()]).reshape(sums.shape)
+
+
+def _lp(values: np.ndarray, p: float) -> np.ndarray:
+    """l^p norms along the last axis."""
+    return _root(_power_sums(values, p), p)
 
 
 def _level_lp(level: np.ndarray, p: float) -> np.ndarray:
@@ -116,25 +128,8 @@ def _level_lp(level: np.ndarray, p: float) -> np.ndarray:
     one orientation at a time bounds the temporaries to one orientation's
     size.
     """
-    total = None
-    for o in range(level.shape[1]):
-        part = level[:, o].reshape(len(level), -1)  # one row per trial
-        if p == math.inf:
-            s = np.abs(part).max(axis=1)
-            total = s if total is None else np.maximum(total, s)
-            continue
-        if p == 1.0:
-            s = np.abs(part).sum(axis=1)
-        elif p == 2.0:
-            s = np.square(part).sum(axis=1)
-        else:
-            s = (np.abs(part) ** p).sum(axis=1)
-        total = s if total is None else total + s
-    if p == 2.0:
-        return np.sqrt(total)
-    if p in (1.0, math.inf):
-        return total
-    return _root(total, p)
+    sums = [_power_sums(level[:, o].reshape(len(level), -1), p) for o in range(level.shape[1])]
+    return _root(reduce(np.maximum if p == math.inf else np.add, sums), p)
 
 
 def besov_norm(tree: CoefficientTree, params: BesovParams):
@@ -286,7 +281,7 @@ def sup_norm_bound(params: BesovParams, family: WaveletFamily, dim: int = 1) -> 
     kappa collects the father term and the overlap constants of the family
     (the periodized absolute translate sums, tensorized over axes).
     """
-    dp = 0.0 if params.p == math.inf else dim / params.p
+    dp = dim / params.p
     if params.sigma <= dp:
         raise NotSupBounded(f"sup bound needs sigma > D/p, got sigma={params.sigma}, D/p={dp}")
     qd = conjugate(params.q)

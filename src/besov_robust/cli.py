@@ -501,22 +501,19 @@ def _resolver_from(espec, *, what, cfg, family, gen, disc):
 
         return resolve
 
-    if schedule == "fixed":
+    fixed = schedule == "fixed"
+    if fixed:
         j0, j1 = espec.get("j0"), espec.get("j1")
         if j0 is None or j1 is None or not (0 <= j0 <= j1):
             raise ConfigError(what, "a fixed schedule needs integer levels 0 <= j0 <= j1")
-
-        def resolve(n: int, eps: float) -> EstimatorConfig:
-            eps_r = eps if (rescale and eps > 0.0) else None
-            return EstimatorConfig(kind, j0, j1, K=K, rescale_epsilon=eps_r)
-
-        return resolve
-
-    if gen is None or cfg.regime is None:
+    elif gen is None or cfg.regime is None:
         raise ConfigError(what, "a regime schedule needs gen and regime")
 
     def resolve(n: int, eps: float) -> EstimatorConfig:
-        j0, j1 = choose_resolutions(n, eps, gen, disc, cfg.dim, cfg.regime)
+        if fixed:
+            j0, j1 = espec["j0"], espec["j1"]
+        else:
+            j0, j1 = choose_resolutions(n, eps, gen, disc, cfg.dim, cfg.regime)
         eps_r = eps if (rescale and eps > 0.0) else None
         return EstimatorConfig(kind, j0, j1, K=K, rescale_epsilon=eps_r)
 
@@ -586,16 +583,28 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
             raise ConfigError("grid", "eps_grid values must lie in [0, 1)")
         if cfg.trials < 2:
             raise ConfigError("trials", "trials must be at least 2 for standard errors")
+        grid = [(n, e) for n in cfg.n_grid for e in cfg.eps_grid]
+    elif cfg.command == "estimate":
+        if cfg.samples < 3:
+            raise ConfigError("samples", "estimation needs at least 3 samples")
+        if not (0.0 <= cfg.eps < 1.0):
+            raise ConfigError("eps", "eps must lie in [0, 1)")
+        if cfg.truth == "benchmark":
+            raise ConfigError("truth", "estimate runs on a single named truth, not the suite")
+        grid = [(cfg.samples, cfg.eps)]
+
+    if sweep or cfg.command == "estimate":
         plan.truths = _truths_from(cfg, plan.gen)
         plan.spec_for = _spec_maker(cfg, cfg.dim)
-        if cfg.contamination is None and any(e > 0.0 for e in cfg.eps_grid):
+        if cfg.contamination is None and any(e > 0.0 for _, e in grid):
             raise ConfigError("contamination", "positive eps values need a contamination block")
         plan.estimator_for = _resolver_from(
             cfg.estimator, what="estimator", cfg=cfg, family=plan.family,
             gen=plan.gen, disc=plan.disc,
         )
-        grid = [(n, e) for n in cfg.n_grid for e in cfg.eps_grid]
         _check_resolver(plan.estimator_for, "estimator", grid)
+        if cfg.command == "estimate":
+            return plan
         if cfg.baseline is not None:
             plan.baseline_for = _resolver_from(
                 cfg.baseline, what="baseline", cfg=cfg, family=plan.family,
@@ -623,24 +632,6 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
                     "rate-check needs >= 4 distinct n values with one eps, "
                     "or >= 4 distinct positive eps values with one n",
                 )
-        return plan
-
-    if cfg.command == "estimate":
-        if cfg.samples < 3:
-            raise ConfigError("samples", "estimation needs at least 3 samples")
-        if not (0.0 <= cfg.eps < 1.0):
-            raise ConfigError("eps", "eps must lie in [0, 1)")
-        if cfg.truth == "benchmark":
-            raise ConfigError("truth", "estimate runs on a single named truth, not the suite")
-        plan.truths = _truths_from(cfg, plan.gen)
-        plan.spec_for = _spec_maker(cfg, cfg.dim)
-        if cfg.contamination is None and cfg.eps > 0.0:
-            raise ConfigError("contamination", "positive eps needs a contamination block")
-        plan.estimator_for = _resolver_from(
-            cfg.estimator, what="estimator", cfg=cfg, family=plan.family,
-            gen=plan.gen, disc=plan.disc,
-        )
-        _check_resolver(plan.estimator_for, "estimator", [(cfg.samples, cfg.eps)])
         return plan
 
     if cfg.command == "breakdown":
@@ -773,21 +764,16 @@ def _run_estimate(cfg: ExperimentConfig, plan: _Plan, out: Path) -> int:
     return 0
 
 
-def _run_sweep_like(cfg: ExperimentConfig, plan: _Plan, out: Path) -> RiskReport:
-    report = run_sweep(
-        plan.truths,
-        plan.spec_for,
-        plan.estimator_for,
-        plan.disc,
-        plan.family,
-        cfg.n_grid,
-        cfg.eps_grid,
-        cfg.trials,
-        cfg.seed,
-        theory=plan.theory,
-        jobs=cfg.jobs,
-        meta=(("command", cfg.command),),
+def _sweep(cfg: ExperimentConfig, plan: _Plan, estimator_for, *meta) -> RiskReport:
+    return run_sweep(
+        plan.truths, plan.spec_for, estimator_for, plan.disc, plan.family,
+        cfg.n_grid, cfg.eps_grid, cfg.trials, cfg.seed,
+        theory=plan.theory, jobs=cfg.jobs, meta=(("command", cfg.command), *meta),
     )
+
+
+def _run_sweep_like(cfg: ExperimentConfig, plan: _Plan, out: Path) -> RiskReport:
+    report = _sweep(cfg, plan, plan.estimator_for)
     (out / "risk.json").write_text(report.to_json() + "\n")
     report.write_csv(out / "cells.csv", out / "trials.csv")
     return report
@@ -802,11 +788,7 @@ def _run_risk_sweep(cfg: ExperimentConfig, plan: _Plan, out: Path) -> int:
             theory_exp = plan.theory.dominant_n if axis == "n" else plan.theory.dominant_eps
         (out / "risk.svg").write_text(_sweep_svg(report, axis, theory_exp))
     if plan.baseline_for is not None:
-        base_report = run_sweep(
-            plan.truths, plan.spec_for, plan.baseline_for, plan.disc, plan.family,
-            cfg.n_grid, cfg.eps_grid, cfg.trials, cfg.seed,
-            theory=plan.theory, jobs=cfg.jobs, meta=(("command", cfg.command), ("role", "baseline")),
-        )
+        base_report = _sweep(cfg, plan, plan.baseline_for, ("role", "baseline"))
         (out / "baseline.json").write_text(base_report.to_json() + "\n")
         rows = []
         for c, b in zip(report.cells, base_report.cells):

@@ -63,18 +63,24 @@ _PARSE_ROWS = 2048
 # 2^D - 1 orientations before any record is read (0.1 s and 16 MB at D = 16;
 # memory runs out near D = 30); no command writes a tree above D of about 9.
 _MAX_DIM = 16
-
-
-def _prune(arr: np.ndarray) -> bool:
-    """Zero the entries of arr below PRUNE_TOL in place; whether any remain."""
-    arr[np.abs(arr) < PRUNE_TOL] = 0.0
-    return bool(arr.any())
+# Polynomial degree per panel integrated exactly by `_panel_rule`
+_PANEL_DEGREE = 16
 
 
 def _prune_level(arr: np.ndarray) -> bool:
-    """`_prune` a level with a leading trial axis, one orientation at a time,
-    which bounds the temporaries of deep levels; whether any entry remains."""
-    return any([_prune(arr[:, o]) for o in range(arr.shape[1])])
+    """Zero the entries below PRUNE_TOL of a level with a leading trial axis
+    in place, one orientation at a time, which bounds the temporaries of
+    deep levels; whether any entry remains."""
+    for o in range(arr.shape[1]):
+        part = arr[:, o]
+        part[np.abs(part) < PRUNE_TOL] = 0.0
+    return bool(arr.any())
+
+
+def _midpoints(m: int, dim: int) -> np.ndarray:
+    """The m^dim cell midpoints (k + 0.5)/m of the uniform grid on [0, 1)^dim,
+    shape (m^dim, dim), in row-major cell order."""
+    return (np.indices((m,) * dim).reshape(dim, -1).T + 0.5) / m
 
 
 def _json_float(v: float) -> str:
@@ -721,8 +727,7 @@ class SpikePerturbation:
         """Exact flat representation on the finer of the base grid and the
         daughter's half-cells."""
         s = max(self.base.scale_level, self.index.j + 1)
-        grid = (np.indices((2**s,) * self.dim).reshape(self.dim, -1).T + 0.5) / 2**s
-        vals = self.pdf(grid).reshape((2**s,) * self.dim)
+        vals = self.pdf(_midpoints(2**s, self.dim)).reshape((2**s,) * self.dim)
         vals = np.maximum(vals, 0.0)  # clip float dust at exact zeros
         return PiecewiseConstant(vals, s)
 
@@ -789,12 +794,11 @@ def empirical_coeffs(samples, family: WaveletFamily, j0: int, j1: int, trials: i
     the block of one trial, returned as a plain tree.
 
     `samples` is one numpy array of shape (T n, D) or (T n,), or chunks of
-    it: any other iterable of such arrays, each holding whole trials. Each
-    chunk is binned as it arrives and its points are not kept, so a block
-    of many trials never holds all its points at once. n is the stacked
-    rows over T (`_trial_size`), and binning a chunk needs it before the
-    later chunks arrive: chunks come as a list or tuple, or as an iterable
-    with the `shape` of the sample they stack.
+    it: an iterable of such arrays, each holding whole trials, with the
+    `shape` of the sample they stack. Each chunk is binned as it arrives
+    and its points are not kept, so a block of many trials never holds all
+    its points at once. n is the stacked rows over T (`_trial_size`), which
+    binning a chunk needs before the later chunks arrive.
 
     The basis is the filter-bank basis of `wavelets` with top level
     J = j1 + 1. The result is fixed bit for bit by this summation order:
@@ -840,9 +844,7 @@ def _trial_size(samples, trials: int | None) -> int:
     `samples`, an array or its chunks (`empirical_coeffs`), stacks."""
     shape = getattr(samples, "shape", None)
     if shape is None:
-        if not isinstance(samples, (list, tuple)):
-            raise TypeError("chunks of a sample come as a list, a tuple or an iterable with a shape")
-        shape = (sum(len(chunk) for chunk in samples),)
+        raise TypeError("a sample comes as an array, or as chunks in an iterable with a shape")
     if len(shape) not in (1, 2):
         raise ValueError("samples must have shape (n, D)")
     if shape[0] == 0:
@@ -1012,7 +1014,6 @@ def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> Co
 def _panel_rule(
     family: WaveletFamily,
     panel_exp: int,
-    degree: int,
     extra_edges: tuple[float, ...] = (),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes u_i and weights w_i integrating f against the father.
@@ -1023,7 +1024,7 @@ def _panel_rule(
     of the smooth factor, shifted by every integer so that one layout serves
     all translates at a level). Each panel gets Chebyshev nodes, weighted so
     that sum_i w_i g(u_i) equals int g(u) phi(u) du exactly whenever g is a
-    polynomial of degree <= `degree` on every panel.
+    polynomial of degree <= _PANEL_DEGREE on every panel.
     """
     w, m = family.support_width, family.cascade_depth
     if panel_exp < -m:
@@ -1037,6 +1038,7 @@ def _panel_rule(
             edge_ints.add(int(round((frac + i) * grid)))
     edges = np.array(sorted(edge_ints)) / grid
     edges = edges[(edges >= 0.0) & (edges <= w)]
+    degree = _PANEL_DEGREE
     cheb = np.cos(np.pi * (2 * np.arange(degree + 1) + 1) / (2 * (degree + 1)))  # in (-1,1)
     v = np.vander(cheb, degree + 1, increasing=True).T
     if family.is_haar:
@@ -1101,7 +1103,6 @@ def _smooth_axis_integrals(
     j: int,
     factor,
     factor_scale: float,
-    degree: int = 16,
     kinks_x: tuple[float, ...] = (),
 ) -> np.ndarray:
     """A[k] = int_0^1 phi(2^j x - k, periodized) factor(x) dx for all k at level j.
@@ -1113,7 +1114,7 @@ def _smooth_axis_integrals(
     panel_exp = min(0, j + int(math.floor(math.log2(max(factor_scale, 2.0**-40)))) - 2)
     panel_exp = max(panel_exp, -family.cascade_depth)
     extra = tuple((2**j) * x for x in kinks_x)
-    nodes, weights = _panel_rule(family, panel_exp, degree, extra)
+    nodes, weights = _panel_rule(family, panel_exp, extra)
     ks = np.arange(2**j)[:, None]
     y = (nodes[None, :] + ks) / 2**j
     fy = factor(y - np.floor(y))

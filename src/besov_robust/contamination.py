@@ -25,6 +25,7 @@ from .besov import BesovParams, besov_norm
 from .coefficients import (
     PiecewiseConstant,
     SpikePerturbation,
+    _midpoints,
     exact_coeffs,
     tree_axpy,
     uniform_density,
@@ -42,12 +43,8 @@ _KS_ALPHA = 0.01
 
 def grid_sup(model) -> float:
     """Max of the pdf over a uniform midpoint grid of about _GRID_SUP_POINTS points."""
-    d = model.dim
-    per_axis = max(2, int(round(_GRID_SUP_POINTS ** (1.0 / d))))
-    axis = (np.arange(per_axis) + 0.5) / per_axis
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    return float(np.max(model.pdf(pts)))
+    per_axis = max(2, int(round(_GRID_SUP_POINTS ** (1.0 / model.dim))))
+    return float(np.max(model.pdf(_midpoints(per_axis, model.dim))))
 
 
 @dataclass(frozen=True)
@@ -145,7 +142,7 @@ def adversarial_spike_pair(
     """
     if not family.is_haar:
         raise ValueError("exact flat realizations of the pair need the Haar family")
-    dpg = 0.0 if gen.p == math.inf else dim / gen.p
+    dpg = dim / gen.p
     if gen.sigma < dpg:
         raise ValueError(f"the spike construction needs sigma_g >= D/p_g, got {gen.sigma} < {dpg}")
     if eps <= 0.0:
@@ -171,10 +168,7 @@ def adversarial_spike_pair(
             f"the contaminators would need L1 mass {l1:.3g} > 2 at level {j}"
         )
     s = j + 1
-    axis = (np.arange(2**s) + 0.5) / 2**s
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    h_vals = h_amp * eval_wavelet(family, idx, pts)
+    h_vals = h_amp * eval_wavelet(family, idx, _midpoints(2**s, dim))
     slack = 1.0 - l1 / 2.0
     shape = (2**s,) * dim
     g = PiecewiseConstant((np.maximum(h_vals, 0.0) + slack).reshape(shape), s)

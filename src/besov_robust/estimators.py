@@ -85,7 +85,7 @@ def choose_resolutions(
         raise ValueError("contamination level must lie in [0, 1)")
     _check_regime(regime, eps, gen, disc)
     ln = math.log2(n)
-    dpg = 0.0 if gen.p == math.inf else dim / gen.p
+    dpg = dim / gen.p
     s = gen.sigma
 
     def floor_level(x: float) -> int:
@@ -108,8 +108,7 @@ def choose_resolutions(
     else:  # dense-unstructured
         top = ln / (2.0 * s + dim)
         if eps > 0.0:
-            dpd = 0.0 if disc.p == math.inf else dim / disc.p
-            top = min(top, -math.log2(eps) / (s + dpd))
+            top = min(top, -math.log2(eps) / (s + dim / disc.p))
         j0 = j1 = floor_level(top)
     return j0, max(j0, j1)
 

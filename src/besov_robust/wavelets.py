@@ -299,32 +299,6 @@ class WaveletFamily:
                 out += f(shifted)
         return out
 
-    # exact moments of the underlying fixed-point functions (not the interpolant)
-
-    def father_moments(self, max_order: int) -> np.ndarray:
-        """Moments int x^a phi(x) dx for a = 0..max_order, exact filter recursion."""
-        mom = np.zeros(max_order + 1)
-        mom[0] = 1.0
-        ks = np.arange(self.h.size, dtype=float)
-        for a in range(1, max_order + 1):
-            s = 0.0
-            for b in range(a):
-                s += math.comb(a, b) * mom[b] * float(np.sum(self.h * ks ** (a - b)))
-            mom[a] = (2.0 ** (-a - 1) * _SQRT2 * s) / (1.0 - 2.0**-a)
-        return mom
-
-    def mother_moments(self, max_order: int) -> np.ndarray:
-        """Moments int x^a psi(x) dx for a = 0..max_order; the first n_moments vanish."""
-        mphi = self.father_moments(max_order)
-        ks = np.arange(self.g.size, dtype=float)
-        out = np.zeros(max_order + 1)
-        for a in range(max_order + 1):
-            s = 0.0
-            for b in range(a + 1):
-                s += math.comb(a, b) * mphi[b] * float(np.sum(self.g * ks ** (a - b)))
-            out[a] = 2.0 ** (-a - 1) * _SQRT2 * s
-        return out
-
 
 _CACHE: dict[tuple[str, int], WaveletFamily] = {}
 

@@ -1,5 +1,6 @@
 """Tests for sequence-space Besov norms, the dual IPM, and its witness."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -203,6 +204,45 @@ class TestLayoutIndependence:
                 assert bits(besov_ipm(ff, g, params)) == bits(besov_ipm(f, g, params))
             assert bits(pairing(ff, gf)) == bits(pairing(f, g))
             assert bits(pairing(f, gf)) == bits(pairing(f, g))
+
+
+def pinned_digests() -> tuple[str, str]:
+    """SHA-256 of the besov_norm and of the besov_ipm bits on fixed random
+    trees and blocks for p, q in {1.5, 2, 3, 4}, every exponent off the TV
+    path. Levels hold entries at scales 1e-3..1e3 and zeros, and some
+    trials of a block lack a level, so the per-trial reductions and the
+    per-row skipping of absent levels all enter."""
+    exponents = (1.5, 2.0, 3.0, 4.0)
+    rng = np.random.default_rng(2718)
+    norm_hash, ipm_hash = hashlib.sha256(), hashlib.sha256()
+    for dim, trials in ((1, None), (2, None), (3, None), (1, 4), (2, 3)):
+        pair = []
+        for _ in range(2):
+            tree = CoefficientTree(HAAR, dim, alpha=rng.normal(size=trials or ()), trials=trials)
+            lead = () if trials is None else (trials,)
+            for j in range(5 - dim):
+                shape = lead + (2**dim - 1,) + (2**j,) * dim
+                lev = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+                lev[rng.random(shape) < 0.3] = 0.0
+                if trials is not None:
+                    lev[rng.random(trials) < 0.4] = 0.0  # trials that lack level j
+                tree.set_level_array(j, lev)
+            pair.append(tree)
+        f, g = pair
+        for p in exponents:
+            for q in exponents:
+                params = BesovParams(0.7, p, q, role="discriminator")
+                norm_hash.update(np.asarray(besov_norm(f, params), dtype=float).tobytes())
+                ipm_hash.update(np.asarray(besov_ipm(f, g, params), dtype=float).tobytes())
+    return norm_hash.hexdigest(), ipm_hash.hexdigest()
+
+
+class TestPinnedBits:
+    NORM_SHA256 = "50286783cfb7c61b0febc0208f67a6a5449758b749a53cecc5934ae8d0796984"
+    IPM_SHA256 = "314574a9cc63338bf85da01fadca1ddb41f5ef3f40699531c9209202016dd0ab"
+
+    def test_norm_and_ipm_bits_off_the_tv_path(self):
+        assert pinned_digests() == (self.NORM_SHA256, self.IPM_SHA256)
 
 
 class TestBesovIpm:

@@ -600,6 +600,42 @@ class TestConfigErrors:
         assert json.loads(text)["error"]["precondition"] == "family"
         assert not out.exists()
 
+    BAD_FIXED = {"kind": "thresholded", "schedule": "fixed", "j0": 3, "j1": 1}
+
+    @pytest.mark.parametrize(
+        "preset,patch,precondition",
+        [
+            ("dyadic-demo", {"samples": 2, "truth": "benchmark"}, "samples"),
+            ("dyadic-demo", {"eps": 1.5, "truth": "benchmark"}, "eps"),
+            ("dyadic-demo", {"truth": "benchmark", "contamination": None}, "truth"),
+            ("dyadic-demo", {"gen": None, "contamination": None}, "truth"),
+            ("dyadic-demo", {"contamination": None, "estimator": BAD_FIXED}, "contamination"),
+            ("dyadic-demo", {"contamination": {"g": DEMO_CONTAMINATION["g"]}, "estimator": BAD_FIXED},
+             "contamination"),
+            ("dyadic-demo", {"estimator": {"schedule": "regime"}, "baseline": BAD_FIXED}, "estimator"),
+            ("adaptive-vs-oracle-holder1", {"trials": 1, "eps_grid": [0.1]}, "trials"),
+            ("adaptive-vs-oracle-holder1", {"n_grid": [2], "baseline": BAD_FIXED}, "grid"),
+            ("adaptive-vs-oracle-holder1", {"gen": None, "estimator": BAD_FIXED}, "truth"),
+            ("adaptive-vs-oracle-holder1", {"eps_grid": [0.1], "estimator": BAD_FIXED}, "contamination"),
+            ("adaptive-vs-oracle-holder1", {"estimator": BAD_FIXED, "baseline": BAD_FIXED}, "estimator"),
+            ("adaptive-vs-oracle-holder1", {"regime": None, "baseline": {"schedule": "regime"}},
+             "baseline"),
+        ],
+    )
+    def test_two_faults_report_the_first(self, capsys, tmp_path, preset, patch, precondition):
+        # estimate and the sweeps share one resolution path; each command
+        # still checks its fields in its own order and stops at the first
+        command = PRESETS[preset]["command"]
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": command, **patch}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            [command, "--preset", preset, "--config", str(cfgfile), "--out", str(out)], capsys
+        )
+        assert rc == 2
+        assert json.loads(text)["error"]["precondition"] == precondition
+        assert not out.exists()
+
     def test_error_json_is_single_line(self, capsys, tmp_path):
         rc, text = run_cli(["rate-check", "--preset", "nope"], capsys)
         assert rc == 2

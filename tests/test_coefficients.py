@@ -90,15 +90,25 @@ def brute_coeffs_1d(model, family, indices, top, cap: int = 18) -> list[float]:
     level `top`: GL-10 panels aligned to the value grid of their levels.
     Level j's tables have depth m + top - j, so every level's grid is the
     one of spacing 2^-(m + top), and its panels (at most 2^cap) serve all
-    the indices: the density is evaluated on them once."""
+    the indices: the density is evaluated on them once. Each daughter is
+    summed over the panels that meet its support [k, k + W] 2^-j (mod 1),
+    with one more panel on each side."""
     nseg = 2 ** min(family.cascade_depth + top, cap)
     gl_x, gl_w = leggauss(10)
     edges = np.linspace(0.0, 1.0, nseg + 1)
     mid = (edges[:-1] + edges[1:]) / 2.0
     half = 0.5 / nseg
-    pts = (mid[:, None] + half * gl_x[None, :]).reshape(-1, 1)
-    wf = np.tile(gl_w * half, nseg) * model.pdf(pts)
-    return [float(np.sum(wf * eval_wavelet(deep_family(family, top, idx.j), idx, pts))) for idx in indices]
+    pts = mid[:, None] + half * gl_x[None, :]
+    wf = gl_w * half * model.pdf(pts.reshape(-1, 1)).reshape(nseg, -1)
+    out = []
+    for idx in indices:
+        per = nseg / 2**idx.j  # panels per unit of 2^j x
+        lo = math.floor(idx.k[0] * per) - 1
+        hi = math.ceil((idx.k[0] + family.support_width) * per) + 1
+        segs = np.arange(lo, hi + 1) % nseg if hi - lo < nseg else np.arange(nseg)
+        psi = eval_wavelet(deep_family(family, top, idx.j), idx, pts[segs].reshape(-1, 1))
+        out.append(float(np.sum(wf[segs].ravel() * psi)))
+    return out
 
 
 def brute_coeff_2d(model, family, index, top) -> float:
@@ -1121,15 +1131,15 @@ class TestEmpiricalCoeffs:
     @pytest.mark.parametrize("family,dim", [(HAAR, 1), (HAAR, 2), (DB2, 1), (DB2, 2), (DB4, 1)])
     def test_chunks_are_the_stacked_sample(self, family, dim):
         # chunks of 2, 3, 1 and 1 trials of 120 points give the bits of the
-        # stacked 7-trial block, whichever form the chunks come in
+        # stacked 7-trial block
         rng = np.random.default_rng(91 + dim)
         x = rng.random((7 * 120, dim))
         x[:30] = 0.25  # one trial much sparser than the others
         cuts = np.split(x, [240, 600, 720])
         want = empirical_coeffs(x, family, 0, 3, trials=7)
-        for chunks in (cuts, tuple(cuts), self.Chunks(cuts)):
-            assert_blocks_identical(empirical_coeffs(chunks, family, 0, 3, trials=7), want)
-        assert_trees_identical(empirical_coeffs([x[:120]], family, 0, 3), empirical_coeffs(x[:120], family, 0, 3))
+        assert_blocks_identical(empirical_coeffs(self.Chunks(cuts), family, 0, 3, trials=7), want)
+        one = empirical_coeffs(self.Chunks([x[:120]]), family, 0, 3)
+        assert_trees_identical(one, empirical_coeffs(x[:120], family, 0, 3))
 
     def test_chunks_thresholded_with_the_trial_size(self):
         # the threshold K sqrt(j/n) takes n per trial, not the rows of a chunk
@@ -1138,29 +1148,30 @@ class TestEmpiricalCoeffs:
         cfg = EstimatorConfig("thresholded", 1, 4, K=0.5)
         want = estimate(x, DB2, cfg, 6)
         assert want.n_coefficients < empirical_coeffs(x, DB2, 1, 4, trials=6).n_coefficients
-        for chunks in (np.split(x, [400, 1000]), self.Chunks(np.split(x, 6))):
-            assert_blocks_identical(estimate(chunks, DB2, cfg, 6), want)
+        for cuts in (np.split(x, [400, 1000]), np.split(x, 6)):
+            assert_blocks_identical(estimate(self.Chunks(cuts), DB2, cfg, 6), want)
 
     def test_chunk_of_part_trials_is_refused(self):
         x = np.random.default_rng(95).random((12, 1))
         with pytest.raises(ValueError, match="whole trials of 4 points"):
-            empirical_coeffs([x[:6], x[6:]], HAAR, 0, 1, trials=3)
+            empirical_coeffs(self.Chunks([x[:6], x[6:]]), HAAR, 0, 1, trials=3)
         # trials of 6 and 3 points: 9 rows over 2 trials split into none
         with pytest.raises(ValueError, match="do not split"):
-            empirical_coeffs([x[:6], x[6:9]], HAAR, 0, 1, trials=2)
+            empirical_coeffs(self.Chunks([x[:6], x[6:9]]), HAAR, 0, 1, trials=2)
         # two trials of 4 points, then one of 2: 10 rows give n = 5
         with pytest.raises(ValueError, match="whole trials of 5 points"):
-            empirical_coeffs([x[:8], x[8:10]], HAAR, 0, 1, trials=2)
+            empirical_coeffs(self.Chunks([x[:8], x[8:10]]), HAAR, 0, 1, trials=2)
         with pytest.raises(ValueError, match="one D for every chunk"):
-            empirical_coeffs([x[:4], np.full((4, 2), 0.5)], HAAR, 0, 1, trials=2)
+            empirical_coeffs(self.Chunks([x[:4], np.full((4, 2), 0.5)]), HAAR, 0, 1, trials=2)
 
     def test_chunks_need_their_stacked_size(self):
         # a chunk is binned as it arrives, so n must be known first
         x = np.full((8, 1), 0.5)
-        with pytest.raises(TypeError, match="shape"):
-            empirical_coeffs(iter([x[:4], x[4:]]), HAAR, 0, 1, trials=2)
+        for chunks in (iter([x[:4], x[4:]]), [x[:4], x[4:]]):
+            with pytest.raises(TypeError, match="shape"):
+                empirical_coeffs(chunks, HAAR, 0, 1, trials=2)
         with pytest.raises(EmptySample):
-            empirical_coeffs([], HAAR, 0, 1)
+            empirical_coeffs(np.empty((0, 1)), HAAR, 0, 1)
 
     # every call that reads coefficients one tree at a time, on a block
     SINGLE_TREE_CALLS = {
