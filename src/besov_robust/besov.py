@@ -20,8 +20,6 @@ from .coefficients import CoefficientTree, difference_levels
 from .errors import NotSupBounded, RegimeMismatch, ZeroDelta
 from .wavelets import WaveletFamily
 
-_ROLES = ("generator", "discriminator", "contamination")
-
 
 def conjugate(p: float) -> float:
     """Holder conjugate with the conventions 1' = inf and inf' = 1."""
@@ -36,18 +34,14 @@ def conjugate(p: float) -> float:
 
 @dataclass(frozen=True)
 class BesovParams:
-    """Smoothness ball parameters (sigma, p, q, radius L) plus a role tag.
-
-    The role records which side of the problem the ball describes: the class
-    the true density lives in ("generator"), the function class defining the
-    loss ("discriminator"), or the class constraining the contaminator.
-    """
+    """Smoothness ball parameters (sigma, p, q, radius L): of the class the
+    true density lives in (the generator), of the function class defining
+    the loss (the discriminator), or of a class bounding a contaminator."""
 
     sigma: float
     p: float
     q: float
     L: float = 1.0
-    role: str = "generator"
 
     def __post_init__(self):
         if not self.sigma >= 0.0:  # also rejects NaN
@@ -57,8 +51,6 @@ class BesovParams:
                 raise ValueError(f"{name} must lie in [1, inf], got {v}")
         if not self.L > 0.0:  # also rejects NaN
             raise ValueError(f"ball radius must be positive, got {self.L}")
-        if self.role not in _ROLES:
-            raise ValueError(f"role must be one of {_ROLES}")
 
     def sigma_prime(self, dim: int) -> float:
         """The level-weight exponent sigma + D/2 - D/p."""
@@ -67,10 +59,10 @@ class BesovParams:
 
 # named discriminator balls for common losses; radius 1 throughout
 LOSS_PRESETS: dict[str, BesovParams] = {
-    "tv": BesovParams(0.0, math.inf, math.inf, 1.0, "discriminator"),
-    "wasserstein1": BesovParams(1.0, math.inf, math.inf, 1.0, "discriminator"),
-    "l2": BesovParams(0.0, 2.0, 2.0, 1.0, "discriminator"),
-    "ks": BesovParams(1.0, 1.0, math.inf, 1.0, "discriminator"),
+    "tv": BesovParams(0.0, math.inf, math.inf, 1.0),
+    "wasserstein1": BesovParams(1.0, math.inf, math.inf, 1.0),
+    "l2": BesovParams(0.0, 2.0, 2.0, 1.0),
+    "ks": BesovParams(1.0, 1.0, math.inf, 1.0),
 }
 
 

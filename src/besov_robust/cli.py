@@ -34,7 +34,9 @@ import numpy as np
 
 from ._svg import anchored_power_line, log_log_svg
 from .besov import BesovParams, besov_ipm, loss_params
-from .coefficients import PiecewiseConstant, SpikePerturbation, exact_coeffs, uniform_density
+from .coefficients import (
+    _MAX_DIM, PiecewiseConstant, SpikePerturbation, _indexable, exact_coeffs, uniform_density,
+)
 from .contamination import (
     MODES,
     ContaminationSpec,
@@ -53,14 +55,15 @@ from .estimators import (
     estimate,
 )
 from .harness import (
-    J_PAD,
     RiskReport,
     benchmark_suite,
     breakdown_curve,
     fit_axis,
+    fit_cells,
     resolve_jobs,
     run_sweep,
     theoretical_exponents,
+    truth_level,
 )
 from .wavelets import WaveletIndex, wavelet_family
 
@@ -68,12 +71,12 @@ COMMANDS = ("estimate", "risk-sweep", "rate-check", "breakdown", "adversary")
 
 
 class ConfigError(Exception):
-    """A config failed validation; `precondition` names the broken rule."""
+    """A config failed validation; `precondition` names the broken rule, and
+    the message is the detail."""
 
     def __init__(self, precondition: str, detail: str):
         super().__init__(detail)
         self.precondition = precondition
-        self.detail = detail
 
 
 # -- the experiment description ------------------------------------------------
@@ -431,15 +434,13 @@ class _Plan:
     theory: Any = None
     axis: str | None = None
     pair: tuple | None = None
-    pair_level: int = 0
     curves: list = dataclasses.field(default_factory=list)
     config_json: str = ""
 
 
-def _params_from(value, role: str, what: str) -> BesovParams:
+def _params_from(value, what: str) -> BesovParams:
     try:
-        base = loss_params(value) if isinstance(value, str) else BesovParams(*value)
-        return BesovParams(base.sigma, base.p, base.q, base.L, role)
+        return loss_params(value) if isinstance(value, str) else BesovParams(*value)
     except ValueError as err:
         raise ConfigError(what, str(err)) from None
 
@@ -520,12 +521,14 @@ def _resolver_from(espec, *, what, cfg, family, gen, disc):
     return resolve
 
 
-def _check_resolver(resolver, what: str, pairs) -> None:
+def _check_resolver(resolver, what: str, pairs, dim: int) -> None:
     for n, eps in pairs:
         try:
-            resolver(n, eps)
+            level = truth_level(resolver(n, eps))
         except (BesovRobustError, ValueError) as err:
             raise ConfigError(what, f"schedule fails at n={n}, eps={eps}: {err}") from None
+        if not _indexable(level + 1, dim):  # the truth's filter bank starts at level + 1
+            raise ConfigError(what, f"truth level {level} at n={n}, eps={eps} is too fine to index at dim={dim}")
 
 
 def _truths_from(cfg: ExperimentConfig, gen: BesovParams | None) -> list:
@@ -560,6 +563,8 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
     plan = _Plan()
     if cfg.dim < 1:
         raise ConfigError("dim", "dimension must be a positive integer")
+    if cfg.dim > _MAX_DIM and cfg.command != "breakdown":
+        raise ConfigError("dim", f"dimension must be at most {_MAX_DIM}, the tree reader's cap")
     if not cfg.out:
         raise ConfigError("out", "the output directory name is empty")
     if not (math.isfinite(cfg.tolerance) and cfg.tolerance > 0.0):
@@ -572,8 +577,8 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
         plan.family = wavelet_family(cfg.family)
     except ValueError as err:
         raise ConfigError("family", str(err)) from None
-    plan.disc = _params_from(cfg.disc, "discriminator", "disc")
-    plan.gen = None if cfg.gen is None else _params_from(cfg.gen, "generator", "gen")
+    plan.disc = _params_from(cfg.disc, "disc")
+    plan.gen = None if cfg.gen is None else _params_from(cfg.gen, "gen")
     sweep = cfg.command in ("risk-sweep", "rate-check")
 
     if sweep:
@@ -602,7 +607,7 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
             cfg.estimator, what="estimator", cfg=cfg, family=plan.family,
             gen=plan.gen, disc=plan.disc,
         )
-        _check_resolver(plan.estimator_for, "estimator", grid)
+        _check_resolver(plan.estimator_for, "estimator", grid, cfg.dim)
         if cfg.command == "estimate":
             return plan
         if cfg.baseline is not None:
@@ -610,7 +615,7 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
                 cfg.baseline, what="baseline", cfg=cfg, family=plan.family,
                 gen=plan.gen, disc=plan.disc,
             )
-            _check_resolver(plan.baseline_for, "baseline", grid)
+            _check_resolver(plan.baseline_for, "baseline", grid, cfg.dim)
         if plan.gen is not None and cfg.regime is not None:
             adaptive = (cfg.estimator or {}).get("schedule") == "adaptive"
             r = plan.family.regularity if adaptive else None
@@ -667,7 +672,6 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
             p, pt, g, gt, predicted = adversarial_spike_pair(
                 plan.gen, plan.disc, cfg.eps, cfg.dim, plan.family
             )
-            plan.pair_level = pt.index.j
         else:
             raw = cfg.idx if cfg.idx is not None else (2, (1,) * cfg.dim, (1,) * cfg.dim)
             j, kk, ee = raw
@@ -675,7 +679,6 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
                 raise ConfigError("idx", f"index arity does not match dim={cfg.dim}")
             p, pt, g, gt = lecam_structured_pair(plan.gen, cfg.eps, WaveletIndex(j, kk, ee), plan.family)
             predicted = None
-            plan.pair_level = j
     except (BesovRobustError, ValueError, OverflowError) as err:
         raise ConfigError("pair", str(err)) from None
     plan.pair = (p, pt, g, gt, predicted)
@@ -702,15 +705,10 @@ def _model_dict(model) -> dict:
     return {"kind": type(model).__name__}
 
 
-def _axis_cells(report: RiskReport, axis: str):
-    if axis == "n":
-        return sorted(report.cells, key=lambda c: c.n)
-    return sorted((c for c in report.cells if c.eps > 0.0), key=lambda c: c.eps)
-
-
 def _sweep_svg(report: RiskReport, axis: str, theory_exp: float | None) -> str:
-    cells = _axis_cells(report, axis)
-    xs = [float(c.n) if axis == "n" else float(c.eps) for c in cells]
+    x_of = (lambda c: float(c.n)) if axis == "n" else (lambda c: c.eps)
+    cells = sorted(fit_cells(report, axis)[0], key=x_of)
+    xs = [x_of(c) for c in cells]
     ys = [c.mean for c in cells]
     errs = [c.stderr for c in cells]
     sign = -1.0 if axis == "n" else 1.0
@@ -742,7 +740,7 @@ def _run_estimate(cfg: ExperimentConfig, plan: _Plan, out: Path) -> int:
     pts = sample_huber(model, spec.g, spec.eps, cfg.samples, cfg.seed)
     est = plan.estimator_for(cfg.samples, cfg.eps)
     tree = estimate(pts, plan.family, est)
-    truth_tree = exact_coeffs(model, plan.family, est.j1 + J_PAD)
+    truth_tree = exact_coeffs(model, plan.family, truth_level(est))
     ipm = besov_ipm(tree, truth_tree, plan.disc)
     tree.to_jsonl(out / "coeffs.jsonl")
     payload = {
@@ -882,7 +880,7 @@ def _run_breakdown(cfg: ExperimentConfig, plan: _Plan, out: Path) -> int:
 
 def _run_adversary(cfg: ExperimentConfig, plan: _Plan, out: Path) -> int:
     p, pt, g, gt, predicted = plan.pair
-    jm = plan.pair_level + 1
+    jm = pt.index.j + 1
     tree_p = exact_coeffs(p, plan.family, jm)
     tree_pt = exact_coeffs(pt, plan.family, jm)
     measured = besov_ipm(tree_p, tree_pt, plan.disc)
@@ -894,7 +892,7 @@ def _run_adversary(cfg: ExperimentConfig, plan: _Plan, out: Path) -> int:
         "schema": "besov-robust-pair/1",
         "pair": cfg.pair,
         "eps": cfg.eps,
-        "level": plan.pair_level,
+        "level": pt.index.j,
         "gen": list(cfg.gen),
         "disc": cfg.disc if isinstance(cfg.disc, str) else list(cfg.disc),
         "predicted_separation": predicted,
@@ -985,17 +983,9 @@ def main(argv=None) -> int:
             },
         )
         return run(cfg)
-    except ConfigError as err:
-        print(json.dumps(
-            {"error": {"precondition": err.precondition, "detail": err.detail}},
-            sort_keys=True,
-        ))
-        return 2
-    except BesovRobustError as err:
-        print(json.dumps(
-            {"error": {"precondition": type(err).__name__, "detail": str(err)}},
-            sort_keys=True,
-        ))
+    except (ConfigError, BesovRobustError) as err:
+        precondition = getattr(err, "precondition", type(err).__name__)
+        print(json.dumps({"error": {"precondition": precondition, "detail": str(err)}}, sort_keys=True))
         return 2
 
 

@@ -221,22 +221,22 @@ class CoefficientTree:
     def n_coefficients(self) -> int:
         return sum(int(np.count_nonzero(lev)) for lev in self._levels.values())
 
-    def _stored(self, j: int) -> tuple[list, list, list]:
-        """(orientation positions, translate tuples, values) of level j's
-        entries, in row-major order."""
-        lev = self._levels[j]
-        flat = lev.ravel().nonzero()[0]
-        pos = np.unravel_index(flat, lev.shape)
-        return pos[0].tolist(), list(zip(*[a.tolist() for a in pos[1:]])), lev.ravel()[flat].tolist()
+    def _entries(self) -> Iterator[tuple[int, tuple, list, np.ndarray]]:
+        """(j, e, translate lists, values) of the stored entries of each
+        level and orientation of a single tree: levels ascending,
+        orientations in `orientations` order, translates row-major."""
+        for j in self.levels():
+            for e, part in zip(self._orients, self._levels[j]):
+                ks = part.nonzero()
+                yield j, e, [k.tolist() for k in ks], part[ks]
 
     def items(self) -> Iterator[tuple[WaveletIndex, float]]:
         """Stored coefficients in (j, e, row-major k) order."""
         self._single("items")
-        orients = self._orients
         return (
-            (WaveletIndex(j, k, orients[o]), v)
-            for j in self.levels()
-            for o, k, v in zip(*self._stored(j))
+            (WaveletIndex(j, k, e), v)
+            for j, e, ks, vals in self._entries()
+            for k, v in zip(zip(*ks), vals.tolist())
         )
 
     def copy(self) -> "CoefficientTree":
@@ -327,14 +327,11 @@ class CoefficientTree:
         }
         lines = [json.dumps(header, sort_keys=True)]
         k_form = ", ".join(["%d"] * self.dim)
-        for j in self.levels():
-            for e, part in zip(self._orients, self._levels[j]):
-                ks = part.nonzero()
-                vals = part[ks]
-                # %s writes a finite float as its repr, as json.dumps does
-                vs = vals.tolist() if np.isfinite(vals).all() else list(map(_json_float, vals.tolist()))
-                form = f'{{"e": [{", ".join(map(str, e))}], "j": {j}, "k": [{k_form}], "v": %s}}'
-                lines += map(form.__mod__, zip(*[k.tolist() for k in ks], vs))
+        for j, e, ks, vals in self._entries():
+            # %s writes a finite float as its repr, as json.dumps does
+            vs = vals.tolist() if np.isfinite(vals).all() else list(map(_json_float, vals.tolist()))
+            form = f'{{"e": [{", ".join(map(str, e))}], "j": {j}, "k": [{k_form}], "v": %s}}'
+            lines += map(form.__mod__, zip(*ks, vs))
         text = "\n".join(lines) + "\n"
         if hasattr(path_or_fp, "write"):
             path_or_fp.write(text)

@@ -70,14 +70,20 @@ def _check_regime(regime: str, eps: float, gen: BesovParams, disc: BesovParams) 
         raise RegimeMismatch(f"the dense schedule needs p_d'={pd} at most p_g={gen.p}")
 
 
+def _floor_level(x: float) -> int:
+    """A real-valued level prescription floored to a level >= 0; the 1e-12
+    lets exact powers of two land on their integer."""
+    return max(0, math.floor(x + 1e-12))
+
+
 def choose_resolutions(
     n: int, eps: float, gen: BesovParams, disc: BesovParams, dim: int, regime: str
 ) -> tuple[int, int]:
     """Integer resolution levels (j0, j1) for the requested regime.
 
-    Levels are floors of real-valued prescriptions, computed in log2 space so
-    that exact powers of two land on the exact integer. eps = 0 drops the
-    contamination cap. j1 is clamped up to j0.
+    Levels are floors of real-valued prescriptions, computed in log2 space
+    (`_floor_level`). eps = 0 drops the contamination cap. The dense and
+    linear-sparse schedules keep one level, j0 = j1.
     """
     if n < 2:
         raise ValueError("need at least two samples to pick a resolution")
@@ -88,29 +94,19 @@ def choose_resolutions(
     dpg = dim / gen.p
     s = gen.sigma
 
-    def floor_level(x: float) -> int:
-        return max(0, math.floor(x + 1e-12))
-
+    if regime == "dense-unstructured":
+        n_den, eps_den = 2.0 * s + dim, s + dim / disc.p
+    else:
+        n_den, eps_den = 2.0 * s + dim - 2.0 * dpg, s + dim - dpg
+    top = ln / n_den
+    if eps > 0.0:
+        top = min(top, -math.log2(eps) / eps_den)
+    j1 = _floor_level(top)
     if regime in ("sparse-unstructured", "structured"):
-        j0 = floor_level(ln / (2.0 * s + dim))
-        top = ln / (2.0 * s + dim - 2.0 * dpg)
-        if eps > 0.0:
-            top = min(top, -math.log2(eps) / (s + dim - dpg))
-        j1 = floor_level(top)
         # heavy contamination caps j1 below the variance-optimal j0; the
         # whole estimator coarsens rather than j1 being pulled back up
-        j0 = min(j0, j1)
-    elif regime == "linear-sparse":
-        top = ln / (2.0 * s + dim - 2.0 * dpg)
-        if eps > 0.0:
-            top = min(top, -math.log2(eps) / (s + dim - dpg))
-        j0 = j1 = floor_level(top)
-    else:  # dense-unstructured
-        top = ln / (2.0 * s + dim)
-        if eps > 0.0:
-            top = min(top, -math.log2(eps) / (s + dim / disc.p))
-        j0 = j1 = floor_level(top)
-    return j0, max(j0, j1)
+        return min(_floor_level(ln / (2.0 * s + dim)), j1), j1
+    return j1, j1
 
 
 def _rescaled(tree: CoefficientTree, eps: float | None) -> CoefficientTree:
@@ -181,7 +177,6 @@ def adaptive_config(n: int, r: int, dim: int, K: float = 1.0) -> EstimatorConfig
         raise ValueError("the adaptive schedule needs n >= 3")
     if r < 0:
         raise ValueError("regularity must be nonnegative")
-    j0 = max(0, math.floor(math.log2(n) / (2.0 * r + dim) + 1e-12))
-    j1 = max(0, math.floor(math.log2(n / math.log(n)) / dim + 1e-12))
-    j1 = max(j0, j1)
-    return EstimatorConfig("adaptive", j0, j1, K=K)
+    j0 = _floor_level(math.log2(n) / (2.0 * r + dim))
+    j1 = _floor_level(math.log2(n / math.log(n)) / dim)
+    return EstimatorConfig("adaptive", j0, max(j0, j1), K=K)

@@ -218,10 +218,14 @@ def benchmark_suite(gen: BesovParams, dim: int) -> list[tuple[str, object]]:
 # on a 2-vCPU machine with a 2 MB per-core L2 cache, which the binning's
 # working arrays outgrow.
 _BLOCK_ROWS = 2**14
-# Levels the exact truth tree reaches above the estimator's top level j1:
-# the truth's detail beyond j1 is bias the estimate cannot see, and the
-# IPM must count it. The sweeps and the `estimate` command all pad by it
-J_PAD = 2
+
+
+def truth_level(est: EstimatorConfig) -> int:
+    """The top level of the exact truth tree that the sweeps and the
+    `estimate` command measure an `est` estimate against: two above j1, as
+    the truth's detail beyond j1 is bias the estimate cannot see, and the
+    IPM must count it."""
+    return est.j1 + 2
 
 
 class _Draws:
@@ -259,7 +263,7 @@ def risk_trials(
     cell_index: int = 0,
     slot_offset: int = 0,
 ) -> np.ndarray:
-    """Per-trial IPM risks against the exact truth tree at j1 + J_PAD.
+    """Per-trial IPM risks against the exact truth tree at `truth_level`.
 
     Trial t draws its sample stream from entropy (seed, cell_index,
     slot_offset + t); slot_offset keeps streams distinct when several truth
@@ -283,7 +287,7 @@ def risk_trials(
     if n < 1:
         raise ValueError("need at least one sample point per trial")
     if truth_tree is None:
-        truth_tree = exact_coeffs(truth, family, est.j1 + J_PAD)
+        truth_tree = exact_coeffs(truth, family, truth_level(est))
     block = max(1, _BLOCK_ROWS // 2 ** (truth_tree.dim * (est.j1 + 1)))
     out = np.empty(trials)
     for start in range(0, trials, block):
@@ -428,15 +432,12 @@ def run_sweep(
     for ci, (n, eps) in enumerate(grid):
         cfg = estimator_for(n, eps)
         spec = contamination(eps)
-        j_max = cfg.j1 + J_PAD
+        j_max = truth_level(cfg)
         for ti, (name, model) in enumerate(truths):
             key = (ti, j_max)
             if key not in tree_cache:
                 tree_cache[key] = exact_coeffs(model, family, j_max)
-            tasks.append(
-                (ci, ti)
-                + ((model, spec, cfg, disc, n, seed, ci, ti * trials, trials, family, tree_cache[key]),)
-            )
+            tasks.append((model, spec, cfg, disc, n, seed, ci, ti * trials, trials, family, tree_cache[key]))
 
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
@@ -444,20 +445,17 @@ def run_sweep(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_task, [p for _, _, p in tasks]))
+            results = list(pool.map(_sweep_task, tasks))
     else:
-        results = [_sweep_task(p) for _, _, p in tasks]
+        results = [_sweep_task(p) for p in tasks]
 
-    per_cell: dict[int, list[tuple[str, np.ndarray]]] = {ci: [] for ci in range(len(grid))}
-    for (ci, ti, _), risks in zip(tasks, results):
-        per_cell[ci].append((names[ti], risks))
-
+    # tasks run cell by cell, truth by truth, and both maps keep their order
     cells = []
     for ci, (n, eps) in enumerate(grid):
-        rows = per_cell[ci]
+        rows = results[ci * len(truths) : (ci + 1) * len(truths)]
         stats = [
             (name, float(r.mean()), float(r.std(ddof=1) / math.sqrt(trials)), r)
-            for name, r in rows
+            for name, r in zip(names, rows)
         ]
         worst = max(stats, key=lambda row: row[1])
         cells.append(
@@ -558,30 +556,32 @@ def fit_rate(
     return float(exponent), float(stderr)
 
 
-def fit_report_rate(report: RiskReport, axis: str = "n") -> tuple[float, float]:
-    """Fit one axis of a sweep report, holding the other coordinate fixed.
+def fit_cells(report: RiskReport, axis: str) -> tuple[list[CellResult], float | None]:
+    """The cells a fit along `axis` reads, in grid order, and its plateau.
 
-    axis="n" fits the cells at the smallest eps on the grid. axis="eps" fits
-    the cells at the largest n; an eps = 0 cell, when present, supplies the
-    plateau level and is excluded from the fit.
+    axis="n" takes the cells at the smallest eps on the grid, with no
+    plateau. axis="eps" takes the cells with eps > 0 at the largest n; the
+    largest mean of its eps = 0 cells, when there are any, is the plateau.
     """
-    plateau = None
     if axis == "n":
-        target = min(c.eps for c in report.cells)
-        cells = [c for c in report.cells if c.eps == target]
-        xs = [c.n for c in cells]
-        kind = "decay"
-    elif axis == "eps":
-        target = max(c.n for c in report.cells)
-        cells = [c for c in report.cells if c.n == target]
-        floor_cells = [c for c in cells if c.eps == 0.0]
-        if floor_cells:
-            plateau = max(c.mean for c in floor_cells)
-        cells = [c for c in cells if c.eps > 0.0]
-        xs = [c.eps for c in cells]
-        kind = "growth"
-    else:
+        eps = min(c.eps for c in report.cells)
+        return [c for c in report.cells if c.eps == eps], None
+    if axis != "eps":
         raise ValueError(f"unknown axis {axis!r}")
-    means = [c.mean for c in cells]
-    errs = [c.stderr for c in cells]
-    return fit_rate(xs, means, errs, kind=kind, plateau=plateau)
+    n = max(c.n for c in report.cells)
+    cells = [c for c in report.cells if c.n == n]
+    floor = [c.mean for c in cells if c.eps == 0.0]
+    return [c for c in cells if c.eps > 0.0], max(floor) if floor else None
+
+
+def fit_report_rate(report: RiskReport, axis: str = "n") -> tuple[float, float]:
+    """Fit one axis of a sweep report over its `fit_cells`: a decay in n, a
+    growth in eps."""
+    cells, plateau = fit_cells(report, axis)
+    return fit_rate(
+        [c.n if axis == "n" else c.eps for c in cells],
+        [c.mean for c in cells],
+        [c.stderr for c in cells],
+        kind="decay" if axis == "n" else "growth",
+        plateau=plateau,
+    )

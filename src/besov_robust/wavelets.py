@@ -1,7 +1,7 @@
 """Periodized orthonormal wavelet bases on the unit cube.
 
 Families: Haar ("haar") and the extremal-phase Daubechies families ("db2"
-to "db8"; higher orders fail the filter check). Daubechies low-pass filters
+to "db8"; higher orders raise UnstableFilter). Daubechies low-pass filters
 are built by spectral factorization of the halfband polynomial, and
 scaling-function values are computed exactly on the dyadic grid of spacing
 2^-m (m = cascade_depth) by the two-scale recursion. Haar is evaluated in
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -47,6 +48,10 @@ from .errors import UnstableFilter
 _SQRT2 = math.sqrt(2.0)
 # Largest accepted max_l |sum_k h_k h_{k+2l} - delta_l| of a built filter.
 ORTHONORMALITY_TOL = 1e-12
+# The largest order whose filter meets ORTHONORMALITY_TOL. Higher orders are
+# refused before any work: building db500 takes seconds, and from db516 on
+# the halfband coefficients overflow a float.
+MAX_ORDER = 8
 
 
 class WaveletIndex(NamedTuple):
@@ -74,12 +79,14 @@ def daubechies_filter(n_moments: int) -> np.ndarray:
     The orthonormality identities sum_k h_k h_{k+2l} = delta_{l,0} are
     checked after construction. Their largest residual is ~2e-16 through db5
     and grows with the order (3e-13 at db8, 1e-12 at db9, 0.1 at db23), so
-    a residual above ORTHONORMALITY_TOL, or a failed root selection, raises
-    UnstableFilter: db8 is the largest accepted order.
+    a residual above ORTHONORMALITY_TOL, a failed root selection or an
+    order above MAX_ORDER raises UnstableFilter.
     """
     n = int(n_moments)
     if n < 1:
         raise ValueError("n_moments must be a positive integer")
+    if n > MAX_ORDER:
+        raise UnstableFilter(f"db{n} is above db{MAX_ORDER}, the largest supported order")
     if n == 1:
         return np.array([1.0, 1.0]) / _SQRT2
 
@@ -114,7 +121,7 @@ def daubechies_filter(n_moments: int) -> np.ndarray:
     if residual > ORTHONORMALITY_TOL:
         raise UnstableFilter(
             f"db{n} filter misses orthonormality by {residual:.2g} "
-            f"(tolerance {ORTHONORMALITY_TOL:g}); db8 is the largest supported order"
+            f"(tolerance {ORTHONORMALITY_TOL:g})"
         )
     return h
 
@@ -304,28 +311,17 @@ _CACHE: dict[tuple[str, int], WaveletFamily] = {}
 
 
 def wavelet_family(name: str, cascade_depth: int = 14) -> WaveletFamily:
-    """Look up a family by name: "haar" or "dbN" for 2 <= N <= 8 (higher orders
-    raise UnstableFilter). Instances are cached."""
+    """Look up a family by name: exactly "haar" or "dbN", N a positive
+    integer in ASCII digits with no sign, space or leading zero; "db1" is
+    Haar, and orders above 8 raise UnstableFilter. Instances are cached."""
     key = (name, cascade_depth)
-    if key in _CACHE:
-        return _CACHE[key]
-    if name == "haar":
-        fam = WaveletFamily("haar", 1, cascade_depth)
-    elif name.startswith("db"):
-        try:
-            n = int(name[2:])
-        except ValueError:
-            raise ValueError(f"unknown wavelet family {name!r}") from None
-        if n < 1:
+    if key not in _CACHE:
+        order = re.fullmatch(r"haar|db([1-9][0-9]*)", name)
+        if order is None:
             raise ValueError(f"unknown wavelet family {name!r}")
-        if n == 1:
-            fam = WaveletFamily("haar", 1, cascade_depth)
-        else:
-            fam = WaveletFamily(name, n, cascade_depth)
-    else:
-        raise ValueError(f"unknown wavelet family {name!r}")
-    _CACHE[key] = fam
-    return fam
+        n = int(order[1] or 1)
+        _CACHE[key] = WaveletFamily("haar" if n == 1 else name, n, cascade_depth)
+    return _CACHE[key]
 
 
 def eval_wavelet(family: WaveletFamily, index: WaveletIndex, x) -> np.ndarray:

@@ -122,10 +122,10 @@ def test_ipm_duality_witness_and_ball_supremacy(capfd):
         loss_params("wasserstein1"),
         loss_params("l2"),
         loss_params("ks"),
-        BesovParams(0.7, 4.0, 2.0, 0.5, "discriminator"),
-        BesovParams(1.5, 1.5, INF, 2.0, "discriminator"),
-        BesovParams(0.3, INF, 1.0, 1.0, "discriminator"),
-        BesovParams(2.0, 1.0, 1.0, 1.0, "discriminator"),
+        BesovParams(0.7, 4.0, 2.0, 0.5),
+        BesovParams(1.5, 1.5, INF, 2.0),
+        BesovParams(0.3, INF, 1.0, 1.0),
+        BesovParams(2.0, 1.0, 1.0, 1.0),
     ]
     failures = []
     worst = 0.0
@@ -375,7 +375,7 @@ def test_closed_form_exponents(capfd):
     # sigma / (sigma + 1 - 1/p)
     for sigma, p in ((0.75, 1.5), (1.0, 2.0), (1.5, 4.0)):
         gen = BesovParams(sigma, INF, INF, 2.0)
-        disc = BesovParams(0.0, conjugate(p), conjugate(p), 1.0, "discriminator")
+        disc = BesovParams(0.0, conjugate(p), conjugate(p), 1.0)
         got = theoretical_exponents(gen, disc, 1, "dense-unstructured").dominant_eps
         want = sigma / (sigma + 1.0 - 1.0 / p)
         if got != pytest.approx(want, rel=1e-12):
@@ -384,7 +384,7 @@ def test_closed_form_exponents(capfd):
     # a smooth discriminator against a Lipschitz truth: parametric
     # n-exponent 1/2, eps-exponent 1, so the contamination tolerance is
     # exactly n^(-1/2)
-    smooth = BesovParams(2.0, 1.0, 1.0, 1.0, "discriminator")
+    smooth = BesovParams(2.0, 1.0, 1.0, 1.0)
     es = theoretical_exponents(gen1, smooth, 1, "sparse-unstructured")
     if (es.dominant_n, es.dominant_eps) != (0.5, 1.0):
         failures.append(("sqrt-n", es.dominant_n, es.dominant_eps))
@@ -399,7 +399,7 @@ def test_closed_form_exponents(capfd):
     # sweeping the discriminator smoothness: exponents saturate at the
     # parametric pair once sigma_d >= 1
     for sigma_d in (0.25, 0.5, 1.0, 2.0):
-        disc = BesovParams(sigma_d, 1.0, 1.0, 1.0, "discriminator")
+        disc = BesovParams(sigma_d, 1.0, 1.0, 1.0)
         es = theoretical_exponents(gen1, disc, 1, "sparse-unstructured")
         want_n = min(0.5, (1.0 + sigma_d) / 3.0)
         want_eps = min(1.0, (1.0 + sigma_d) / 2.0)
@@ -464,9 +464,9 @@ def test_norm_domination_and_sup_bound(capfd):
     # replacing the dual exponent with the generator's conjugate can only
     # grow the metric (100 random tree pairs, three class pairs)
     combos = [
-        (BesovParams(0.7, 4.0, 2.0, 1.0, "discriminator"), 2.0),
-        (BesovParams(0.5, 2.0, 2.0, 1.0, "discriminator"), 2.0),
-        (BesovParams(1.0, INF, INF, 1.0, "discriminator"), 3.0),
+        (BesovParams(0.7, 4.0, 2.0, 1.0), 2.0),
+        (BesovParams(0.5, 2.0, 2.0, 1.0), 2.0),
+        (BesovParams(1.0, INF, INF, 1.0), 3.0),
     ]
     for trial in range(100):
         disc, p_g = combos[trial % len(combos)]

@@ -80,8 +80,6 @@ class TestParams:
         with pytest.raises(ValueError):
             BesovParams(1.0, 2.0, 2.0, L=0.0)
         with pytest.raises(ValueError):
-            BesovParams(1.0, 2.0, 2.0, role="judge")
-        with pytest.raises(ValueError):
             BesovParams(math.nan, 2.0, 2.0)
         with pytest.raises(ValueError):
             BesovParams(1.0, 2.0, 2.0, L=math.nan)
@@ -91,10 +89,10 @@ class TestParams:
         assert BesovParams(1.0, INF, INF).sigma_prime(2) == pytest.approx(2.0)
 
     def test_loss_presets(self):
-        assert LOSS_PRESETS["tv"] == BesovParams(0.0, INF, INF, 1.0, "discriminator")
+        assert LOSS_PRESETS["tv"] == BesovParams(0.0, INF, INF, 1.0)
         assert LOSS_PRESETS["wasserstein1"].sigma == 1.0
-        assert LOSS_PRESETS["l2"] == BesovParams(0.0, 2.0, 2.0, 1.0, "discriminator")
-        assert LOSS_PRESETS["ks"] == BesovParams(1.0, 1.0, INF, 1.0, "discriminator")
+        assert LOSS_PRESETS["l2"] == BesovParams(0.0, 2.0, 2.0, 1.0)
+        assert LOSS_PRESETS["ks"] == BesovParams(1.0, 1.0, INF, 1.0)
         assert loss_params("tv") is LOSS_PRESETS["tv"]
         with pytest.raises(ValueError):
             loss_params("hellinger")
@@ -198,7 +196,7 @@ class TestLayoutIndependence:
         for _ in range(10):
             (f, g), (ff, gf) = self._dense_pair(rng, dim)
             for sigma, p, q in EXPONENT_COMBOS:
-                params = BesovParams(sigma, p, q, role="discriminator")
+                params = BesovParams(sigma, p, q)
                 assert bits(besov_norm(ff, params)) == bits(besov_norm(f, params))
                 assert bits(besov_ipm(ff, gf, params)) == bits(besov_ipm(f, g, params))
                 assert bits(besov_ipm(ff, g, params)) == bits(besov_ipm(f, g, params))
@@ -231,7 +229,7 @@ def pinned_digests() -> tuple[str, str]:
         f, g = pair
         for p in exponents:
             for q in exponents:
-                params = BesovParams(0.7, p, q, role="discriminator")
+                params = BesovParams(0.7, p, q)
                 norm_hash.update(np.asarray(besov_norm(f, params), dtype=float).tobytes())
                 ipm_hash.update(np.asarray(besov_ipm(f, g, params), dtype=float).tobytes())
     return norm_hash.hexdigest(), ipm_hash.hexdigest()
@@ -249,32 +247,32 @@ class TestBesovIpm:
     def test_equal_trees_zero(self):
         rng = np.random.default_rng(6)
         t = rand_tree(rng)
-        assert besov_ipm(t, t.copy(), BesovParams(1.0, 2.0, 2.0, role="discriminator")) == 0.0
+        assert besov_ipm(t, t.copy(), BesovParams(1.0, 2.0, 2.0)) == 0.0
 
     @pytest.mark.parametrize("j,delta,sigma", [(3, 0.7, 1.0), (0, -2.0, 0.0), (5, 0.01, 2.0)])
     def test_single_beta_delta_closed_form(self, j, delta, sigma):
         t1, t2 = CoefficientTree(HAAR, 1), CoefficientTree(HAAR, 1)
         t1.set(WaveletIndex(j, (0,), (1,)), delta)
-        disc = BesovParams(sigma, INF, INF, 1.0, "discriminator")
+        disc = BesovParams(sigma, INF, INF, 1.0)
         want = 2.0 ** (-j * (sigma + 0.5)) * abs(delta)
         assert besov_ipm(t1, t2, disc) == pytest.approx(want, rel=1e-14)
 
     def test_symmetry_triangle_monotone_covariant(self):
         rng = np.random.default_rng(8)
         t1, t2, t3 = rand_tree(rng), rand_tree(rng), rand_tree(rng)
-        disc = BesovParams(0.5, 3.0, 1.5, 1.0, "discriminator")
+        disc = BesovParams(0.5, 3.0, 1.5, 1.0)
         d12 = besov_ipm(t1, t2, disc)
         assert besov_ipm(t2, t1, disc) == pytest.approx(d12, rel=1e-14)
         assert besov_ipm(t1, t3, disc) <= d12 + besov_ipm(t2, t3, disc) + 1e-12
-        steeper = BesovParams(0.9, 3.0, 1.5, 1.0, "discriminator")
+        steeper = BesovParams(0.9, 3.0, 1.5, 1.0)
         assert besov_ipm(t1, t2, steeper) <= d12 + 1e-15
-        doubled = BesovParams(0.5, 3.0, 1.5, 2.0, "discriminator")
+        doubled = BesovParams(0.5, 3.0, 1.5, 2.0)
         assert besov_ipm(t1, t2, doubled) == pytest.approx(2.0 * d12, rel=1e-14)
 
     def test_additive_form_brackets_exact(self):
         # the sum of the two dual parts is an upper bound within a factor 2
         rng = np.random.default_rng(10)
-        disc = BesovParams(0.5, 2.0, 2.0, 1.0, "discriminator")
+        disc = BesovParams(0.5, 2.0, 2.0, 1.0)
         for _ in range(20):
             t1, t2 = rand_tree(rng), rand_tree(rng)
             exact = besov_ipm(t1, t2, disc)
@@ -293,7 +291,7 @@ class TestBesovIpm:
             besov_ipm(
                 CoefficientTree(HAAR, 1),
                 CoefficientTree(HAAR, 2),
-                BesovParams(1.0, 2.0, 2.0, role="discriminator"),
+                BesovParams(1.0, 2.0, 2.0),
             )
 
 
@@ -303,7 +301,7 @@ class TestWitness:
         worst_pair, worst_norm = 0.0, 0.0
         for sigma, p, q in EXPONENT_COMBOS:
             for L in (1.0, 2.5):
-                disc = BesovParams(sigma, p, q, L, "discriminator")
+                disc = BesovParams(sigma, p, q, L)
                 for rep in range(12):
                     dim = 1 if rep % 3 else 2
                     t1, t2 = rand_tree(rng, dim), rand_tree(rng, dim)
@@ -320,7 +318,7 @@ class TestWitness:
         delta = CoefficientTree(HAAR, 1)
         idx = WaveletIndex(j, (2,), (1,))
         delta.set(idx, val)
-        disc = BesovParams(1.0, 2.0, 2.0, 1.5, "discriminator")
+        disc = BesovParams(1.0, 2.0, 2.0, 1.5)
         w = ipm_witness(delta, disc)
         assert w.n_coefficients == 1
         # the witness sits on the same coefficient, scaled to norm L
@@ -331,18 +329,18 @@ class TestWitness:
     def test_alpha_dominant_witness(self):
         delta = CoefficientTree(HAAR, 1, alpha=-2.0)
         delta.set(WaveletIndex(4, (0,), (1,)), 1e-6)
-        disc = BesovParams(0.0, INF, INF, 1.0, "discriminator")
+        disc = BesovParams(0.0, INF, INF, 1.0)
         w = ipm_witness(delta, disc)
         assert w.alpha == -1.0
         assert w.n_coefficients == 0
 
     def test_zero_delta(self):
         with pytest.raises(ZeroDelta):
-            ipm_witness(CoefficientTree(HAAR, 1), BesovParams(1.0, 2.0, 2.0, role="discriminator"))
+            ipm_witness(CoefficientTree(HAAR, 1), BesovParams(1.0, 2.0, 2.0))
 
     def test_random_ball_elements_never_exceed(self):
         rng = np.random.default_rng(14)
-        disc = BesovParams(1.0, 2.0, 2.0, 1.0, "discriminator")
+        disc = BesovParams(1.0, 2.0, 2.0, 1.0)
         t1, t2 = rand_tree(rng), rand_tree(rng)
         d = besov_ipm(t1, t2, disc)
         delta = tree_axpy(-1.0, t2, t1)
@@ -392,7 +390,7 @@ class TestSupNormBound:
 class TestNesting:
     def test_identical_trees(self):
         t = CoefficientTree(HAAR, 1, alpha=1.0)
-        disc = BesovParams(0.7, 4.0, 2.0, 1.0, "discriminator")
+        disc = BesovParams(0.7, 4.0, 2.0, 1.0)
         assert ipm_nesting_check(t, t.copy(), disc, 2.0) == (0.0, 0.0)
 
     def test_matched_exponent_gives_equal_values(self):
@@ -400,13 +398,13 @@ class TestNesting:
         t1, t2 = rand_tree(rng), rand_tree(rng)
         # p_d = p_g' makes the two balls the same space
         p_g = 3.0
-        disc = BesovParams(0.7, conjugate(p_g), 2.0, 1.0, "discriminator")
+        disc = BesovParams(0.7, conjugate(p_g), 2.0, 1.0)
         first, second = ipm_nesting_check(t1, t2, disc, p_g)
         assert first == pytest.approx(second, rel=1e-14)
 
     def test_first_below_second(self):
         rng = np.random.default_rng(22)
-        disc = BesovParams(0.7, 4.0, 2.0, 1.0, "discriminator")
+        disc = BesovParams(0.7, 4.0, 2.0, 1.0)
         for _ in range(100):
             t1, t2 = rand_tree(rng), rand_tree(rng)
             first, second = ipm_nesting_check(t1, t2, disc, 2.0)
@@ -415,6 +413,6 @@ class TestNesting:
     def test_regime_mismatch(self):
         t = CoefficientTree(HAAR, 1)
         # p_d = 1.25 has conjugate 5 > p_g = 2
-        disc = BesovParams(0.7, 1.25, 2.0, 1.0, "discriminator")
+        disc = BesovParams(0.7, 1.25, 2.0, 1.0)
         with pytest.raises(RegimeMismatch):
             ipm_nesting_check(t, t, disc, 2.0)

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import xml.dom.minidom
 from collections import Counter
 from pathlib import Path
@@ -42,6 +43,7 @@ from besov_robust.coefficients import (
     tree_axpy,
     uniform_density,
 )
+from besov_robust.harness import truth_level
 from besov_robust.wavelets import WaveletIndex, wavelet_family
 
 
@@ -589,7 +591,9 @@ class TestConfigErrors:
         assert cfg.contamination["g"]["values"] == [2.0, 0.0]
         assert all(type(v) is float for v in cfg.contamination["g"]["values"])
 
-    @pytest.mark.parametrize("family", ["db23", "db30"])
+    # db 3 to "db3 " once built db3 under their own spelling, whose tree
+    # files read as another basis; db600 overflowed a float
+    @pytest.mark.parametrize("family", ["db23", "db30", "db 3", "db03", "db+3", "db\u0663", "db3 ", "db600"])
     def test_unstable_family_exit_2(self, capsys, tmp_path, family):
         out = tmp_path / "o"
         rc, text = run_cli(
@@ -702,6 +706,35 @@ class TestRateCheck:
         run_cli(FAST_RATE_ARGS + ["--out", str(out)], capsys)
         doc = xml.dom.minidom.parseString((out / "rate.svg").read_text())
         assert doc.documentElement.tagName == "svg"
+
+
+# A risk-sweep over a descending n_grid and a rate-check over a descending
+# eps_grid: the fit reads the cells in grid order and the plot sorts them,
+# and both orders leave their bits in these artifacts (fitting the sorted
+# cells moves the last bit of either exponent). Taken before the fit and
+# the plot shared one cell selection.
+DESCENDING_GRID_RUNS = {
+    "n": ("risk-sweep", "holder1-tv-uncontaminated",
+          {"command": "risk-sweep", "n_grid": [2048, 1024, 512, 256], "trials": 4}, "risk.svg",
+          "0x1.3d29aa7a8bd75p-2", "3d44c3f42c979e8b789297140caf707ac762d4bbdb0b862c89d7d5b689d3fc02"),
+    "eps": ("rate-check", "structured-eps-rate",
+            {"eps_grid": [0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0], "trials": 6}, "rate.svg",
+            "0x1.d3df785e1e297p-1", "7f4e69030b29f0de5a803cb16743be4d48890d9c5deaa5ce3a6ddbbc9b900d50"),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(DESCENDING_GRID_RUNS))
+def test_descending_grid_fit_and_plot_pinned(capsys, tmp_path, axis):
+    command, preset, patch, svg, exponent, svg_sha256 = DESCENDING_GRID_RUNS[axis]
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(patch))
+    out = tmp_path / "o"
+    rc, _ = run_cli([command, "--preset", preset, "--config", str(cfgfile), "--jobs", "1", "--out", str(out)], capsys)
+    assert rc == 0
+    fitted = json.loads((out / "risk.json").read_text())["fitted"]
+    assert list(fitted) == [axis]
+    assert fitted[axis]["exponent"].hex() == exponent
+    assert hashlib.sha256((out / svg).read_bytes()).hexdigest() == svg_sha256
 
 
 class TestDeterminism:
@@ -924,6 +957,19 @@ class TestEstimate:
             again = besov_ipm(tree, truth, LOSS_PRESETS[loss])
             assert np.float64(printed).view(np.int64) == np.float64(again).view(np.int64)
 
+    def test_ipm_is_measured_at_the_harness_truth_level(self, capsys, tmp_path):
+        out = tmp_path / "o"
+        rc, _ = run_cli(["estimate", "--preset", "dyadic-demo", "--out", str(out)], capsys)
+        assert rc == 0
+        cfg = build_config("estimate", preset="dyadic-demo")
+        plan = validate(cfg)
+        est = plan.estimator_for(cfg.samples, cfg.eps)
+        truth = exact_coeffs(plan.truths[0][1], plan.family, truth_level(est))
+        tree = CoefficientTree.from_jsonl(str(out / "coeffs.jsonl"))
+        printed = json.loads((out / "estimate.json").read_text())["ipm_to_truth"]
+        again = besov_ipm(tree, truth, plan.disc)
+        assert np.float64(printed).view(np.int64) == np.float64(again).view(np.int64)
+
     def test_rerun_byte_identical(self, capsys, tmp_path):
         out = tmp_path / "o"
         run_cli(["estimate", "--preset", "dyadic-demo", "--out", str(out)], capsys)
@@ -1056,19 +1102,32 @@ class TestFieldTable:
         [
             ("structured-eps-rate", {"dim": 2}, "contamination"),
             ("holder1-tv-uncontaminated", {"gen": [1e308, "inf", "inf", 2.0]}, "gen"),
+            ("holder1-tv-uncontaminated", {"dim": 24}, "dim"),
+            ("holder1-tv-uncontaminated",
+             {"estimator": {"kind": "thresholded", "schedule": "fixed", "j0": 0, "j1": 70}}, "estimator"),
+            ("adaptive-vs-oracle-holder1",
+             {"baseline": {"kind": "thresholded", "schedule": "fixed", "j0": 0, "j1": 70}}, "baseline"),
+            ("dyadic-demo", {"dim": 17}, "dim"),
         ],
-        ids=["contaminator-dim", "gen-sigma-1e308"],
+        ids=["contaminator-dim", "gen-sigma-1e308", "dim-24", "estimator-j1-70", "baseline-j1-70",
+             "estimate-dim-17"],
     )
     def test_values_out_of_reach_exit_2(self, capsys, tmp_path, preset, patch, precondition):
         # a 1-D contaminator under dim 2 failed in the sampler after OUT
-        # existed; a huge smoothness overflowed the truths' level weights
+        # existed; a huge smoothness overflowed the truths' level weights; a
+        # dim above the tree reader's cap, or a truth level int64 cannot
+        # index, ended in numpy's size errors or a MemoryError
+        command = PRESETS[preset]["command"]
         cfgfile = tmp_path / "c.json"
-        cfgfile.write_text(json.dumps({"command": "rate-check", **patch}))
+        cfgfile.write_text(json.dumps({"command": command, **patch}))
         out = tmp_path / "o"
+        start = time.perf_counter()
         rc, text = run_cli(
-            ["rate-check", "--preset", preset, "--config", str(cfgfile), "--out", str(out)], capsys
+            [command, "--preset", preset, "--config", str(cfgfile), "--out", str(out)], capsys
         )
+        assert time.perf_counter() - start < 1.0
         assert rc == 2
+        assert text.count("\n") == 1
         assert json.loads(text)["error"]["precondition"] == precondition
         assert not out.exists()
 

@@ -526,6 +526,20 @@ class TestSerialization:
             rec = {"e": list(idx.e), "j": idx.j, "k": list(idx.k), "v": v}
             assert line == json.dumps(rec, sort_keys=True)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_items_and_to_jsonl_share_one_entry_order(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        es = list(orientations(dim))
+        for _ in range(5):
+            tree = random_tree(rng, HAAR, dim, j_max=3, n_coeffs=30)
+            buf = io.StringIO()
+            tree.to_jsonl(buf)
+            records = [json.loads(line) for line in buf.getvalue().splitlines()[1:]]
+            items = list(tree.items())
+            assert [(WaveletIndex(r["j"], tuple(r["k"]), tuple(r["e"])), r["v"]) for r in records] == items
+            keys = [(idx.j, es.index(idx.e), idx.k) for idx, _ in items]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
     def test_loads_file_in_the_original_format(self):
         # written by the dict-backed tree, which kept insertion order within
         # a level; the reload stores the same values and writes (j, e, k) order
@@ -1183,7 +1197,7 @@ class TestEmpiricalCoeffs:
         "tree_axpy": lambda block, single: tree_axpy(1.0, block, single),
         "tree_axpy-second": lambda block, single: tree_axpy(1.0, single, block),
         "ipm_witness": lambda block, single: ipm_witness(
-            block, BesovParams(1.0, 2.0, 2.0, role="discriminator")
+            block, BesovParams(1.0, 2.0, 2.0)
         ),
     }
 
@@ -1288,7 +1302,7 @@ class TestEmpiricalCoeffs:
 
     def test_blocks_measure_against_one_tree_or_an_equal_block(self):
         x = np.array([[0.1], [0.6], [0.3], [0.8], [0.35], [0.9]])
-        disc = BesovParams(1.0, INF, INF, 1.0, role="discriminator")
+        disc = BesovParams(1.0, INF, INF, 1.0)
         block2 = empirical_coeffs(x[:4], HAAR, 0, 1, trials=2)
         block3 = empirical_coeffs(x, HAAR, 0, 1, trials=3)
         single = empirical_coeffs(x[4:], HAAR, 0, 1)

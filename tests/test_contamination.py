@@ -285,7 +285,7 @@ class TestLeCamPair:
         # g - base is a single daughter; its norm fits a radius-2 ball
         _, _, g, _ = lecam_structured_pair(GEN, 0.25, self.IDX, HAAR)
         tree = exact_coeffs(g, HAAR, 3)
-        assert besov_norm(tree, BesovParams(1.0, INF, INF, 2.0, "contamination")) <= 2.0
+        assert besov_norm(tree, BesovParams(1.0, INF, INF, 2.0)) <= 2.0
 
     def test_ball_violation(self):
         with pytest.raises(BallViolation):

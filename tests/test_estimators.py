@@ -100,7 +100,7 @@ class TestChooseResolutions:
                 4096,
                 0.1,
                 BesovParams(1.0, 1.0, 2.0),
-                BesovParams(0.0, 2.0, 2.0, role="discriminator"),
+                BesovParams(0.0, 2.0, 2.0),
                 1,
                 "dense-unstructured",
             )

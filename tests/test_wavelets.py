@@ -2,12 +2,15 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
 
+from besov_robust import wavelets
 from besov_robust.errors import BesovRobustError, UnstableFilter
 from besov_robust.wavelets import (
+    MAX_ORDER,
     ORTHONORMALITY_TOL,
     WaveletFamily,
     WaveletIndex,
@@ -52,15 +55,18 @@ class TestFilters:
         for a in range(n):
             assert abs(np.dot(g, ks**a)) < tol * max(1.0, w**a)
 
-    @pytest.mark.parametrize("n", [9, 23, 28, 30])
+    @pytest.mark.parametrize("n", [9, 23, 28, 30, 600, 10**6])
     def test_unstable_orders_are_typed_errors(self, n):
-        # db28 and db30 fail root selection; db9 and db23 miss orthonormality
+        # every order above MAX_ORDER is refused before the filter is built
+        # (db600 once overflowed a float, and db500 took seconds)
+        start = time.perf_counter()
         with pytest.raises(UnstableFilter) as info:
             daubechies_filter(n)
         assert isinstance(info.value, BesovRobustError)
         assert isinstance(info.value, ValueError)
-        with pytest.raises(ValueError):
+        with pytest.raises(UnstableFilter):
             wavelet_family(f"db{n}")
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_accepted_orders_meet_tolerance(self, n):
@@ -80,6 +86,16 @@ class TestFilters:
             wavelet_family("dbx")
         with pytest.raises(ValueError):
             daubechies_filter(0)
+
+    @pytest.mark.parametrize("name", ["db 3", "db03", "db+3", "db\u0663", "db3 ", "db3\n", "DB3", "db", "db0", "Haar"])
+    def test_names_outside_the_grammar(self, name):
+        with pytest.raises(ValueError, match="unknown wavelet family"):
+            wavelet_family(name)
+
+    def test_residual_check_guards_accepted_orders(self, monkeypatch):
+        monkeypatch.setattr(wavelets, "ORTHONORMALITY_TOL", 1e-30)
+        with pytest.raises(UnstableFilter, match="misses orthonormality"):
+            daubechies_filter(MAX_ORDER)
 
     def test_db1_aliases_haar(self):
         assert wavelet_family("db1").name == "haar"
