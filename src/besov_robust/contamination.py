@@ -16,6 +16,7 @@ densities.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,52 +82,209 @@ class ContaminationSpec:
                 )
 
 
-def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng) -> np.ndarray:
-    """Draw n points from the contaminated mixture (1-eps) p + eps g.
+# numpy's SeedSequence constants; NEP 19 freezes the streams they seed
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # uint32 words in a SeedSequence's entropy pool
+_WORD = 0xFFFFFFFF
+# g's share of a sample from which the mixture is assembled by index rather
+# than by boolean mask: the mask's branches mispredict as its density grows.
+# At n = 2^14, D = 1 and 2, the mask is the faster at a share of 2^-4 and
+# the index at 2^-3.
+_INDEX_SHARE = 2.0**-3.5
 
-    Each point independently comes from g with probability eps. Component
-    draws use the child streams i = 0, 1, 2 (mask, p, g) of the seed, so
-    eps=0 reproduces the pure-p sample for the same seed. Child i is built
-    directly as SeedSequence(seed, spawn_key=(i,)), which has the state of
-    SeedSequence(seed).spawn(3)[i] without building the root and the other
-    children, and only the children read are built. An unseeded call
-    (None) draws one root entropy and builds its children from it, so its
-    three streams still share one root.
 
-    Work that changes no bit is skipped. With child streams (an int or tuple
-    seed) and eps = 0 the mask is all False and its stream feeds nothing
-    else, so it is not drawn and p's draw is returned. Whenever no point
-    falls to g, p's draw is the whole sample: it is returned without the
-    scatter into a fresh array, and g's stream is not built. A shared
-    Generator still draws the mask first, because that advances the stream
-    every later draw reads.
-    """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("contamination level must lie in [0, 1)")
-    shared = isinstance(seed_or_rng, np.random.Generator)
-    if shared:
-        p_rng = seed_or_rng
-        mask = seed_or_rng.random(n) < eps
-    else:
-        entropy = np.random.SeedSequence().entropy if seed_or_rng is None else seed_or_rng
+def _words(entropy) -> list[int]:
+    """The uint32 words SeedSequence assembles from an int or a nested
+    sequence of ints, least significant first."""
+    if isinstance(entropy, (tuple, list)):
+        return [w for e in entropy for w in _words(e)]
+    n = operator.index(entropy)
+    if n < 0:
+        raise ValueError(f"expected non-negative integer entropy, got {n}")
+    out = [n & _WORD]
+    while n > _WORD:
+        n >>= 32
+        out.append(n & _WORD)
+    return out
 
-        def child(i: int) -> np.random.Generator:
-            return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
 
-        p_rng = child(1)
-        if eps == 0.0:
-            return p_model.sample(n, p_rng)
-        mask = child(0).random(n) < eps
+def _hash_constants(h: int, mult: int, count: int):
+    """The next `count` hash constants before and after each multiply, and
+    the last one."""
+    pre, post = [], []
+    for _ in range(count):
+        pre.append(h)
+        h = h * mult & _WORD
+        post.append(h)
+    return np.array(pre, np.uint32), np.array(post, np.uint32), h
+
+
+def _pcg64_seeds(words: np.ndarray) -> np.ndarray:
+    """`SeedSequence.generate_state(4, np.uint64)` for each row of assembled
+    entropy words, (rows, L >= _POOL) uint32 to (rows, 4) uint64: numpy's
+    pool-of-4 hashmix and mix, one array operation per word for all rows."""
+    h = _INIT_A
+
+    def hashmix(value, count):
+        nonlocal h
+        pre, post, h = _hash_constants(h, _MULT_A, count)
+        value = (value ^ pre) * post
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+        return r ^ (r >> 16)
+
+    pool = hashmix(words[:, :_POOL], _POOL)
+    for src in range(_POOL):
+        # the pool word mixed into the three others is the same for each
+        dst = [d for d in range(_POOL) if d != src]
+        pool[:, dst] = mix(pool[:, dst], hashmix(pool[:, src : src + 1], _POOL - 1))
+    for src in range(_POOL, words.shape[1]):
+        pool = mix(pool, hashmix(words[:, src : src + 1], _POOL))
+    pre, post, _ = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+    state = (np.tile(pool, 2) ^ pre) * post
+    state ^= state >> 16
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _ChildSeed:
+    """One child stream's PCG64 seed words, handed to `np.random.PCG64` as
+    its ISeedSequence, so numpy still seeds the stream from them. It is
+    registered as one on first use (`_child_seeds`): subclassing at import
+    would load numpy.random with the package."""
+
+    __slots__ = ("state",)
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != _POOL or dtype is not np.uint64:
+            raise ValueError("a child seed holds PCG64's four uint64 words only")
+        return self.state
+
+
+def _child_seeds(entropies: list) -> np.ndarray:
+    """(len(entropies), 3, 4) uint64: the PCG64 seed words of the children
+    SeedSequence(e, spawn_key=(k,)), k = 0, 1, 2, of each entropy e, which
+    are SeedSequence(e).spawn(3)[k]. The entropy is padded with zero words
+    to the pool size before the key word, as SeedSequence pads it; entropies
+    of one word count are hashed together."""
+    np.random.bit_generator.ISeedSequence.register(_ChildSeed)  # a no-op after the first
+    runs = [_words(e) for e in entropies]
+    out = np.empty((len(runs), 3, _POOL), np.uint64)
+    for size in set(map(len, runs)):
+        rows = [i for i, r in enumerate(runs) if len(r) == size]
+        words = np.zeros((len(rows), 3, max(size, _POOL) + 1), np.uint32)
+        words[:, :, :size] = np.array([runs[i] for i in rows], np.uint32).reshape(len(rows), 1, size)
+        words[:, :, -1] = np.arange(3)
+        out[rows] = _pcg64_seeds(words.reshape(3 * len(rows), -1)).reshape(len(rows), 3, _POOL)
+    return out
+
+
+class SeedBlock:
+    """The child seeds of a block of trial seeds, hashed at once: `states`
+    holds the PCG64 seed words of child k = 0, 1, 2 (mask, p, g) of trial t
+    at [t, k]. `SeedBlock.of(seeds)` hashes ints or tuples of ints, and a
+    slice of a block is the block of those trials. A plain class: a
+    dataclass would add a third of a millisecond to the import."""
+
+    __slots__ = ("states",)
+
+    def __init__(self, states: np.ndarray):
+        self.states = states
+
+    @classmethod
+    def of(cls, seeds: list) -> SeedBlock:
+        return cls(_child_seeds(seeds))
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, trials: slice) -> SeedBlock:
+        return SeedBlock(self.states[trials])
+
+
+def _stream(state: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_ChildSeed(state)))
+
+
+def _mixture(p_model, g_model, mask: np.ndarray, p_rng, g_rng, out: np.ndarray) -> np.ndarray:
+    """The sample whose points under `mask` come from g, assembled into
+    `out`; p's draw itself when no point falls to g, and g's stream
+    (`g_rng()`) is then not built."""
+    n = mask.size
     n_g = int(np.count_nonzero(mask))
     if n_g == 0:
         return p_model.sample(n, p_rng)
     p_draw = p_model.sample(n - n_g, p_rng)
-    g_draw = g_model.sample(n_g, p_rng if shared else child(2))
-    out = np.empty((n, p_model.dim))
-    keep = ~mask
-    for a in range(p_model.dim):  # 1-d boolean copies run 2-3x faster than row copies
+    g_draw = g_model.sample(n_g, g_rng())
+    if n_g >= _INDEX_SHARE * n:
+        keep, mask = np.flatnonzero(~mask), np.flatnonzero(mask)
+    else:
+        keep = ~mask
+    for a in range(p_model.dim):  # 1-d copies run 2-3x faster than row copies
         out[:, a][keep] = p_draw[:, a]
         out[:, a][mask] = g_draw[:, a]
+    return out
+
+
+def _trial(p_model, g_model, eps: float, n: int, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """One trial's sample from its child seeds (mask, p, g), in `out` or
+    p's draw itself. At eps = 0 the mask is all False and its stream feeds
+    nothing else, so it is not drawn."""
+    p_rng = _stream(states[1])
+    if eps == 0.0:
+        return p_model.sample(n, p_rng)
+    mask = _stream(states[0]).random(n) < eps
+    return _mixture(p_model, g_model, mask, p_rng, lambda: _stream(states[2]), out)
+
+
+def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng) -> np.ndarray:
+    """Draw n points from the contaminated mixture (1-eps) p + eps g, or n
+    for each trial of a `SeedBlock`, stacked in trial order.
+
+    Each point independently comes from g with probability eps.
+    `seed_or_rng` is a Generator, a seed (an int or a tuple of ints), None,
+    or a SeedBlock. A seed is the block of one, and None draws one
+    root entropy as its seed. A trial's component draws use its child
+    streams k = 0, 1, 2 (mask, p, g), those of SeedSequence(seed).spawn(3),
+    so eps=0 reproduces the pure-p sample for the same seed. A block's
+    child seeds are numpy's SeedSequence hash run once over all its trials
+    (`_child_seeds`), and numpy's PCG64 seeds each stream read from them, so
+    the streams keep every bit. In a block of 50 that costs about 5 us a
+    trial and 2 us a stream, against 16 us for one SeedSequence child and
+    its default_rng.
+
+    Work that changes no bit is skipped. At eps = 0 the mask stream is not
+    drawn. Whenever no point falls to g, p's draw is the trial's sample and
+    g's stream is not built; a block of one returns it without a copy.
+    Otherwise the mixture is assembled by the indices of the two parts when
+    g's share is at least _INDEX_SHARE and by boolean mask below it, with
+    the same bits either way (at n = 2^14, D = 1: 38 against 60 us at a
+    share of 2^-4, 85 against 66 us at 2^-3). A shared Generator draws the
+    mask, p and g in turn from itself, so it always draws the mask first,
+    because that advances the stream every later draw reads.
+    """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("contamination level must lie in [0, 1)")
+    if isinstance(seed_or_rng, np.random.Generator):
+        rng = seed_or_rng
+        return _mixture(p_model, g_model, rng.random(n) < eps, rng, lambda: rng, np.empty((n, p_model.dim)))
+    block = seed_or_rng
+    if not isinstance(block, SeedBlock):
+        block = SeedBlock.of([np.random.SeedSequence().entropy if block is None else block])
+    out = np.empty((len(block) * n, p_model.dim))
+    if len(block) == 1:
+        return _trial(p_model, g_model, eps, n, block.states[0], out)
+    for t, states in enumerate(block.states):
+        rows = out[t * n : (t + 1) * n]
+        x = _trial(p_model, g_model, eps, n, states, rows)
+        if x is not rows:
+            rows[...] = x
     return out
 
 

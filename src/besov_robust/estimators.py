@@ -53,21 +53,37 @@ class EstimatorConfig:
             raise ValueError("rescale epsilon must lie in [0, 1)")
 
 
-def _check_regime(regime: str, eps: float, gen: BesovParams, disc: BesovParams) -> None:
+def _check_regime(
+    regime: str, eps: float, gen: BesovParams, disc: BesovParams, dim: int
+) -> tuple[float, float]:
+    """The divisors (n_den, eps_den) of the regime's top level
+    j1 = min(log2(n) / n_den, -log2(eps) / eps_den), once the regime's
+    hypotheses hold and each divisor read is positive (eps = 0 reads no
+    eps_den)."""
     if regime not in REGIMES:
         raise RegimeMismatch(f"unknown regime {regime!r}; choose from {REGIMES}")
-    if eps == 0.0:
+    if eps > 0.0:
         # without contamination every schedule is a pure-n prescription and
         # the discriminator plays no role, so no ordering can be violated
-        return
-    pd = conjugate(disc.p)
-    if regime in ("sparse-unstructured", "structured", "linear-sparse"):
-        if pd < gen.p:
+        pd = conjugate(disc.p)
+        if regime == "dense-unstructured":
+            if pd > gen.p:
+                raise RegimeMismatch(f"the dense schedule needs p_d'={pd} at most p_g={gen.p}")
+        elif pd < gen.p:
             raise RegimeMismatch(
                 f"sparse schedules need the dual exponent p_d'={pd} to be at least p_g={gen.p}"
             )
-    elif pd > gen.p:
-        raise RegimeMismatch(f"the dense schedule needs p_d'={pd} at most p_g={gen.p}")
+    s, dpg = gen.sigma, dim / gen.p
+    if regime == "dense-unstructured":
+        n_den, eps_den = 2.0 * s + dim, s + dim / disc.p
+    else:
+        n_den, eps_den = 2.0 * s + dim - 2.0 * dpg, s + dim - dpg
+    if not n_den > 0.0 or (eps > 0.0 and not eps_den > 0.0):
+        raise RegimeMismatch(
+            f"the {regime} schedule divides log2(n) by {n_den} and -log2(eps) by {eps_den}; "
+            "each divisor it reads must be positive"
+        )
+    return n_den, eps_den
 
 
 def _floor_level(x: float) -> int:
@@ -89,15 +105,8 @@ def choose_resolutions(
         raise ValueError("need at least two samples to pick a resolution")
     if not (0.0 <= eps < 1.0):
         raise ValueError("contamination level must lie in [0, 1)")
-    _check_regime(regime, eps, gen, disc)
+    n_den, eps_den = _check_regime(regime, eps, gen, disc, dim)
     ln = math.log2(n)
-    dpg = dim / gen.p
-    s = gen.sigma
-
-    if regime == "dense-unstructured":
-        n_den, eps_den = 2.0 * s + dim, s + dim / disc.p
-    else:
-        n_den, eps_den = 2.0 * s + dim - 2.0 * dpg, s + dim - dpg
     top = ln / n_den
     if eps > 0.0:
         top = min(top, -math.log2(eps) / eps_den)
@@ -105,7 +114,7 @@ def choose_resolutions(
     if regime in ("sparse-unstructured", "structured"):
         # heavy contamination caps j1 below the variance-optimal j0; the
         # whole estimator coarsens rather than j1 being pulled back up
-        return min(_floor_level(ln / (2.0 * s + dim)), j1), j1
+        return min(_floor_level(ln / (2.0 * gen.sigma + dim)), j1), j1
     return j1, j1
 
 

@@ -25,7 +25,7 @@ from .coefficients import (
     exact_coeffs,
     uniform_density,
 )
-from .contamination import ContaminationSpec, sample_huber
+from .contamination import ContaminationSpec, SeedBlock, sample_huber
 from .errors import DegenerateFit, RegimeMismatch
 from .estimators import REGIMES, EstimatorConfig, estimate
 from .wavelets import WaveletFamily, WaveletIndex, wavelet_family
@@ -229,24 +229,20 @@ def truth_level(est: EstimatorConfig) -> int:
 
 
 class _Draws:
-    """The samples of the trials with the given seeds, stacked in trial
-    order, which is the array of `shape`; iterating draws them in chunks of
+    """The samples of the trials of a SeedBlock, stacked in trial order,
+    which is the array of `shape`; iterating draws them in chunks of
     at most _BLOCK_ROWS rows (at least one trial), a one-trial chunk being
     the sample itself. `empirical_coeffs` bins each chunk as it arrives and
     reads the trial size from `shape`, as perfbench's tracer does."""
 
-    def __init__(self, truth, spec: ContaminationSpec, n: int, seeds: list):
+    def __init__(self, truth, spec: ContaminationSpec, n: int, seeds: SeedBlock):
         self.truth, self.spec, self.n, self.seeds = truth, spec, n, seeds
         self.shape = (len(seeds) * n, truth.dim)
 
     def __iter__(self):
         per = max(1, _BLOCK_ROWS // self.n)
         for i in range(0, len(self.seeds), per):
-            samples = [
-                sample_huber(self.truth, self.spec.g, self.spec.eps, self.n, s)
-                for s in self.seeds[i : i + per]
-            ]
-            yield samples[0] if len(samples) == 1 else np.concatenate(samples)
+            yield sample_huber(self.truth, self.spec.g, self.spec.eps, self.n, self.seeds[i : i + per])
 
 
 def risk_trials(
@@ -267,7 +263,8 @@ def risk_trials(
 
     Trial t draws its sample stream from entropy (seed, cell_index,
     slot_offset + t); slot_offset keeps streams distinct when several truth
-    models share a grid cell.
+    models share a grid cell. The child seeds of all the trials are hashed
+    at once (`SeedBlock`).
 
     The trials run in bank blocks of max(1, _BLOCK_ROWS // 2^(D(j1+1)))
     trials, so a block's father sums hold about as many entries as one
@@ -289,10 +286,11 @@ def risk_trials(
     if truth_tree is None:
         truth_tree = exact_coeffs(truth, family, truth_level(est))
     block = max(1, _BLOCK_ROWS // 2 ** (truth_tree.dim * (est.j1 + 1)))
+    seeds = SeedBlock.of([(seed, cell_index, slot_offset + t) for t in range(trials)])
     out = np.empty(trials)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        draws = _Draws(truth, spec, n, [(seed, cell_index, slot_offset + t) for t in range(start, stop)])
+        draws = _Draws(truth, spec, n, seeds[start:stop])
         out[start:stop] = besov_ipm(estimate(draws, family, est, stop - start), truth_tree, disc)
     return out
 

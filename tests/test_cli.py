@@ -82,22 +82,20 @@ DEMO_ESTIMATOR = PRESETS["dyadic-demo"]["estimator"]
 DEMO_CONTAMINATION = PRESETS["dyadic-demo"]["contamination"]
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second to import and only `adversary` needs it
-    src = os.path.dirname(os.path.dirname(besov_robust.__file__))
-    code = "import sys, besov_robust.cli; print('scipy.stats' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert res.stdout.strip() == "False"
+# modules `import besov_robust.cli` must not load, and who needs each:
+# scipy.stats costs about a second and only `adversary` needs it; the
+# process pool loads multiprocessing, and only a run_sweep with workers > 1
+# needs it; numpy.random is loaded by the first draw, and loading it at
+# import would move its 10-20 ms from the run into the setup
+LAZY_MODULES = ("scipy.stats", "concurrent.futures.process", "numpy.random")
 
 
-def test_cli_import_leaves_process_pool_unloaded():
-    # the process pool loads multiprocessing; only a run_sweep with workers > 1 needs it
+def test_cli_import_leaves_lazy_modules_unloaded():
     src = os.path.dirname(os.path.dirname(besov_robust.__file__))
-    code = "import sys, besov_robust.cli; print('concurrent.futures.process' in sys.modules)"
+    code = f"import sys, besov_robust.cli; print([m for m in {LAZY_MODULES!r} if m in sys.modules])"
     env = dict(os.environ, PYTHONPATH=src)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
 
 
 # SHA-256 of the rate-check artifacts of two presets; every one of these
@@ -348,6 +346,26 @@ class TestConfigErrors:
         assert rc == 2
         err = json.loads(text)
         assert "tolerance" in err["error"]["precondition"]
+        assert not out.exists()
+
+    def test_zero_level_divisor_exit_2(self, capsys, tmp_path):
+        # sigma_g = 0.5 and p_g = 1 at D = 1 make the sparse schedule divide
+        # log2(n) by 2 sigma_g + D - 2D/p_g = 0
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({
+            "gen": [0.5, 1.0, 1.0, 2.0], "regime": "sparse-unstructured", "truth": "uniform",
+            "estimator": {"kind": "thresholded", "schedule": "regime"}, "baseline": None,
+        }))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            ["risk-sweep", "--preset", "adaptive-vs-oracle-holder1", "--config", str(cfgfile),
+             "--out", str(out)],
+            capsys,
+        )
+        assert rc == 2
+        assert text.count("\n") == 1
+        err = json.loads(text)["error"]
+        assert err["precondition"] == "estimator" and "divides log2(n) by 0.0" in err["detail"]
         assert not out.exists()
 
     def test_usage_error_exit_2(self, capsys, tmp_path):

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from besov_robust import contamination
 from besov_robust.besov import LOSS_PRESETS, BesovParams, besov_ipm, besov_norm
 from besov_robust.coefficients import (
     CoefficientTree,
@@ -15,8 +18,10 @@ from besov_robust.coefficients import (
     uniform_density,
 )
 from besov_robust.contamination import (
+    _INDEX_SHARE,
     ContaminationSpec,
     IndistinguishabilityReport,
+    SeedBlock,
     adversarial_spike_pair,
     grid_sup,
     lecam_structured_pair,
@@ -157,11 +162,13 @@ class TestSampling:
         assert hashlib.sha256(x.tobytes()).hexdigest() == GOLDEN_HUBER_SHA256[(dim, eps, seed_kind)]
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("eps", [0.0, 0.25])
+    @pytest.mark.parametrize("eps", [0.0, 2.0**-8, 0.25])
     @pytest.mark.parametrize("seed", [20240817, (7, 3, 11)], ids=["int", "tuple"])
     def test_children_equal_spawned_children(self, dim, eps, seed):
         # the mixture drawn from the children of SeedSequence(seed).spawn(3)
-        # (mask, p, g), the streams the direct children must reproduce
+        # (mask, p, g), the streams the block hash must reproduce; g's share
+        # is below _INDEX_SHARE at 2^-8 and above it at 1/4, so both
+        # assembly rules are pinned
         p, g = HUBER_MODELS[dim]
         n = 1000
         kids = np.random.SeedSequence(seed).spawn(3)
@@ -171,6 +178,15 @@ class TestSampling:
         want[mask] = g.sample(int(mask.sum()), np.random.default_rng(kids[2]))
         assert (eps == 0.0) == (not mask.any())
         np.testing.assert_array_equal(sample_huber(p, g, eps, n, seed), want)
+
+    @pytest.mark.parametrize("eps,dense", [(2.0**-8, False), (0.25, True)])
+    def test_assembly_rule_sides(self, eps, dense):
+        # the draws of test_children_equal_spawned_children reach the side
+        # of the assembly rule that their eps is there to pin
+        n = 1000
+        for seed in (20240817, (7, 3, 11)):
+            mask = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0]).random(n) < eps
+            assert (mask.sum() >= _INDEX_SHARE * n) == dense and mask.any()
 
     def test_unseeded_draw(self):
         p, g = HUBER_MODELS[2]
@@ -186,6 +202,69 @@ class TestSampling:
         if seed_kind == "generator":
             digest.update(seed["generator"].random(4).tobytes())
         assert digest.hexdigest() == GOLDEN_SINGLE_CELL_SHA256[(dim, eps, seed_kind, n)]
+
+
+def first_draws(seed_sequence_or_state) -> np.ndarray:
+    """The first four 64-bit outputs of the stream a SeedSequence, or a
+    child's PCG64 seed words, seeds."""
+    if isinstance(seed_sequence_or_state, np.random.SeedSequence):
+        rng = np.random.default_rng(seed_sequence_or_state)
+    else:
+        rng = np.random.Generator(np.random.PCG64(contamination._ChildSeed(seed_sequence_or_state)))
+    return rng.integers(0, 2**64, size=4, dtype=np.uint64, endpoint=False)
+
+
+WORDS = st.integers(0, 2**64 - 1)
+ENTROPIES = st.one_of(
+    WORDS,
+    st.tuples(WORDS),
+    st.lists(st.one_of(st.integers(0, 2**32 - 1), WORDS), min_size=1, max_size=6).map(tuple),
+    st.integers(0, 2**128 - 1),
+)
+
+
+class TestBlockHash:
+    """`SeedBlock.of` hashes a block's child seeds at once; each must seed
+    the stream of default_rng(SeedSequence(e, spawn_key=(k,)))."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(ENTROPIES, min_size=1, max_size=8))
+    @example([7, (1, 2**40, 3, 4, 5, 2**63), 2**100, (0,), 2**64 - 1])
+    def test_block_equals_seed_sequence_children(self, block):
+        # a block may mix entropies of one to eight words, past the pool of 4
+        states = SeedBlock.of(block).states
+        assert states.shape == (len(block), 3, 4) and states.dtype == np.uint64
+        for e, row in zip(block, states):
+            for k in range(3):
+                want = first_draws(np.random.SeedSequence(e, spawn_key=(k,)))
+                np.testing.assert_array_equal(first_draws(row[k]), want)
+
+    def test_unseeded_root_entropy(self):
+        e = np.random.SeedSequence().entropy
+        assert 0 <= e < 2**128
+        row = SeedBlock.of([e]).states[0]
+        for k in range(3):
+            want = first_draws(np.random.SeedSequence(e, spawn_key=(k,)))
+            np.testing.assert_array_equal(first_draws(row[k]), want)
+
+    @pytest.mark.parametrize("entropy", [-1, (3, -2**40), (1, (2, -5))])
+    def test_negative_entry_refused(self, entropy):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence(entropy)
+        with pytest.raises(ValueError):
+            SeedBlock.of([7, entropy])
+
+    def test_slice_is_block_of_those_trials(self):
+        seeds = [(5, 0, t) for t in range(7)]
+        block = SeedBlock.of(seeds)
+        assert len(block[2:5]) == 3
+        np.testing.assert_array_equal(block[2:5].states, SeedBlock.of(seeds[2:5]).states)
+
+    def test_child_seed_serves_pcg64_only(self):
+        state = SeedBlock.of([1]).states[0, 0]
+        with pytest.raises(ValueError):
+            contamination._ChildSeed(state).generate_state(8, np.uint32)
+
 
 class TestSpikePair:
     @pytest.mark.parametrize("log2eps,want_j", [(-4, 2), (-6, 3), (-8, 4)])

@@ -108,6 +108,24 @@ class TestChooseResolutions:
     def test_no_ordering_check_without_contamination(self):
         choose_resolutions(4096, 0.0, GEN_HOLDER, TV, 1, "sparse-unstructured")
 
+    @pytest.mark.parametrize(
+        "sigma,p,eps,regime",
+        [
+            (0.5, 1.0, 0.0, "sparse-unstructured"),  # 2 sigma + D - 2D/p = 0
+            (0.25, 1.0, 0.0, "linear-sparse"),  # ... = -0.5, once floored to level 0
+            (0.25, 1.0, 0.1, "structured"),
+            (0.0, 1.0, 0.1, "dense-unstructured"),  # sigma + D/p_d = 0 under TV
+        ],
+    )
+    def test_nonpositive_level_divisor_refused(self, sigma, p, eps, regime):
+        with pytest.raises(RegimeMismatch, match="must be positive"):
+            choose_resolutions(4096, eps, BesovParams(sigma, p, INF, 2.0), TV, 1, regime)
+
+    def test_unread_eps_divisor_not_checked(self):
+        # at eps = 0 the dense schedule never divides by sigma + D/p_d
+        assert choose_resolutions(4096, 0.0, BesovParams(0.0, 1.0, INF, 2.0), TV, 1,
+                                  "dense-unstructured") == (12, 12)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             choose_resolutions(1, 0.0, GEN_HOLDER, TV, 1, "sparse-unstructured")

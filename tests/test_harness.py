@@ -12,7 +12,7 @@ import pytest
 from besov_robust import harness
 from besov_robust.besov import LOSS_PRESETS, BesovParams, besov_ipm, besov_norm, conjugate
 from besov_robust.coefficients import PiecewiseConstant, exact_coeffs, uniform_density
-from besov_robust.contamination import ContaminationSpec, sample_huber
+from besov_robust.contamination import ContaminationSpec, SeedBlock, sample_huber
 from besov_robust.errors import DegenerateFit, RegimeMismatch
 from besov_robust.estimators import EstimatorConfig, adaptive_config, choose_resolutions, estimate
 from besov_robust.harness import (
@@ -298,6 +298,22 @@ class TestTrialBlocks:
         want = one_trial_risks(truth, spec, cfg, disc, n, trials, 31, family, tree, 2, 5)
         assert got.shape == (trials,)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("eps", [0.0, 2.0**-8, 0.25])
+    @pytest.mark.parametrize("n", [1000, 2**14])
+    def test_draws_block_trial_equals_trial_alone(self, eps, n):
+        # a block of 50 trials, its seeds hashed at once, draws them in
+        # chunks of 16 trials (the last of 2) at n = 1000, of one at 2^14
+        truth = dict(benchmark_suite(GEN, 1))["dyadic-pwc"]
+        spec = structured(eps, 1)
+        seeds = [(31, 2, 5 + t) for t in range(50)]
+        chunks = list(harness._Draws(truth, spec, n, SeedBlock.of(seeds)))
+        assert [len(c) // n for c in chunks] == ([16, 16, 16, 2] if n == 1000 else [1] * 50)
+        block = np.concatenate(chunks)
+        assert block.shape == (50 * n, 1)
+        for t, seed in enumerate(seeds):
+            alone = sample_huber(truth, spec.g, eps, n, seed)
+            np.testing.assert_array_equal(block[t * n : (t + 1) * n].view(np.int64), alone.view(np.int64))
 
     # SHA-256 of the risk bytes of D=2 runs against the uniform truth, whose
     # tree is empty: every level measured is the estimate's own, summed in
