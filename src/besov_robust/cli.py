@@ -38,6 +38,7 @@ from .coefficients import (
     _MAX_DIM, PiecewiseConstant, SpikePerturbation, _indexable, exact_coeffs, uniform_density,
 )
 from .contamination import (
+    MAX_ENTRIES,
     MODES,
     ContaminationSpec,
     adversarial_spike_pair,
@@ -663,6 +664,8 @@ def _resolve(cfg: ExperimentConfig) -> _Plan:
         raise ConfigError("eps", "the adversarial construction needs eps in (0, 1)")
     if cfg.samples < 3:
         raise ConfigError("samples", "the distribution check needs at least 3 samples")
+    if cfg.samples * max(2, cfg.dim) > MAX_ENTRIES:  # n D sample floats, 2n in the KS test
+        raise ConfigError("samples", f"the distribution check takes at most {MAX_ENTRIES // max(2, cfg.dim)} samples")
     if plan.gen is None:
         raise ConfigError("gen", "the adversarial constructions need gen")
     if not plan.family.is_haar:

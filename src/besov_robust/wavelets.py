@@ -143,20 +143,24 @@ def _integer_values(h: np.ndarray) -> np.ndarray:
     return out
 
 
+def _two_scale(out: np.ndarray, coarse: np.ndarray, taps: np.ndarray, shift: int, step: int) -> None:
+    """out[i] += sqrt(2) taps[k] coarse[step (i + 1) - 1 - k shift], tap by tap,
+    as one sliced add over the run of i whose index lies in `coarse`."""
+    for k in range(taps.size):
+        offset = step - 1 - k * shift
+        first, last = max(0, -(offset // step)), min(out.size, (coarse.size - 1 - offset) // step + 1)
+        if first < last:
+            out[first:last] += _SQRT2 * taps[k] * coarse[step * first + offset :: step][: last - first]
+
+
 def _refine(values: np.ndarray, h: np.ndarray, levels: int) -> np.ndarray:
     """Push exact dyadic values down `levels` times via the two-scale relation."""
-    w = h.size - 1
     v = values
     for t in range(1, levels + 1):
-        coarse_len = w * 2 ** (t - 1)
-        new = np.zeros(w * 2**t + 1)
+        new = np.zeros(2 * v.size - 1)
         new[::2] = v
-        f_odd = np.arange(1, new.size, 2)
-        acc = np.zeros(f_odd.size)
-        for k in range(w + 1):
-            src = f_odd - k * 2 ** (t - 1)
-            ok = (src >= 0) & (src <= coarse_len)
-            acc[ok] += _SQRT2 * h[k] * v[src[ok]]
+        acc = np.zeros(v.size - 1)
+        _two_scale(acc, v, h, 2 ** (t - 1), 2)
         new[1::2] = acc
         v = new
     return v
@@ -237,11 +241,7 @@ class WaveletFamily:
             self.phi_values[:] = _refine(_integer_values(self.h), self.h, m)
             phi_coarse = self.phi_values[::2]
             self.psi_values = self._psi_padded[:-1]
-            f_all = np.arange(w * 2**m + 1)
-            for k in range(w + 1):
-                src = f_all - k * 2 ** (m - 1)
-                ok = (src >= 0) & (src <= w * 2 ** (m - 1))
-                self.psi_values[ok] += _SQRT2 * self.g[k] * phi_coarse[src[ok]]
+            _two_scale(self.psi_values, phi_coarse, self.g, 2 ** (m - 1), 1)
 
             self.phi_sup = float(np.max(np.abs(self.phi_values)))
             self.psi_sup = float(np.max(np.abs(self.psi_values)))

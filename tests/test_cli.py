@@ -83,19 +83,34 @@ DEMO_CONTAMINATION = PRESETS["dyadic-demo"]["contamination"]
 
 
 # modules `import besov_robust.cli` must not load, and who needs each:
-# scipy.stats costs about a second and only `adversary` needs it; the
-# process pool loads multiprocessing, and only a run_sweep with workers > 1
-# needs it; numpy.random is loaded by the first draw, and loading it at
-# import would move its 10-20 ms from the run into the setup
-LAZY_MODULES = ("scipy.stats", "concurrent.futures.process", "numpy.random")
+# scipy.stats is no dependency at all (no command may load it, see below);
+# the KS test (besov_robust._ks) only `adversary` runs; the process pool
+# loads multiprocessing, and only a run_sweep with workers > 1 needs it;
+# numpy.random is loaded by the first draw, and loading it at import would
+# move its 10-20 ms from the run into the setup
+LAZY_MODULES = ("scipy.stats", "besov_robust._ks", "concurrent.futures.process", "numpy.random")
+SRC = os.path.dirname(os.path.dirname(besov_robust.__file__))
 
 
 def test_cli_import_leaves_lazy_modules_unloaded():
-    src = os.path.dirname(os.path.dirname(besov_robust.__file__))
     code = f"import sys, besov_robust.cli; print([m for m in {LAZY_MODULES!r} if m in sys.modules])"
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=SRC)
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_runs_load_no_scipy(tmp_path, preset):
+    # numpy is the one runtime dependency: no command loads any scipy module
+    code = (
+        "import sys, besov_robust.cli as cli; rc = cli.main(sys.argv[1:]); "
+        "print([m for m in sys.modules if m.partition('.')[0] == 'scipy']); sys.exit(rc)"
+    )
+    args = [PRESETS[preset]["command"], "--preset", preset, "--jobs", "1", "--out", str(tmp_path / "o")]
+    env = dict(os.environ, PYTHONPATH=SRC)
+    res = subprocess.run([sys.executable, "-c", code] + args, capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.splitlines()[-1] == "[]"
 
 
 # SHA-256 of the rate-check artifacts of two presets; every one of these
@@ -167,14 +182,16 @@ def test_risk_sweep_artifacts_byte_identical(capsys, tmp_path, preset):
 
 # SHA-256 of the adversary and breakdown artifacts, taken before spikes
 # were restricted to Haar daughters on a flat base. config.json is left
-# out: it records the output path.
+# out: it records the output path. The structured pair's
+# indistinguishability.json was re-pinned when the KS p-value moved from
+# scipy to numpy: 0.17642045644397497 became 0.17642045644397475.
 GOLDEN_PAIR_AND_BREAKDOWN_SHA256 = {
     ("adversary", "sparse"): {
         "indistinguishability.json": "0b1489ec3c7b310883efadd318a4434c79d1b4b6e8cfe482f4452c3440e8e144",
         "pair.json": "3c384deb6414b72877853c8a665aa946eca3b7905ceec629cf18becfc74f3f68",
     },
     ("adversary", "structured"): {
-        "indistinguishability.json": "86daf5eaf8a7248ef1e31a6105542bc08589e4c81ed2a2eda96eff6838a39697",
+        "indistinguishability.json": "0b33b7f648bd3d1a14b9e7cd2cc6e1c03a1c91f20050bb0d3a4f76dfd873e5af",
         "pair.json": "3291fcb2a7efccc6b2314bf3721258c5c284eef8043de3a9eccc0b916d5ef382",
     },
     ("breakdown", "sqrt-n-breakdown"): {
@@ -1165,6 +1182,35 @@ class TestFieldTable:
         )
         assert rc == 2
         assert text.count("\n") == 1 and "error" in json.loads(text)
+        assert not out.exists()
+
+    # Adversary inputs whose arrays pass the size cap: the level-30 spike
+    # tree (8 GiB), the contaminator's level-19 cell matrix (2 TiB), a 7.45
+    # GiB sample and the level-40 spike tree (8 TiB) each ended in a
+    # traceback, some after OUT existed
+    @pytest.mark.parametrize("preset,fields", [
+        ("sparse", {"eps": 2.0**-60}),
+        ("sparse", {"eps": 2.0**-36}),
+        ("sparse", {"samples": 10**9}),
+        ("structured", {"idx": [40, [1], [1]]}),
+    ])
+    def test_adversary_size_refused_under_memory_cap(self, tmp_path, preset, fields):
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps(dict(fields, command="adversary")))
+        out = tmp_path / "o"
+        code = (
+            "import resource, sys, time; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "import besov_robust.cli as cli; t = time.perf_counter(); rc = cli.main(sys.argv[1:]); "
+            "print(time.perf_counter() - t); sys.exit(rc)"
+        )
+        args = ["adversary", "--preset", preset, "--config", str(cfgfile), "--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        res = subprocess.run([sys.executable, "-c", code] + args, capture_output=True, text=True, env=env)
+        error_line, seconds = res.stdout.splitlines()
+        assert res.returncode == 2 and res.stderr == ""
+        assert json.loads(error_line)["error"]["precondition"] == ("samples" if "samples" in fields else "pair")
+        assert float(seconds) < 1.0
         assert not out.exists()
 
     def test_structured_pair_level_overflow_exit_2(self, capsys, tmp_path):

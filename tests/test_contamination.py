@@ -375,6 +375,23 @@ class TestLeCamPair:
             lecam_structured_pair(GEN, 0.0, self.IDX, HAAR)
 
 
+class TestPairSizeCap:
+    def test_largest_levels_under_the_cap(self):
+        # the Haar contaminator's (2^(j+1))^2 cell matrix binds the sparse
+        # pair in 1-d; the D 2^(D(j+1)) cell midpoints bind it from D = 2 on
+        # and bind the structured pair
+        for j, dim, cell_matrix in [(11, 1, True), (10, 2, True), (6, 3, True), (23, 1, False), (10, 2, False)]:
+            contamination._check_level(j, dim, cell_matrix)
+            with pytest.raises(ValueError, match="over the cap"):
+                contamination._check_level(j + 1, dim, cell_matrix)
+
+    def test_constructors_refuse_before_building(self):
+        with pytest.raises(ValueError, match="level 30"):
+            adversarial_spike_pair(GEN, TV, 2.0**-60, 1, HAAR)
+        with pytest.raises(ValueError, match="level 40"):
+            lecam_structured_pair(GEN, 0.1, WaveletIndex(40, (1,), (1,)), HAAR)
+
+
 class TestVerifyIndistinguishable:
     def test_same_model_same_seed(self):
         u = uniform_density(1)

@@ -173,6 +173,27 @@ class TestTables:
         )
         assert got == self.TABLE_SHA256[name]
 
+    @pytest.mark.parametrize("name", ["db2", "db3", "db5", "db8"])
+    def test_refine_slices_equal_masked_gathers(self, name):
+        # the gather each sliced add replaced: every fine odd node, masked to
+        # the coarse nodes in range, tap by tap
+        h = wavelet_family(name).h
+        v = wavelets._integer_values(h)
+        want = v
+        for t in range(1, 7):
+            new = np.zeros(2 * want.size - 1)
+            new[::2] = want
+            src_all = np.arange(1, new.size, 2)
+            acc = np.zeros(src_all.size)
+            for k in range(h.size):
+                src = src_all - k * 2 ** (t - 1)
+                ok = (src >= 0) & (src < want.size)
+                acc[ok] += SQRT2 * h[k] * want[src[ok]]
+            new[1::2] = acc
+            want = new
+            got = wavelets._refine(v, h, t)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_sup_and_periodization_bounds(self):
         haar = wavelet_family("haar")
         assert haar.phi_sup == haar.psi_sup == 1.0
