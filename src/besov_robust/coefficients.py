@@ -65,6 +65,11 @@ _PARSE_ROWS = 2048
 _MAX_DIM = 16
 # Polynomial degree per panel integrated exactly by `_panel_rule`
 _PANEL_DEGREE = 16
+# The most bins a Haar chunk counts by one comparison per bin, not by
+# `np.bincount`, whose increments of a few counters wait on each other: for
+# 2^14 points the comparison ties or wins at 4 bins (23-37 against 29-68
+# us) and takes twice bincount's time at 8.
+_COMPARE_BINS = 4
 
 
 def _prune_level(arr: np.ndarray) -> bool:
@@ -522,12 +527,18 @@ class _CellSearch:
     b, and the few uniforms in such buckets (`amb`) are searched. B is the
     smallest power of two with 64 buckets per cell, capped at 2^16, so a
     large model builds no large table.
+
+    `only` is the index of the one cell of positive probability, if there
+    is one, else None: the cdf is then 0.0 before it and exactly 1.0 from
+    it on, so every u in [0, 1) picks it.
     """
 
     def __init__(self, probs: np.ndarray):
         cdf = probs.cumsum()
         cdf /= cdf[-1]
         self.cdf = cdf
+        mass = np.flatnonzero(probs)
+        self.only = int(mass[0]) if mass.size == 1 else None
         self.buckets = min(1 << (64 * cdf.size - 1).bit_length(), 2**16)
         edges = np.arange(self.buckets + 1) / self.buckets
         self.lo = cdf.searchsorted(edges[:-1], side="right")
@@ -551,8 +562,10 @@ class PiecewiseConstant:
 
     The cell search (`_CellSearch`) is built at construction, so a draw
     costs its uniforms and a table lookup; the cells keep the bits and the
-    stream use of `Generator.choice`. A model is not changed after it is
-    built: `values` must not be written to.
+    stream use of `Generator.choice`. A model whose mass sits in one cell
+    (the uniform density among them) skips the search: every uniform picks
+    that cell, so its n uniforms are stepped over, not used. A model is not
+    changed after it is built: `values` must not be written to.
     """
 
     def __init__(self, values, scale_level: int):
@@ -583,17 +596,19 @@ class PiecewiseConstant:
         if n < 0:
             raise ValueError("sample size must be nonnegative")
         s, d = self.scale_level, self.dim
-        if self.values.size == 1:
-            # the cell draw of one cell is n uniforms that pick cell 0: skip
-            # their n 64-bit outputs, then corner 0 and scale 1 leave u. A
-            # PCG64 `advance` would drop a buffered 32-bit half, so a stream
-            # holding one, or of another kind, draws them
+        only = self._cells.only
+        if only is not None:
+            # the cell draw is n uniforms that all pick cell `only`: skip
+            # their n 64-bit outputs. A PCG64 `advance` would drop a buffered
+            # 32-bit half, so a stream holding one, or of another kind, draws
+            # them. The uniform model's corner 0 and scale 1 leave u itself
             bits = rng.bit_generator
             if type(bits) is np.random.PCG64 and bits.state["has_uint32"] == 0:
                 bits.advance(n)
             else:
                 rng.random(n)
-            return rng.random((n, d))
+            u = rng.random((n, d))
+            return u if s == 0 else (np.unravel_index(only, self.values.shape) + u) / 2**s
         cells = self._cells.draw(n, rng)
         u = rng.random((n, d))
         if d == 1:
@@ -866,7 +881,10 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int, trials: int = 1
     the axes) in sample order, and the bins, moved to k = c - t, are added
     in shift order. Trial t's cells are offset by t 2^{D top}, a pass that
     a one-trial block skips. x < 1 and 2^top x is exact, so c < 2^top needs
-    no clamp. For Haar the sums are the point counts per cell.
+    no clamp. For Haar the sums are the point counts per cell: a chunk of
+    at most _COMPARE_BINS bins (trials times 2^{D top}) counts each bin by
+    one comparison over its cells, a larger one by `np.bincount`, and both
+    give the same exact integers.
     """
     d = x.shape[1]
     size = 2**top
@@ -878,8 +896,13 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int, trials: int = 1
     if trials > 1:
         cell = cell + np.repeat(np.arange(trials) * size**d, x.shape[0] // trials)
     shape = (trials,) + (size,) * d
+    bins = trials * size**d
     if family.is_haar:
-        return np.bincount(cell, minlength=trials * size**d).astype(float).reshape(shape)
+        if bins <= _COMPARE_BINS:
+            counts = [np.count_nonzero(cell == b) for b in range(bins)]
+        else:
+            counts = np.bincount(cell, minlength=bins)
+        return np.array(counts, dtype=float).reshape(shape)
     grid = 2**family.cascade_depth
     pos = (scaled - c) * grid
     node = np.floor(pos)
@@ -907,7 +930,7 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int, trials: int = 1
             weights = first
             for i, t in enumerate(rest_t):
                 weights = weights * later[i][t]
-            part = np.bincount(cell, weights=weights, minlength=trials * size**d).reshape(shape)
+            part = np.bincount(cell, weights=weights, minlength=bins).reshape(shape)
             part = part[(slice(None),) + np.ix_(*[moved[t] for t in (t0,) + rest_t])]
             if sums is None:
                 sums = part
@@ -932,8 +955,7 @@ def _father_cell_matrix(family: WaveletFamily, j: int, s: int) -> np.ndarray:
     else:
         if s > j + m:
             raise QuadratureFailure(f"cell scale 2^-{s} finer than the value grid at level {j}")
-        table = family.phi_values
-        cum = np.concatenate([[0.0], np.cumsum((table[:-1] + table[1:]) / 2.0)]) * 2.0**-m
+        cum = family.phi_cum
 
         def cum_at(u: np.ndarray) -> np.ndarray:
             idx = np.clip(u, 0.0, w) * 2**m

@@ -207,6 +207,8 @@ class WaveletFamily:
     taps [sqrt(2) h, sqrt(2) g], `phi_values`/`psi_values` the exact
     values on the dyadic grid of spacing 2^-cascade_depth over [0, W]
     (None for Haar; views of the padded tables `grid_values` reads),
+    `phi_cum` the trapezoid integrals of phi_values from 0 to each grid
+    point (None for Haar; the exact truth's cell integrals read it),
     `phi_sup`/`psi_sup`, and the periodization bounds
     `pb_phi`/`pb_psi` = sup_x sum_k |f(x - k)|.
     """
@@ -225,7 +227,7 @@ class WaveletFamily:
         self.taps = np.stack([_SQRT2 * self.h, _SQRT2 * self.g])
 
         if self.is_haar:
-            self.phi_values = self._phi_padded = None
+            self.phi_values = self._phi_padded = self.phi_cum = None
             self.psi_values = self._psi_padded = None
             self.phi_sup = 1.0
             self.psi_sup = 1.0
@@ -243,6 +245,8 @@ class WaveletFamily:
             self.psi_values = self._psi_padded[:-1]
             _two_scale(self.psi_values, phi_coarse, self.g, 2 ** (m - 1), 1)
 
+            tab = self.phi_values
+            self.phi_cum = np.concatenate([[0.0], np.cumsum((tab[:-1] + tab[1:]) / 2.0)]) * 2.0**-m
             self.phi_sup = float(np.max(np.abs(self.phi_values)))
             self.psi_sup = float(np.max(np.abs(self.psi_values)))
             grid = 2**m

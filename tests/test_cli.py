@@ -620,6 +620,24 @@ class TestConfigErrors:
         assert json.loads(text)["error"]["precondition"] == precondition
         assert not out.exists()
 
+    def test_structured_budget_over_a_fine_cell_exit_2(self, capsys, tmp_path):
+        # sup g is about 3.0, in one of 256 x 256 cells that a sampled grid
+        # of the pdf never reads; the budget 1.01 must be refused
+        values = np.ones((256, 256))
+        values[0, 1] = 3.0
+        g = {"kind": "piecewise", "values": (values / values.mean()).tolist(), "scale_level": 8}
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({
+            **GOLDEN_ESTIMATE_CONFIG, "contamination": {"mode": "structured", "M": 1.01, "g": g},
+        }))
+        out = tmp_path / "o"
+        rc, text = run_cli(["estimate", "--config", str(cfgfile), "--out", str(out)], capsys)
+        assert rc == 2
+        assert text.count("\n") == 1
+        err = json.loads(text)["error"]
+        assert err["precondition"] == "contamination" and "over the budget 1.01" in err["detail"]
+        assert not out.exists()
+
     def test_integer_contaminator_values_become_floats(self):
         contamination = {**DEMO_CONTAMINATION, "g": {"kind": "piecewise", "values": [2, 0], "scale_level": 1}}
         cfg = build_config("estimate", preset="dyadic-demo", overrides={"contamination": contamination})

@@ -885,6 +885,25 @@ class TestDensityModels:
             SpikePerturbation(uniform_density(1), DB2, WaveletIndex(2, (1,), (1,)), 1e-3)
 
 
+def bit_stream(bits: str, seed: int) -> np.random.Generator:
+    """A Generator on the named bit generator; "pcg64-half-buffered" is a
+    PCG64 stream holding a buffered 32-bit half."""
+    if bits == "philox":
+        return np.random.Generator(np.random.Philox(seed))
+    if bits == "mt19937":
+        return np.random.Generator(np.random.MT19937(seed))
+    rng = np.random.default_rng(seed)
+    if bits == "pcg64-half-buffered":
+        state = rng.bit_generator.state
+        rng.bit_generator.state = {**state, "has_uint32": 1, "uinteger": 12345}
+    return rng
+
+
+def stream_state(rng: np.random.Generator) -> str:
+    # Philox and MT19937 keep arrays in their state
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
 class TestSampling:
     def test_pwc_cell_frequencies(self):
         model = PiecewiseConstant(np.array([0.4, 1.6]), 1)
@@ -997,26 +1016,31 @@ class TestSampling:
         # a one-cell draw skips its n cell uniforms: the points and the state
         # after them are those of drawing the uniforms, also with a buffered
         # 32-bit half, which `advance` would drop
-        def make():
-            if bits == "philox":
-                return np.random.Generator(np.random.Philox(n))
-            if bits == "mt19937":
-                return np.random.Generator(np.random.MT19937(n))
-            rng = np.random.default_rng(n)
-            if bits == "pcg64-half-buffered":
-                state = rng.bit_generator.state
-                rng.bit_generator.state = {**state, "has_uint32": 1, "uinteger": 12345}
-            return rng
-
-        def state(rng):  # Philox and MT19937 keep arrays in their state
-            return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
-
         for dim in (1, 2):
-            a, b = make(), make()
+            a, b = bit_stream(bits, n), bit_stream(bits, n)
             got = uniform_density(dim).sample(n, a)
             b.random(n)
             assert np.array_equal(got, b.random((n, dim)))
-            assert state(a) == state(b)
+            assert stream_state(a) == stream_state(b)
+
+    @pytest.mark.parametrize("bits", ["pcg64", "pcg64-half-buffered", "mt19937"])
+    @pytest.mark.parametrize("dim,cell", [(1, 0), (1, 3), (2, (2, 1))], ids=["d1-cell0", "d1-cell3", "d2-cell21"])
+    def test_one_mass_cell_matches_choice(self, bits, dim, cell):
+        # a model whose mass sits in one cell skips its cell search: its
+        # draws and the state after them are those of the generic path, the
+        # cells of Generator.choice placed at their corners
+        values = np.zeros((4,) * dim)
+        values[cell] = 4.0**dim
+        model = PiecewiseConstant(values, 2)
+        assert model._cells.only == np.ravel_multi_index(np.atleast_1d(cell), values.shape)
+        for n in (0, 1, 5, 2**14):
+            a, b = bit_stream(bits, n), bit_stream(bits, n)
+            got = model.sample(n, a)
+            cells = b.choice(values.size, size=n, p=(values.ravel() > 0).astype(float))
+            want = (np.column_stack(np.unravel_index(cells, values.shape)) + b.random((n, dim))) / 4
+            assert got.shape == (n, dim)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert stream_state(a) == stream_state(b)
 
     def test_huber_mixture_eps_zero_matches_pure(self):
         p = PiecewiseConstant(np.array([0.5, 1.5]), 1)
@@ -1154,6 +1178,20 @@ class TestEmpiricalCoeffs:
         assert_blocks_identical(empirical_coeffs(self.Chunks(cuts), family, 0, 3, trials=7), want)
         one = empirical_coeffs(self.Chunks([x[:120]]), family, 0, 3)
         assert_trees_identical(one, empirical_coeffs(x[:120], family, 0, 3))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_few_cell_chunks_equal_whole_input(self, dim):
+        # j1 = 0: chunks of one and two trials (2^D and 2^(D+1) bins) are
+        # counted by comparison where they fit, the whole block of eight by bincount
+        n, trials = 3000, 8
+        x = edge_sample(n * trials, dim, seed=5 + dim)
+        whole = empirical_coeffs(x, HAAR, 0, 0, trials=trials)
+        for per in (1, 2):
+            chunks = self.Chunks([x[i : i + per * n] for i in range(0, n * trials, per * n)])
+            assert_blocks_identical(empirical_coeffs(chunks, HAAR, 0, 0, trials=trials), whole)
+        for t in range(trials):
+            alone = empirical_coeffs(x[t * n : (t + 1) * n], HAAR, 0, 0)
+            assert np.array_equal(whole.level_array(0)[t].view(np.int64), alone.level_array(0).view(np.int64))
 
     def test_chunks_thresholded_with_the_trial_size(self):
         # the threshold K sqrt(j/n) takes n per trial, not the rows of a chunk
@@ -1487,6 +1525,22 @@ class TestEmpiricalBitIdentity:
             assert details[o].shape == (1, 1)
             assert details[o, 0, 0] == pytest.approx(want, abs=1e-14)
         assert father[0, 0] == pytest.approx(a.sum() * taps[0].sum() ** 2 / 4, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "dim,top,trials",
+        [(1, 0, 1), (1, 0, 3), (1, 1, 1), (1, 1, 2), (1, 0, 4), (2, 1, 1), (2, 0, 2), (1, 2, 2), (2, 1, 4)],
+    )
+    def test_few_cell_counts_equal_bincount(self, dim, top, trials):
+        # a Haar chunk of at most _COMPARE_BINS bins is counted by comparison,
+        # a larger one by bincount: both counts must agree bit for bit, here
+        # with each side forced over bins of 1-4 (and 8, 16) cells
+        x = coefficients._fold_points(edge_sample(trials * 2047, dim, seed=top + 3 * trials))
+        got = coefficients._father_sums(x, HAAR, top, trials)
+        for cap in (0, 16):
+            with mock.patch.object(coefficients, "_COMPARE_BINS", cap):
+                want = coefficients._father_sums(x, HAAR, top, trials)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got.shape == (trials,) + (2**top,) * dim and got.sum() == x.shape[0]
 
     @pytest.mark.parametrize("family", [HAAR, DB2])
     def test_last_float_below_one_in_last_cell(self, family):

@@ -23,7 +23,6 @@ from besov_robust.contamination import (
     IndistinguishabilityReport,
     SeedBlock,
     adversarial_spike_pair,
-    grid_sup,
     lecam_structured_pair,
     sample_huber,
     verify_indistinguishable,
@@ -132,9 +131,16 @@ class TestSpec:
         with pytest.raises(ValueError):
             ContaminationSpec(0.1, "lecam-pair", g=uniform_density(1))
 
-    def test_grid_sup(self):
-        assert grid_sup(uniform_density(2)) == pytest.approx(1.0)
-        assert grid_sup(PiecewiseConstant(np.array([0.5, 1.5]), 1)) == pytest.approx(1.5)
+    def test_structured_budget_reads_every_cell(self):
+        # a 256 x 256 contaminator, flat but for cell (0, 1) at 3: a midpoint
+        # grid of 181 points per axis never reads that column
+        values = np.ones((256, 256))
+        values[0, 1] = 3.0
+        g = PiecewiseConstant(values / values.mean(), 8)
+        assert g.sup_bound() == pytest.approx(3.0, rel=1e-4)
+        with pytest.raises(NotSupBounded, match="sup bound 2.9999"):
+            ContaminationSpec(0.1, "structured", g=g, M=1.01)
+        ContaminationSpec(0.1, "structured", g=g, M=g.sup_bound())
 
 
 class TestSampling:

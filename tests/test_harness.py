@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,6 +315,19 @@ class TestTrialBlocks:
         for t, seed in enumerate(seeds):
             alone = sample_huber(truth, spec.g, eps, n, seed)
             np.testing.assert_array_equal(block[t * n : (t + 1) * n].view(np.int64), alone.view(np.int64))
+
+    @pytest.mark.parametrize("eps", [0.0, 2.0**-8, 0.25])
+    def test_one_cell_skip_keeps_the_block_bits(self, eps):
+        # the eps-rate-haar task: the uniform p and g = (2, 0) each put
+        # their mass in one cell, so their draws skip the cell search; a
+        # block of 50 drawn so equals each trial drawn alone by the search
+        truth, spec, n = uniform_density(1), structured(eps, 1), 2**14
+        seeds = [(31, 2, 5 + t) for t in range(50)]
+        block = np.concatenate(list(harness._Draws(truth, spec, n, SeedBlock.of(seeds))))
+        with mock.patch.object(truth._cells, "only", None), mock.patch.object(spec.g._cells, "only", None):
+            for t, seed in enumerate(seeds):
+                alone = sample_huber(truth, spec.g, eps, n, seed)
+                np.testing.assert_array_equal(block[t * n : (t + 1) * n].view(np.int64), alone.view(np.int64))
 
     # SHA-256 of the risk bytes of D=2 runs against the uniform truth, whose
     # tree is empty: every level measured is the estimate's own, summed in
