@@ -702,7 +702,15 @@ class SmoothBump:
         return out
 
     def sup_bound(self) -> float:
-        return float(self.background + np.sum(self.masses / np.prod(self.widths, axis=1)))
+        """The background plus the largest sum of peaks m_b / prod(w_b) over
+        the groups of bumps whose open supports overlap, directly or through
+        a chain: a point lies inside the bumps of one group at most."""
+        peaks = self.masses / np.prod(self.widths, axis=1)
+        gap = np.abs(self.centers[:, None] - self.centers[None])
+        reach = np.all(gap < self.widths[:, None] + self.widths[None], axis=2)
+        for _ in range(peaks.size.bit_length()):  # each squaring doubles the chains reached
+            reach = reach @ reach
+        return float(self.background + (reach @ peaks).max())
 
 
 class SpikePerturbation:
@@ -931,7 +939,8 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int, trials: int = 1
             for i, t in enumerate(rest_t):
                 weights = weights * later[i][t]
             part = np.bincount(cell, weights=weights, minlength=bins).reshape(shape)
-            part = part[(slice(None),) + np.ix_(*[moved[t] for t in (t0,) + rest_t])]
+            for ax, t in enumerate((t0,) + rest_t, start=1):
+                part = part.take(moved[t], axis=ax)
             if sums is None:
                 sums = part
             else:

@@ -207,16 +207,20 @@ def _stream(state: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_ChildSeed(state)))
 
 
-def _mixture(p_model, g_model, mask: np.ndarray, p_rng, g_rng, out: np.ndarray) -> np.ndarray:
+def _mixture(p_model, g_model, mask: np.ndarray, p_rng, g_rng, out: np.ndarray, grouped: bool) -> np.ndarray:
     """The sample whose points under `mask` come from g, assembled into
-    `out`; p's draw itself when no point falls to g, and g's stream
-    (`g_rng()`) is then not built."""
+    `out`, or when `grouped` p's draw followed by g's; p's draw itself when
+    no point falls to g, and g's stream (`g_rng()`) is then not built."""
     n = mask.size
     n_g = int(np.count_nonzero(mask))
     if n_g == 0:
         return p_model.sample(n, p_rng)
     p_draw = p_model.sample(n - n_g, p_rng)
     g_draw = g_model.sample(n_g, g_rng())
+    if grouped:
+        out[: n - n_g] = p_draw
+        out[n - n_g :] = g_draw
+        return out
     if n_g >= _INDEX_SHARE * n:
         keep, mask = np.flatnonzero(~mask), np.flatnonzero(mask)
     else:
@@ -227,7 +231,7 @@ def _mixture(p_model, g_model, mask: np.ndarray, p_rng, g_rng, out: np.ndarray) 
     return out
 
 
-def _trial(p_model, g_model, eps: float, n: int, states: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _trial(p_model, g_model, eps: float, n: int, states: np.ndarray, out: np.ndarray, grouped: bool) -> np.ndarray:
     """One trial's sample from its child seeds (mask, p, g), in `out` or
     p's draw itself. At eps = 0 the mask is all False and its stream feeds
     nothing else, so it is not drawn."""
@@ -235,10 +239,10 @@ def _trial(p_model, g_model, eps: float, n: int, states: np.ndarray, out: np.nda
     if eps == 0.0:
         return p_model.sample(n, p_rng)
     mask = _stream(states[0]).random(n) < eps
-    return _mixture(p_model, g_model, mask, p_rng, lambda: _stream(states[2]), out)
+    return _mixture(p_model, g_model, mask, p_rng, lambda: _stream(states[2]), out, grouped)
 
 
-def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng) -> np.ndarray:
+def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng, *, grouped: bool = False) -> np.ndarray:
     """Draw n points from the contaminated mixture (1-eps) p + eps g, or n
     for each trial of a `SeedBlock`, stacked in trial order.
 
@@ -263,21 +267,26 @@ def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng) -> np.ndarra
     share of 2^-4, 85 against 66 us at 2^-3). A shared Generator draws the
     mask, p and g in turn from itself, so it always draws the mask first,
     because that advances the stream every later draw reads.
+
+    `grouped` puts a trial's n - n_g points from p before its n_g from g,
+    with no assembly: the same points in another order, so the exact
+    integer cell counts of a Haar estimate keep their bits.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("contamination level must lie in [0, 1)")
     if isinstance(seed_or_rng, np.random.Generator):
         rng = seed_or_rng
-        return _mixture(p_model, g_model, rng.random(n) < eps, rng, lambda: rng, np.empty((n, p_model.dim)))
+        mask = rng.random(n) < eps
+        return _mixture(p_model, g_model, mask, rng, lambda: rng, np.empty((n, p_model.dim)), grouped)
     block = seed_or_rng
     if not isinstance(block, SeedBlock):
         block = SeedBlock.of([np.random.SeedSequence().entropy if block is None else block])
     out = np.empty((len(block) * n, p_model.dim))
     if len(block) == 1:
-        return _trial(p_model, g_model, eps, n, block.states[0], out)
+        return _trial(p_model, g_model, eps, n, block.states[0], out, grouped)
     for t, states in enumerate(block.states):
         rows = out[t * n : (t + 1) * n]
-        x = _trial(p_model, g_model, eps, n, states, rows)
+        x = _trial(p_model, g_model, eps, n, states, rows, grouped)
         if x is not rows:
             rows[...] = x
     return out

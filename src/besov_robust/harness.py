@@ -233,16 +233,19 @@ class _Draws:
     which is the array of `shape`; iterating draws them in chunks of
     at most _BLOCK_ROWS rows (at least one trial), a one-trial chunk being
     the sample itself. `empirical_coeffs` bins each chunk as it arrives and
-    reads the trial size from `shape`, as perfbench's tracer does."""
+    reads the trial size from `shape`, as perfbench's tracer does. With
+    `grouped`, a trial's p points come before its g points: a Haar
+    estimate's exact cell counts are the same integers in any order."""
 
-    def __init__(self, truth, spec: ContaminationSpec, n: int, seeds: SeedBlock):
-        self.truth, self.spec, self.n, self.seeds = truth, spec, n, seeds
+    def __init__(self, truth, spec: ContaminationSpec, n: int, seeds: SeedBlock, grouped: bool = False):
+        self.truth, self.spec, self.n, self.seeds, self.grouped = truth, spec, n, seeds, grouped
         self.shape = (len(seeds) * n, truth.dim)
 
     def __iter__(self):
         per = max(1, _BLOCK_ROWS // self.n)
         for i in range(0, len(self.seeds), per):
-            yield sample_huber(self.truth, self.spec.g, self.spec.eps, self.n, self.seeds[i : i + per])
+            seeds = self.seeds[i : i + per]
+            yield sample_huber(self.truth, self.spec.g, self.spec.eps, self.n, seeds, grouped=self.grouped)
 
 
 def risk_trials(
@@ -277,7 +280,10 @@ def risk_trials(
     bin's weights in input order and each trial bins into cells of its
     own, whatever chunk it is in; the bank, the threshold and the
     rescaling act entry by entry; and every reduction of the IPM runs over
-    one trial's row in the one-trial order.
+    one trial's row in the one-trial order. A Haar family's trials are
+    drawn grouped by component (`_Draws`): its father sums are exact cell
+    counts, the same in any point order, where a Daubechies family adds
+    float weights in input order.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -290,7 +296,7 @@ def risk_trials(
     out = np.empty(trials)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        draws = _Draws(truth, spec, n, seeds[start:stop])
+        draws = _Draws(truth, spec, n, seeds[start:stop], grouped=family.is_haar)
         out[start:stop] = besov_ipm(estimate(draws, family, est, stop - start), truth_tree, disc)
     return out
 

@@ -13,6 +13,7 @@ from besov_robust.besov import LOSS_PRESETS, BesovParams, besov_ipm, besov_norm
 from besov_robust.coefficients import (
     CoefficientTree,
     PiecewiseConstant,
+    SmoothBump,
     SpikePerturbation,
     exact_coeffs,
     uniform_density,
@@ -141,6 +142,26 @@ class TestSpec:
         with pytest.raises(NotSupBounded, match="sup bound 2.9999"):
             ContaminationSpec(0.1, "structured", g=g, M=1.01)
         ContaminationSpec(0.1, "structured", g=g, M=g.sup_bound())
+
+    def test_disjoint_bumps_do_not_add_their_peaks(self):
+        # the two supports (0, 0.5) and (0.5, 1) only touch: the pdf peaks at
+        # 0.75 + 0.125 / 0.25, not at the 1.75 of both peaks added
+        g = SmoothBump([[0.25], [0.75]], [[0.25], [0.25]], [0.125, 0.125], background=0.75)
+        assert g.sup_bound() == 1.25
+        ContaminationSpec(0.1, "structured", g=g, M=1.3)
+
+    @pytest.mark.parametrize("centers,widths,masses,background,bound", [
+        ([[0.4], [0.6]], [[0.25], [0.25]], [0.3, 0.3], 0.4, 0.4 + 2 * 0.3 / 0.25),
+        # 0.2 and 0.7 are disjoint, but both meet 0.45: one chain
+        ([[0.2], [0.45], [0.7]], [[0.15], [0.15], [0.15]], [0.2, 0.2, 0.2], 0.4, 0.4 + 3 * 0.2 / 0.15),
+        # overlapping on the first axis only: disjoint in the plane
+        ([[0.3, 0.25], [0.4, 0.75]], [[0.2, 0.2], [0.2, 0.2]], [0.25, 0.25], 0.5, 0.5 + 0.25 / 0.04),
+    ])
+    def test_bump_sup_bound_covers_the_pdf(self, centers, widths, masses, background, bound):
+        g = SmoothBump(centers, widths, masses, background)
+        axis = (np.arange(2 ** (16 // g.dim)) + 0.5) / 2 ** (16 // g.dim)
+        grid = np.stack(np.meshgrid(*[axis] * g.dim, indexing="ij"), axis=-1).reshape(-1, g.dim)
+        assert g.pdf(grid).max() <= g.sup_bound() == pytest.approx(bound)
 
 
 class TestSampling:

@@ -10,9 +10,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from besov_robust import harness
+from besov_robust import contamination, harness
 from besov_robust.besov import LOSS_PRESETS, BesovParams, besov_ipm, besov_norm, conjugate
-from besov_robust.coefficients import PiecewiseConstant, exact_coeffs, uniform_density
+from besov_robust.coefficients import PiecewiseConstant, SpikePerturbation, exact_coeffs, uniform_density
 from besov_robust.contamination import ContaminationSpec, SeedBlock, sample_huber
 from besov_robust.errors import DegenerateFit, RegimeMismatch
 from besov_robust.estimators import EstimatorConfig, adaptive_config, choose_resolutions, estimate
@@ -28,7 +28,7 @@ from besov_robust.harness import (
     run_sweep,
     theoretical_exponents,
 )
-from besov_robust.wavelets import wavelet_family
+from besov_robust.wavelets import WaveletIndex, wavelet_family
 
 INF = math.inf
 HAAR = wavelet_family("haar")
@@ -205,6 +205,18 @@ class TestEstimateRisk:
         assert risks.mean() == pytest.approx(0.024994, abs=2e-3)
         assert risks.std(ddof=1) / math.sqrt(risks.size) > 0.0
 
+    def test_risk_counts_the_truth_detail_above_j1(self):
+        # the truth's only detail lies at j1 + 1, where a linear estimate at
+        # j1 stores nothing: under TV that level's term is part of every
+        # trial's risk, so no risk can fall below it, however large n
+        cfg = EstimatorConfig("linear", 2, 2)
+        spike = WaveletIndex(cfg.j1 + 1, (5,), (1,))
+        truth = SpikePerturbation(uniform_density(1), HAAR, spike, 0.5 * 2.0 ** (-spike.j / 2.0))
+        floor = besov_ipm(exact_coeffs(uniform_density(1), HAAR, spike.j), exact_coeffs(truth, HAAR, spike.j), TV)
+        assert floor > 0.0
+        risks = risk_trials(truth, NOSPEC, cfg, TV, 2**14, 20, 5, family=HAAR)
+        assert (risks >= floor).all()
+
     def test_risk_decreases_in_n(self):
         cfg = EstimatorConfig("linear", 3, 3)
         uni = uniform_density(1)
@@ -283,6 +295,14 @@ class TestTrialBlocks:
             "db2", 2, "dyadic-pwc", structured(0.1, 2),
             EstimatorConfig("thresholded", 1, 4, K=0.5, rescale_epsilon=0.1), "tv", 1500, 40,
         ),
+        # Haar blocks draw each trial grouped by component; chunks of 23 trials
+        "haar-d2-structured-eps": (
+            "haar", 2, "dyadic-pwc", structured(0.1, 2), EstimatorConfig("linear", 2, 2), "tv", 700, 30,
+        ),
+        "haar-thresholded-rescaled": (
+            "haar", 1, "dyadic-pwc", structured(0.25, 1),
+            EstimatorConfig("thresholded", 1, 4, K=0.5, rescale_epsilon=0.25), "tv", 900, 30,
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -315,6 +335,45 @@ class TestTrialBlocks:
         for t, seed in enumerate(seeds):
             alone = sample_huber(truth, spec.g, eps, n, seed)
             np.testing.assert_array_equal(block[t * n : (t + 1) * n].view(np.int64), alone.view(np.int64))
+
+    @pytest.mark.parametrize("eps", [0.0, 2.0**-8, 2.0**-3.5, 0.25])
+    @pytest.mark.parametrize("n", [1000, 2**14])
+    def test_grouped_draws_are_p_then_g(self, eps, n):
+        # each trial's rows are its p draw, then its g draw: the points of
+        # the ordered sample outside the mask, then those under it
+        truth = dict(benchmark_suite(GEN, 1))["dyadic-pwc"]
+        spec = structured(eps, 1)
+        seeds = [(31, 2, 5 + t) for t in range(20)]
+        block = SeedBlock.of(seeds)
+        chunks = list(harness._Draws(truth, spec, n, block, grouped=True))
+        assert [len(c) // n for c in chunks] == ([16, 4] if n == 1000 else [1] * 20)
+        grouped = np.concatenate(chunks)
+        for t, seed in enumerate(seeds):
+            ordered = sample_huber(truth, spec.g, eps, n, seed)
+            mask = contamination._stream(block.states[t, 0]).random(n) < eps
+            rows = grouped[t * n : (t + 1) * n]
+            want = np.concatenate([ordered[~mask], ordered[mask]])
+            np.testing.assert_array_equal(rows.view(np.int64), want.view(np.int64))
+            np.testing.assert_array_equal(np.sort(rows, axis=0).view(np.int64), np.sort(ordered, axis=0).view(np.int64))
+
+    @pytest.mark.parametrize("fam,grouped", [("haar", True), ("db2", False), ("db3", False)])
+    def test_only_haar_trials_are_drawn_grouped(self, monkeypatch, fam, grouped):
+        # a Daubechies block adds float weights in input order, so it must
+        # draw its contaminated trials in sample order
+        truth, spec, n = uniform_density(1), structured(0.25, 1), 500
+        calls = []
+
+        def spied(p, g, eps, n, seeds, **kwargs):
+            calls.append(kwargs)
+            x = sample_huber(p, g, eps, n, seeds, **kwargs)
+            if not kwargs["grouped"]:
+                ordered = np.concatenate([sample_huber(p, g, eps, n, SeedBlock(s[None])) for s in seeds.states])
+                np.testing.assert_array_equal(x.view(np.int64), ordered.view(np.int64))
+            return x
+
+        monkeypatch.setattr(harness, "sample_huber", spied)
+        risk_trials(truth, spec, EstimatorConfig("linear", 2, 2), TV, n, 40, 31, family=wavelet_family(fam))
+        assert calls == [{"grouped": grouped}] * 2
 
     @pytest.mark.parametrize("eps", [0.0, 2.0**-8, 0.25])
     def test_one_cell_skip_keeps_the_block_bits(self, eps):
