@@ -24,10 +24,12 @@ package works on whole levels, the one tree-file reader `from_jsonl` too;
 
 Density models (`PiecewiseConstant`, `SmoothBump`, `SpikePerturbation`)
 share a small duck-typed protocol: a `dim` attribute, `pdf(points)` and
-`sample(n, rng)`. `empirical_coeffs` and `exact_coeffs` share one transform:
-father sums or integrals at a top level J, then the periodic filter bank
-(`_bank_level`) down to level 0; an exact truth banks the 1-d integrals of
-its axis factors and assembles its levels in one place (`_separable_tree`).
+`sample(n, rng, out=None)`, which draws the (n, D) sample into `out` when
+it is given and returns it. `empirical_coeffs` and `exact_coeffs` share one
+transform: father sums or integrals at a top level J, then the periodic
+filter bank (`_bank_level`) down to level 0; an exact truth banks the 1-d
+integrals of its axis factors and assembles its levels in one place
+(`_separable_tree`).
 Their coefficients are those of the filter-bank basis of `wavelets` with
 that J, exact where closed forms exist and by certified polynomial-proxy
 quadrature for smooth factors. The Huber mixture of two models is sampled
@@ -65,10 +67,10 @@ _PARSE_ROWS = 2048
 _MAX_DIM = 16
 # Polynomial degree per panel integrated exactly by `_panel_rule`
 _PANEL_DEGREE = 16
-# The most bins a Haar chunk counts by one comparison per bin, not by
-# `np.bincount`, whose increments of a few counters wait on each other: for
-# 2^14 points the comparison ties or wins at 4 bins (23-37 against 29-68
-# us) and takes twice bincount's time at 8.
+# The most bins a D = 1 Haar chunk counts by comparing its points with the
+# cell edges, one pass per inner edge, not by building cells for
+# `np.bincount`: for 2^14 points, 2 and 4 bins take 14 and 25 us against
+# 62 and 53 us, and 8 bins tie (53 against 51 us).
 _COMPARE_BINS = 4
 
 
@@ -564,8 +566,10 @@ class PiecewiseConstant:
     costs its uniforms and a table lookup; the cells keep the bits and the
     stream use of `Generator.choice`. A model whose mass sits in one cell
     (the uniform density among them) skips the search: every uniform picks
-    that cell, so its n uniforms are stepped over, not used. A model is not
-    changed after it is built: `values` must not be written to.
+    that cell, so its n uniforms are stepped over, not used. A draw adds
+    the corners to its uniforms and scales them by 2^-s in place, in `out`
+    when given. A model is not changed after it is built: `values` must
+    not be written to.
     """
 
     def __init__(self, values, scale_level: int):
@@ -592,7 +596,7 @@ class PiecewiseConstant:
         idx = np.minimum((x * 2**s).astype(np.int64), 2**s - 1)
         return self.values[tuple(idx[:, i] for i in range(self.dim))]
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
         if n < 0:
             raise ValueError("sample size must be nonnegative")
         s, d = self.scale_level, self.dim
@@ -607,15 +611,17 @@ class PiecewiseConstant:
                 bits.advance(n)
             else:
                 rng.random(n)
-            u = rng.random((n, d))
-            return u if s == 0 else (np.unravel_index(only, self.values.shape) + u) / 2**s
+            u = rng.random((n, d), out=out)
+            if s > 0:
+                u += np.unravel_index(only, self.values.shape)
+                u /= 2**s
+            return u
         cells = self._cells.draw(n, rng)
-        u = rng.random((n, d))
-        if d == 1:
-            corners = cells[:, None]
-        else:
-            corners = np.column_stack(np.unravel_index(cells, self.values.shape))
-        return (corners + u) / 2**s
+        u = rng.random((n, d), out=out)
+        # (corners + u) / 2^s, in place: the same two roundings
+        u += cells[:, None] if d == 1 else np.column_stack(np.unravel_index(cells, self.values.shape))
+        u /= 2**s
+        return u
 
     def min_value(self) -> float:
         return float(self.values.min())
@@ -679,11 +685,11 @@ class SmoothBump:
             out += self.masses[b] * np.where(inside, vals, 0.0)
         return out
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
+    def sample(self, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
         if n < 0:
             raise ValueError("sample size must be nonnegative")
         comp = self._components.draw(n, rng)
-        out = rng.random((n, self.dim))  # background draws; bump rows overwritten
+        out = rng.random((n, self.dim), out=out)  # background draws; bump rows overwritten
         for b in range(self.masses.size):
             rows = np.where(comp == b + 1)[0]
             if rows.size == 0:
@@ -751,8 +757,8 @@ class SpikePerturbation:
         vals = np.maximum(vals, 0.0)  # clip float dust at exact zeros
         return PiecewiseConstant(vals, s)
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return self.as_piecewise_constant().sample(n, rng)
+    def sample(self, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+        return self.as_piecewise_constant().sample(n, rng, out)
 
     def sup_bound(self) -> float:
         return float(self.base.sup_bound() + abs(self.coeff) * self.family.daughter_sup(self.index))
@@ -889,13 +895,23 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int, trials: int = 1
     the axes) in sample order, and the bins, moved to k = c - t, are added
     in shift order. Trial t's cells are offset by t 2^{D top}, a pass that
     a one-trial block skips. x < 1 and 2^top x is exact, so c < 2^top needs
-    no clamp. For Haar the sums are the point counts per cell: a chunk of
-    at most _COMPARE_BINS bins (trials times 2^{D top}) counts each bin by
-    one comparison over its cells, a larger one by `np.bincount`, and both
-    give the same exact integers.
+    no clamp. For Haar the sums are the point counts per cell, by
+    `np.bincount`; a D = 1 chunk of at most _COMPARE_BINS bins (trials
+    times 2^top) builds no cells: each trial counts its points below each
+    inner edge b 2^-top, and the cell counts are the differences. Since
+    2^top x is exact, c < b exactly when x < b 2^-top, so both give the
+    same exact integers.
     """
     d = x.shape[1]
     size = 2**top
+    shape = (trials,) + (size,) * d
+    bins = trials * size**d
+    if family.is_haar and d == 1 and bins <= _COMPARE_BINS:
+        counts = []
+        for row in x.reshape(trials, -1):
+            below = [0, *(np.count_nonzero(row < b / size) for b in range(1, size)), row.size]
+            counts += [hi - lo for lo, hi in zip(below, below[1:])]
+        return np.array(counts, dtype=float).reshape(shape)
     scaled = np.ascontiguousarray(x.T) * size
     c = scaled.astype(np.int64)
     cell = c[0]
@@ -903,14 +919,8 @@ def _father_sums(x: np.ndarray, family: WaveletFamily, top: int, trials: int = 1
         cell = cell * size + c[i]
     if trials > 1:
         cell = cell + np.repeat(np.arange(trials) * size**d, x.shape[0] // trials)
-    shape = (trials,) + (size,) * d
-    bins = trials * size**d
     if family.is_haar:
-        if bins <= _COMPARE_BINS:
-            counts = [np.count_nonzero(cell == b) for b in range(bins)]
-        else:
-            counts = np.bincount(cell, minlength=bins)
-        return np.array(counts, dtype=float).reshape(shape)
+        return np.bincount(cell, minlength=bins).astype(float).reshape(shape)
     grid = 2**family.cascade_depth
     pos = (scaled - c) * grid
     node = np.floor(pos)

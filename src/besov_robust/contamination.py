@@ -209,18 +209,19 @@ def _stream(state: np.ndarray) -> np.random.Generator:
 
 def _mixture(p_model, g_model, mask: np.ndarray, p_rng, g_rng, out: np.ndarray, grouped: bool) -> np.ndarray:
     """The sample whose points under `mask` come from g, assembled into
-    `out`, or when `grouped` p's draw followed by g's; p's draw itself when
-    no point falls to g, and g's stream (`g_rng()`) is then not built."""
+    `out`, or when `grouped` p's draw followed by g's, each drawn into its
+    rows of `out`; p's draw into `out` when no point falls to g, and g's
+    stream (`g_rng()`) is then not built."""
     n = mask.size
     n_g = int(np.count_nonzero(mask))
     if n_g == 0:
-        return p_model.sample(n, p_rng)
+        return p_model.sample(n, p_rng, out)
+    if grouped:
+        p_model.sample(n - n_g, p_rng, out[: n - n_g])
+        g_model.sample(n_g, g_rng(), out[n - n_g :])
+        return out
     p_draw = p_model.sample(n - n_g, p_rng)
     g_draw = g_model.sample(n_g, g_rng())
-    if grouped:
-        out[: n - n_g] = p_draw
-        out[n - n_g :] = g_draw
-        return out
     if n_g >= _INDEX_SHARE * n:
         keep, mask = np.flatnonzero(~mask), np.flatnonzero(mask)
     else:
@@ -232,12 +233,12 @@ def _mixture(p_model, g_model, mask: np.ndarray, p_rng, g_rng, out: np.ndarray, 
 
 
 def _trial(p_model, g_model, eps: float, n: int, states: np.ndarray, out: np.ndarray, grouped: bool) -> np.ndarray:
-    """One trial's sample from its child seeds (mask, p, g), in `out` or
-    p's draw itself. At eps = 0 the mask is all False and its stream feeds
-    nothing else, so it is not drawn."""
+    """One trial's sample from its child seeds (mask, p, g), drawn into
+    `out`. At eps = 0 the mask is all False and its stream feeds nothing
+    else, so it is not drawn."""
     p_rng = _stream(states[1])
     if eps == 0.0:
-        return p_model.sample(n, p_rng)
+        return p_model.sample(n, p_rng, out)
     mask = _stream(states[0]).random(n) < eps
     return _mixture(p_model, g_model, mask, p_rng, lambda: _stream(states[2]), out, grouped)
 
@@ -259,18 +260,19 @@ def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng, *, grouped: 
     its default_rng.
 
     Work that changes no bit is skipped. At eps = 0 the mask stream is not
-    drawn. Whenever no point falls to g, p's draw is the trial's sample and
-    g's stream is not built; a block of one returns it without a copy.
-    Otherwise the mixture is assembled by the indices of the two parts when
-    g's share is at least _INDEX_SHARE and by boolean mask below it, with
-    the same bits either way (at n = 2^14, D = 1: 38 against 60 us at a
-    share of 2^-4, 85 against 66 us at 2^-3). A shared Generator draws the
-    mask, p and g in turn from itself, so it always draws the mask first,
-    because that advances the stream every later draw reads.
+    drawn. Whenever no point falls to g, p draws straight into the trial's
+    rows and g's stream is not built. Otherwise the mixture is assembled by
+    the indices of the two parts when g's share is at least _INDEX_SHARE
+    and by boolean mask below it, with the same bits either way (at
+    n = 2^14, D = 1: 38 against 60 us at a share of 2^-4, 85 against 66 us
+    at 2^-3). A shared Generator draws the mask, p and g in turn from
+    itself, so it always draws the mask first, because that advances the
+    stream every later draw reads.
 
-    `grouped` puts a trial's n - n_g points from p before its n_g from g,
-    with no assembly: the same points in another order, so the exact
-    integer cell counts of a Haar estimate keep their bits.
+    `grouped` draws a trial's n - n_g points from p into its first rows and
+    its n_g from g into the rest, with no assembly: the same points in
+    another order, so the exact integer cell counts of a Haar estimate keep
+    their bits.
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError("contamination level must lie in [0, 1)")
@@ -282,13 +284,8 @@ def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng, *, grouped: 
     if not isinstance(block, SeedBlock):
         block = SeedBlock.of([np.random.SeedSequence().entropy if block is None else block])
     out = np.empty((len(block) * n, p_model.dim))
-    if len(block) == 1:
-        return _trial(p_model, g_model, eps, n, block.states[0], out, grouped)
     for t, states in enumerate(block.states):
-        rows = out[t * n : (t + 1) * n]
-        x = _trial(p_model, g_model, eps, n, states, rows, grouped)
-        if x is not rows:
-            rows[...] = x
+        _trial(p_model, g_model, eps, n, states, out[t * n : (t + 1) * n], grouped)
     return out
 
 

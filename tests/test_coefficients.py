@@ -1042,6 +1042,38 @@ class TestSampling:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
             assert stream_state(a) == stream_state(b)
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            uniform_density(1),
+            uniform_density(2),
+            PiecewiseConstant([0.0, 0.0, 4.0, 0.0], 2),
+            PiecewiseConstant([[0.0, 0.0], [4.0, 0.0]], 1),
+            PiecewiseConstant(np.eye(2) * 2.0, 1),
+            PiecewiseConstant(np.arange(1.0, 9.0) / 4.5, 3),
+            PiecewiseConstant(np.arange(1.0, 17.0).reshape(4, 4) / 8.5, 2),
+            SmoothBump([[0.5]], [[0.3]], [0.5], background=0.5),
+            SmoothBump([[0.3, 0.6], [0.7, 0.4]], [[0.2, 0.25], [0.15, 0.3]], [0.35, 0.45], background=0.2),
+            SpikePerturbation(uniform_density(2), HAAR, WaveletIndex(1, (1, 0), (1, 1)), 0.5),
+        ],
+        ids=["one-cell-s0-d1", "one-cell-s0-d2", "one-cell-s2-d1", "one-cell-s1-d2", "search-d2-diagonal",
+             "search-d1", "search-d2", "bump-d1", "bump-d2", "spike-d2"],
+    )
+    @pytest.mark.parametrize("n", [0, 1, 1000])
+    def test_sample_into_rows_keeps_the_bits(self, model, n):
+        # a draw into given rows returns those rows, with the bits of a
+        # fresh draw and the same stream position after it, and writes no
+        # other row
+        a, b = np.random.default_rng(n + 17), np.random.default_rng(n + 17)
+        block = np.full((n + 2, model.dim), -1.0)
+        rows = block[1:-1]
+        got = model.sample(n, a, out=rows)
+        want = model.sample(n, b)
+        assert got is rows
+        assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+        assert np.array_equal(block[[0, -1]], np.full((2, model.dim), -1.0))
+        assert np.array_equal(a.random(4).view(np.int64), b.random(4).view(np.int64))
+
     def test_huber_mixture_eps_zero_matches_pure(self):
         p = PiecewiseConstant(np.array([0.5, 1.5]), 1)
         g = uniform_density(1)
@@ -1528,13 +1560,22 @@ class TestEmpiricalBitIdentity:
 
     @pytest.mark.parametrize(
         "dim,top,trials",
-        [(1, 0, 1), (1, 0, 3), (1, 1, 1), (1, 1, 2), (1, 0, 4), (2, 1, 1), (2, 0, 2), (1, 2, 2), (2, 1, 4)],
+        [
+            (1, 0, 1), (1, 0, 3), (1, 1, 1), (1, 1, 2), (1, 0, 4), (2, 1, 1), (2, 0, 2), (1, 2, 2), (2, 1, 4),
+            (1, 0, 2), (1, 2, 1),
+        ],
     )
     def test_few_cell_counts_equal_bincount(self, dim, top, trials):
-        # a Haar chunk of at most _COMPARE_BINS bins is counted by comparison,
-        # a larger one by bincount: both counts must agree bit for bit, here
-        # with each side forced over bins of 1-4 (and 8, 16) cells
-        x = coefficients._fold_points(edge_sample(trials * 2047, dim, seed=top + 3 * trials))
+        # a D = 1 Haar chunk of at most _COMPARE_BINS bins is counted against
+        # its cell edges, a larger one or one in D >= 2 by bincount: both
+        # counts must agree bit for bit, here with each side forced over bins
+        # of 1-4 (and 8, 16) cells, and every trial holds each inner edge
+        # b/2^top, the float just below it, 0 and 1 - 2^-53
+        x = edge_sample(trials * 2047, dim, seed=top + 3 * trials)
+        edges = np.arange(1, 2**top) / 2**top
+        special = np.concatenate([edges, np.nextafter(edges, 0.0), [0.0, 1.0 - 2.0**-53]])
+        x.reshape(trials, 2047, dim)[:, 100 : 100 + special.size] = special[:, None]
+        x = coefficients._fold_points(x)
         got = coefficients._father_sums(x, HAAR, top, trials)
         for cap in (0, 16):
             with mock.patch.object(coefficients, "_COMPARE_BINS", cap):

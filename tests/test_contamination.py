@@ -215,6 +215,38 @@ class TestSampling:
             mask = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0]).random(n) < eps
             assert (mask.sum() >= _INDEX_SHARE * n) == dense and mask.any()
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("p_kind", ["pwc", "uniform"])
+    @pytest.mark.parametrize(
+        "eps,n,grouped",
+        [(0.0, 1000, False), (2.0**-8, 8, False), (2.0**-8, 8, True), (0.25, 1000, False), (0.25, 1000, True)],
+        ids=["eps0", "no-g-ordered", "no-g-grouped", "ordered", "grouped"],
+    )
+    def test_trial_draws_into_its_rows(self, dim, p_kind, eps, n, grouped):
+        # every branch of a trial returns the rows it is handed, holding the
+        # draws of the spawned children (mask, p, g): in sample order, or
+        # p's then g's when grouped; no other row is written
+        p = HUBER_MODELS[dim][0] if p_kind == "pwc" else uniform_density(dim)
+        g = HUBER_MODELS[dim][1]
+        seed = 20240817
+        kids = np.random.SeedSequence(seed).spawn(3)
+        mask = np.random.default_rng(kids[0]).random(n) < eps
+        n_g = int(mask.sum())
+        assert (n_g == 0) == (n == 8 or eps == 0.0)
+        p_draw = p.sample(n - n_g, np.random.default_rng(kids[1]))
+        g_draw = g.sample(n_g, np.random.default_rng(kids[2]))
+        if grouped:
+            want = np.concatenate([p_draw, g_draw])
+        else:
+            want = np.empty((n, dim))
+            want[~mask], want[mask] = p_draw, g_draw
+        block = np.full((n + 2, dim), -1.0)
+        rows = block[1:-1]
+        got = contamination._trial(p, g, eps, n, SeedBlock.of([seed]).states[0], rows, grouped)
+        assert got is rows
+        assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+        assert np.array_equal(block[[0, -1]], np.full((2, dim), -1.0))
+
     def test_unseeded_draw(self):
         p, g = HUBER_MODELS[2]
         x = sample_huber(p, g, 0.25, 500, None)
