@@ -22,18 +22,17 @@ address a single tree only and raise ValueError on a block;
 package works on whole levels, the one tree-file reader `from_jsonl` too;
 `set`, `get` and `items` address one coefficient, for tests and by hand.
 
-Density models (`PiecewiseConstant`, `SmoothBump`, `SpikePerturbation`)
-share a small duck-typed protocol: a `dim` attribute, `pdf(points)` and
+Density models (`PiecewiseConstant`, `SpikePerturbation`) share a small
+duck-typed protocol: a `dim` attribute, `pdf(points)` and
 `sample(n, rng, out=None)`, which draws the (n, D) sample into `out` when
 it is given and returns it. `empirical_coeffs` and `exact_coeffs` share one
 transform: father sums or integrals at a top level J, then the periodic
 filter bank (`_bank_level`) down to level 0; an exact truth banks the 1-d
-integrals of its axis factors and assembles its levels in one place
-(`_separable_tree`).
+father integrals of the cells, one table that every axis shares, and
+assembles its levels in one place (`_separable_tree`).
 Their coefficients are those of the filter-bank basis of `wavelets` with
-that J, exact where closed forms exist and by certified polynomial-proxy
-quadrature for smooth factors. The Huber mixture of two models is sampled
-by `contamination.sample_huber`.
+that J, in closed form: every model is piecewise constant. The Huber
+mixture of two models is sampled by `contamination.sample_huber`.
 """
 
 from __future__ import annotations
@@ -65,8 +64,6 @@ _PARSE_ROWS = 2048
 # 2^D - 1 orientations before any record is read (0.1 s and 16 MB at D = 16;
 # memory runs out near D = 30); no command writes a tree above D of about 9.
 _MAX_DIM = 16
-# Polynomial degree per panel integrated exactly by `_panel_rule`
-_PANEL_DEGREE = 16
 # The most bins a D = 1 Haar chunk counts by comparing its points with the
 # cell edges, one pass per inner edge, not by building cells for
 # `np.bincount`: for 2^14 points, 2 and 4 bins take 14 and 25 us against
@@ -635,90 +632,6 @@ def uniform_density(dim: int) -> PiecewiseConstant:
     return PiecewiseConstant(np.ones((1,) * dim), 0)
 
 
-def _hann_cdf(u: np.ndarray) -> np.ndarray:
-    """CDF of the raised-cosine density (1+cos(pi u))/2 on [-1, 1]."""
-    u = np.clip(u, -1.0, 1.0)
-    return (u + 1.0) / 2.0 + np.sin(np.pi * u) / (2.0 * np.pi)
-
-
-class SmoothBump:
-    """Mixture of tensor raised-cosine bumps plus a uniform background.
-
-    Each bump b has center c_b, per-axis half-widths w_b and total mass
-    m_b; its density is prod_i hann((x_i - c_i)/w_i)/w_i with
-    hann(u) = (1+cos(pi u))/2 on [-1,1]. Bump supports must lie inside the
-    cube. background + sum of masses must equal 1.
-
-    The component search (`_CellSearch`, component 0 the background) is
-    built at construction and keeps the bits and the stream use of
-    `Generator.choice`, as for `PiecewiseConstant`.
-    """
-
-    def __init__(self, centers, widths, masses, background: float = 0.0):
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
-        widths = np.atleast_2d(np.asarray(widths, dtype=float))
-        masses = np.atleast_1d(np.asarray(masses, dtype=float))
-        if centers.shape != widths.shape or centers.shape[0] != masses.size:
-            raise ValueError("centers, widths and masses must agree in shape")
-        if np.any(widths <= 0.0) or np.any(masses < 0.0) or background < 0.0:
-            raise ValueError("widths must be positive, masses nonnegative")
-        if np.any(centers - widths < -1e-12) or np.any(centers + widths > 1.0 + 1e-12):
-            raise ValueError("bump support must lie inside the unit cube")
-        total = background + masses.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"masses plus background sum to {total}, not 1")
-        self.centers = centers
-        self.widths = widths
-        self.masses = masses / total
-        self.background = background / total
-        self.dim = centers.shape[1]
-        comp_probs = np.concatenate([[self.background], self.masses])
-        self._components = _CellSearch(comp_probs / comp_probs.sum())
-
-    def pdf(self, x) -> np.ndarray:
-        x = _fold_points(np.atleast_2d(np.asarray(x, dtype=float)))
-        out = np.full(x.shape[0], self.background)
-        for b in range(self.masses.size):
-            u = (x - self.centers[b]) / self.widths[b]
-            inside = np.all(np.abs(u) < 1.0, axis=1)
-            vals = np.prod((1.0 + np.cos(np.pi * u)) / 2.0 / self.widths[b], axis=1)
-            out += self.masses[b] * np.where(inside, vals, 0.0)
-        return out
-
-    def sample(self, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-        if n < 0:
-            raise ValueError("sample size must be nonnegative")
-        comp = self._components.draw(n, rng)
-        out = rng.random((n, self.dim), out=out)  # background draws; bump rows overwritten
-        for b in range(self.masses.size):
-            rows = np.where(comp == b + 1)[0]
-            if rows.size == 0:
-                continue
-            q = rng.random((rows.size, self.dim))
-            # invert the hann CDF by bisection: deterministic, ~1e-15 accurate
-            lo = np.full_like(q, -1.0)
-            hi = np.full_like(q, 1.0)
-            for _ in range(52):
-                mid = (lo + hi) / 2.0
-                below = _hann_cdf(mid) < q
-                lo = np.where(below, mid, lo)
-                hi = np.where(below, hi, mid)
-            u = (lo + hi) / 2.0
-            out[rows] = self.centers[b] + self.widths[b] * u
-        return out
-
-    def sup_bound(self) -> float:
-        """The background plus the largest sum of peaks m_b / prod(w_b) over
-        the groups of bumps whose open supports overlap, directly or through
-        a chain: a point lies inside the bumps of one group at most."""
-        peaks = self.masses / np.prod(self.widths, axis=1)
-        gap = np.abs(self.centers[:, None] - self.centers[None])
-        reach = np.all(gap < self.widths[:, None] + self.widths[None], axis=2)
-        for _ in range(peaks.size.bit_length()):  # each squaring doubles the chains reached
-            reach = reach @ reach
-        return float(self.background + (reach @ peaks).max())
-
-
 class SpikePerturbation:
     """A flat base density plus `coeff` times one Haar daughter wavelet.
 
@@ -1007,30 +920,30 @@ def _father_cell_matrix(family: WaveletFamily, j: int, s: int) -> np.ndarray:
     return out
 
 
-def _separable_tree(core: np.ndarray, tops: list, family: WaveletFamily, j_max: int) -> CoefficientTree:
-    """The tree, levels 0..j_max, of sum_r core[r] prod_i f_{i, r_i}(x_i),
-    from each axis's father integrals tops[i][r, k] of its factors at level
-    j_max + 1, shape (R_i, 2^(j_max+1)).
+def _separable_tree(values: np.ndarray, table: np.ndarray, family: WaveletFamily, j_max: int) -> CoefficientTree:
+    """The tree, levels 0..j_max, of the density with cell values `values`,
+    shape (R,)*D, from the father integrals table[r, k] of the R cells of
+    one axis at level j_max + 1, shape (R, 2^(j_max+1)), which every axis
+    shares.
 
-    The integrals go down the estimator's bank (`_bank_level`, the factors
-    as trials); tops is overwritten level by level, so one level is held at
-    a time. Level j contracts core with each axis's father (bit 0) or mother
-    (bit 1) integrals in axis order, one orientation at a time, and hands
-    tensordot C-contiguous (2^j, R_i) operands: BLAS would round the
-    products of a transposed view otherwise.
+    The table goes down the estimator's bank (`_bank_level`, the cells as
+    trials) once per level, not once per axis, and is overwritten level by
+    level, so one level is held at a time. Level j contracts the values
+    with the father (bit 0) or mother (bit 1) integrals along each axis in
+    axis order, one orientation at a time, and hands tensordot C-contiguous
+    (2^j, R) operands: BLAS would round the products of a transposed view
+    otherwise.
     """
-    d = core.ndim
+    d = values.ndim
     tree = CoefficientTree(family, d, alpha=1.0)
     for j in range(j_max, -1, -1):
-        mats = []
-        for i in range(d):
-            tops[i], details = _bank_level(tops[i], family.taps)
-            mats.append([np.ascontiguousarray(tops[i].T), np.ascontiguousarray(details[:, 0].T)])
+        table, details = _bank_level(table, family.taps)
+        mats = (np.ascontiguousarray(table.T), np.ascontiguousarray(details[:, 0].T))
         lev = np.empty((2**d - 1,) + (2**j,) * d)
         for o, e in enumerate(orientations(d)):
-            arr = core
+            arr = values
             for ax in range(d):
-                arr = np.tensordot(mats[ax][e[ax]], arr, axes=([1], [ax]))
+                arr = np.tensordot(mats[e[ax]], arr, axes=([1], [ax]))
             # tensordot prepends the contracted axis: axes are reversed overall
             lev[o] = np.transpose(arr, axes=tuple(range(d - 1, -1, -1))) * 2.0 ** (d * j / 2.0)
         tree.set_level_array(j, lev)
@@ -1044,158 +957,22 @@ def _pwc_tree(model: PiecewiseConstant, family: WaveletFamily, j_max: int) -> Co
         # flat: its integral is exactly 0, and the bank from level s gives
         # the lower levels bit for bit as from any higher top
         j_max = min(j_max, s - 1)
-    # the factors of every axis are the 2^s cell indicators
-    tops = [_father_cell_matrix(family, j_max + 1, s).T] * model.dim
-    return _separable_tree(model.values, tops, family, j_max)
-
-
-def _panel_rule(
-    family: WaveletFamily,
-    panel_exp: int,
-    extra_edges: tuple[float, ...] = (),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes u_i and weights w_i integrating f against the father.
-
-    For the father phi(u) on [0, W] (the piecewise-linear father of the
-    value grid, or the Haar indicator), the panels are uniform and dyadic,
-    of width 2^panel_exp, plus edges at extra node-aligned positions (kinks
-    of the smooth factor, shifted by every integer so that one layout serves
-    all translates at a level). Each panel gets Chebyshev nodes, weighted so
-    that sum_i w_i g(u_i) equals int g(u) phi(u) du exactly whenever g is a
-    polynomial of degree <= _PANEL_DEGREE on every panel.
-    """
-    w, m = family.support_width, family.cascade_depth
-    if panel_exp < -m:
-        raise QuadratureFailure("panel width below the wavelet value grid")
-    grid = 2**m
-    edge_ints = set(range(0, w * grid + 1, 2 ** (m + panel_exp)))
-    edge_ints.add(w * grid)
-    for pos in extra_edges:
-        frac = pos - math.floor(pos)
-        for i in range(w):
-            edge_ints.add(int(round((frac + i) * grid)))
-    edges = np.array(sorted(edge_ints)) / grid
-    edges = edges[(edges >= 0.0) & (edges <= w)]
-    degree = _PANEL_DEGREE
-    cheb = np.cos(np.pi * (2 * np.arange(degree + 1) + 1) / (2 * (degree + 1)))  # in (-1,1)
-    v = np.vander(cheb, degree + 1, increasing=True).T
-    if family.is_haar:
-        moments = _haar_moments(edges, degree)
-    else:
-        moments = _pl_moments(family, edges, degree)
-    keep = np.any(np.abs(moments) > 0.0, axis=1)
-    moments = moments[keep]
-    mid = ((edges[:-1] + edges[1:]) / 2.0)[keep]
-    half = ((edges[1:] - edges[:-1]) / 2.0)[keep]
-    if moments.shape[0] == 0:
-        return np.zeros(0), np.zeros(0)
-    wts = np.linalg.solve(v, moments.T).T
-    return (mid[:, None] + half[:, None] * cheb[None, :]).ravel(), wts.ravel()
-
-
-def _haar_moments(edges: np.ndarray, deg: int) -> np.ndarray:
-    """Per-panel moments int xi^q 1_[0,1)(u) du, closed form."""
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    q = np.arange(deg + 1)
-    xl = (np.clip(edges[:-1], 0.0, 1.0) - mid) / half
-    xh = np.maximum((np.clip(edges[1:], 0.0, 1.0) - mid) / half, xl)
-    return half[:, None] * (xh[:, None] ** (q + 1) - xl[:, None] ** (q + 1)) / (q + 1)
-
-
-def _pl_moments(family: WaveletFamily, edges: np.ndarray, deg: int) -> np.ndarray:
-    """Per-panel moments int xi^q phi du, exact per linear cell, vectorized."""
-    m = family.cascade_depth
-    table = family.phi_values
-    grid = 2**m
-    eidx = np.rint(edges * grid).astype(np.int64)
-    if np.max(np.abs(edges * grid - eidx)) > 1e-9:
-        raise QuadratureFailure("panel edges must lie on the value grid")
-    counts = np.diff(eidx)
-    if np.any(counts < 1):
-        raise QuadratureFailure("empty quadrature panel")
-    h = 2.0**-m
-    cells = np.arange(eidx[0], eidx[-1])
-    lo_vals = table[cells]
-    hi_vals = table[cells + 1]
-    x_lo = cells * h
-    mid = np.repeat((edges[:-1] + edges[1:]) / 2.0, counts)
-    half = np.repeat((edges[1:] - edges[:-1]) / 2.0, counts)
-    starts = (eidx[:-1] - eidx[0]).astype(np.intp)
-    gl_nodes, gl_wts = np.polynomial.legendre.leggauss((deg + 3) // 2 + 1)
-    out = np.zeros((counts.size, deg + 1))
-    for t, wt in zip(gl_nodes, gl_wts):
-        lam = (t + 1.0) / 2.0
-        x = x_lo + lam * h
-        f = (lo_vals + lam * (hi_vals - lo_vals)) * wt
-        xi = (x - mid) / half
-        pw = np.ones_like(xi)
-        for qq in range(deg + 1):
-            out[:, qq] += np.add.reduceat(f * pw, starts)
-            pw = pw * xi
-    return out * (h / 2.0)
-
-
-def _smooth_axis_integrals(
-    family: WaveletFamily,
-    j: int,
-    factor,
-    factor_scale: float,
-    kinks_x: tuple[float, ...] = (),
-) -> np.ndarray:
-    """A[k] = int_0^1 phi(2^j x - k, periodized) factor(x) dx for all k at level j.
-
-    The u-panels are at most a quarter of `factor_scale` wide in x. `kinks_x`
-    lists x positions where the factor is not smooth; panel edges are
-    snapped there so the polynomial proxy stays accurate.
-    """
-    panel_exp = min(0, j + int(math.floor(math.log2(max(factor_scale, 2.0**-40)))) - 2)
-    panel_exp = max(panel_exp, -family.cascade_depth)
-    extra = tuple((2**j) * x for x in kinks_x)
-    nodes, weights = _panel_rule(family, panel_exp, extra)
-    ks = np.arange(2**j)[:, None]
-    y = (nodes[None, :] + ks) / 2**j
-    fy = factor(y - np.floor(y))
-    return (fy @ weights) * 2.0**-j
-
-
-def _bump_tree(model: SmoothBump, family: WaveletFamily, j_max: int) -> CoefficientTree:
-    d, count = model.dim, model.masses.size
-    # bump b is the product of its axis factors, its mass on the core's diagonal
-    core = np.zeros((count,) * d)
-    core[(np.arange(count),) * d] = model.masses
-    tops = []
-    for i in range(d):
-        rows = []
-        for c, wdt in zip(model.centers[:, i], model.widths[:, i]):
-
-            def factor(xx, c=c, wdt=wdt):
-                u = (xx - c) / wdt
-                return np.where(np.abs(u) < 1.0, (1.0 + np.cos(np.pi * u)) / 2.0 / wdt, 0.0)
-
-            rows.append(
-                _smooth_axis_integrals(family, j_max + 1, factor, float(wdt), kinks_x=(c - wdt, c + wdt))
-            )
-        tops.append(np.stack(rows))
-    return _separable_tree(core, tops, family, j_max)
+    return _separable_tree(model.values, _father_cell_matrix(family, j_max + 1, s).T, family, j_max)
 
 
 def exact_coeffs(model, family: WaveletFamily, j_max: int) -> CoefficientTree:
     """Coefficient tree of a density model for levels 0..j_max, in the
     filter-bank basis with top level j_max + 1.
 
-    Each axis's exact father integrals at level j_max + 1 (cell-integral
-    tables for the cells of piecewise-constant models, certified
-    polynomial-proxy quadrature for bump factors) go down the estimator's
-    bank and are assembled in one place (`_separable_tree`). Spike
-    perturbations add their one Haar coefficient to the base's tree.
+    The exact father integrals of a piecewise-constant model's cells at
+    level j_max + 1 (`_father_cell_matrix`) go down the estimator's bank
+    and are assembled in one place (`_separable_tree`). Spike perturbations
+    add their one Haar coefficient to the base's tree.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     if isinstance(model, PiecewiseConstant):
         return _pwc_tree(model, family, j_max)
-    if isinstance(model, SmoothBump):
-        return _bump_tree(model, family, j_max)
     if isinstance(model, SpikePerturbation):
         if model.family.name != family.name or model.family.cascade_depth != family.cascade_depth:
             raise IncompatibleTrees("spike wavelet family differs from the requested basis")

@@ -50,7 +50,7 @@ class ContaminationSpec:
 
     "structured" additionally certifies the sup-norm budget M against
     `g.sup_bound()`, which is exact for a piecewise-constant g and an upper
-    bound for the other models, so no cell of g goes unread; "unstructured"
+    bound for a spike, so no cell of g goes unread; "unstructured"
     puts no bound on g. An M given with either mode must be a positive
     number.
     """
@@ -83,11 +83,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4  # uint32 words in a SeedSequence's entropy pool
 _WORD = 0xFFFFFFFF
-# g's share of a sample from which the mixture is assembled by index rather
-# than by boolean mask: the mask's branches mispredict as its density grows.
-# At n = 2^14, D = 1 and 2, the mask is the faster at a share of 2^-4 and
-# the index at 2^-3.
-_INDEX_SHARE = 2.0**-3.5
 
 
 def _words(entropy) -> list[int]:
@@ -222,10 +217,7 @@ def _mixture(p_model, g_model, mask: np.ndarray, p_rng, g_rng, out: np.ndarray, 
         return out
     p_draw = p_model.sample(n - n_g, p_rng)
     g_draw = g_model.sample(n_g, g_rng())
-    if n_g >= _INDEX_SHARE * n:
-        keep, mask = np.flatnonzero(~mask), np.flatnonzero(mask)
-    else:
-        keep = ~mask
+    keep = ~mask
     for a in range(p_model.dim):  # 1-d copies run 2-3x faster than row copies
         out[:, a][keep] = p_draw[:, a]
         out[:, a][mask] = g_draw[:, a]
@@ -262,12 +254,9 @@ def sample_huber(p_model, g_model, eps: float, n: int, seed_or_rng, *, grouped: 
     Work that changes no bit is skipped. At eps = 0 the mask stream is not
     drawn. Whenever no point falls to g, p draws straight into the trial's
     rows and g's stream is not built. Otherwise the mixture is assembled by
-    the indices of the two parts when g's share is at least _INDEX_SHARE
-    and by boolean mask below it, with the same bits either way (at
-    n = 2^14, D = 1: 38 against 60 us at a share of 2^-4, 85 against 66 us
-    at 2^-3). A shared Generator draws the mask, p and g in turn from
-    itself, so it always draws the mask first, because that advances the
-    stream every later draw reads.
+    boolean mask, one axis at a time. A shared Generator draws the mask, p
+    and g in turn from itself, so it always draws the mask first, because
+    that advances the stream every later draw reads.
 
     `grouped` draws a trial's n - n_g points from p into its first rows and
     its n_g from g into the rest, with no assembly: the same points in

@@ -21,7 +21,7 @@ class OutOfDomain(BesovRobustError, ValueError):
 
 
 class QuadratureFailure(BesovRobustError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """An exact cell integral needs cell edges off the wavelet's value grid."""
 
 
 class MalformedTree(BesovRobustError, ValueError):

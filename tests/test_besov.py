@@ -239,6 +239,7 @@ class TestPinnedBits:
     NORM_SHA256 = "50286783cfb7c61b0febc0208f67a6a5449758b749a53cecc5934ae8d0796984"
     IPM_SHA256 = "314574a9cc63338bf85da01fadca1ddb41f5ef3f40699531c9209202016dd0ab"
 
+    @pytest.mark.byte_pin
     def test_norm_and_ipm_bits_off_the_tv_path(self):
         assert pinned_digests() == (self.NORM_SHA256, self.IPM_SHA256)
 

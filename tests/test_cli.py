@@ -136,6 +136,7 @@ GOLDEN_RATE_CHECK_SHA256 = {
 }
 
 
+@pytest.mark.byte_pin
 @pytest.mark.parametrize("preset", sorted(GOLDEN_RATE_CHECK_SHA256))
 def test_rate_check_artifacts_byte_identical(capsys, tmp_path, preset):
     out = tmp_path / preset
@@ -168,6 +169,7 @@ GOLDEN_RISK_SWEEP_SHA256 = {
 }
 
 
+@pytest.mark.byte_pin
 @pytest.mark.parametrize("preset", sorted(GOLDEN_RISK_SWEEP_SHA256))
 def test_risk_sweep_artifacts_byte_identical(capsys, tmp_path, preset):
     out = tmp_path / preset
@@ -202,6 +204,7 @@ GOLDEN_PAIR_AND_BREAKDOWN_SHA256 = {
 }
 
 
+@pytest.mark.byte_pin
 @pytest.mark.parametrize("command,preset", sorted(GOLDEN_PAIR_AND_BREAKDOWN_SHA256))
 def test_pair_and_breakdown_artifacts_byte_identical(capsys, tmp_path, command, preset):
     out = tmp_path / preset
@@ -225,6 +228,7 @@ def per_coefficient_methods_refused():
     return mock.patch.multiple(CoefficientTree, set=refuse, get=refuse, items=refuse)
 
 
+@pytest.mark.byte_pin
 @pytest.mark.parametrize("preset", ["sparse", "structured"])
 def test_adversary_calls_no_per_coefficient_method(capsys, tmp_path, preset):
     out = tmp_path / preset
@@ -776,6 +780,7 @@ DESCENDING_GRID_RUNS = {
 }
 
 
+@pytest.mark.byte_pin
 @pytest.mark.parametrize("axis", sorted(DESCENDING_GRID_RUNS))
 def test_descending_grid_fit_and_plot_pinned(capsys, tmp_path, axis):
     command, preset, patch, svg, exponent, svg_sha256 = DESCENDING_GRID_RUNS[axis]
@@ -976,6 +981,7 @@ class TestEstimate:
         # rescaling by 1/(1 - eps) shows up in the stored mean coefficient
         assert tree.alpha == pytest.approx(1.0 / (1.0 - est["eps"]))
 
+    @pytest.mark.byte_pin
     def test_coeffs_jsonl_golden_hash(self, capsys, tmp_path):
         # the on-disk tree format is frozen; the db2 values are those of the
         # filter-bank basis with top level j1 + 1

@@ -37,7 +37,6 @@ from besov_robust.coefficients import (
     PRUNE_TOL,
     CoefficientTree,
     PiecewiseConstant,
-    SmoothBump,
     SpikePerturbation,
     empirical_coeffs,
     exact_coeffs,
@@ -50,6 +49,7 @@ from besov_robust.errors import (
     IncompatibleTrees,
     MalformedTree,
     OutOfDomain,
+    QuadratureFailure,
 )
 from besov_robust.estimators import EstimatorConfig, _rescaled, apply_threshold, estimate
 from besov_robust.harness import benchmark_suite
@@ -845,26 +845,21 @@ class TestDensityModels:
         # the torus fold sends 1.0 to the first cell
         assert model.pdf(np.array([[1.0]]))[0] == 0.5
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pwc_pdf_mass_and_sup_bound(self, dim):
+        # the pdf on a midpoint grid four times finer than the cells has
+        # mean 1, and its largest value is the sup bound
+        model = random_pwc(np.random.default_rng(60 + dim), scale=2, dim=dim)
+        axis = (np.arange(16) + 0.5) / 16
+        grid = np.stack(np.meshgrid(*[axis] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        f = model.pdf(grid)
+        assert f.mean() == pytest.approx(1.0, abs=1e-12)
+        assert f.max() == model.sup_bound()
+
     def test_uniform_density(self):
         u = uniform_density(3)
         assert u.dim == 3
         assert u.pdf(np.array([[0.2, 0.5, 0.9]]))[0] == 1.0
-
-    def test_bump_validation(self):
-        with pytest.raises(ValueError):
-            SmoothBump([[0.1]], [[0.3]], [1.0])  # support sticks out at 0
-        with pytest.raises(ValueError):
-            SmoothBump([[0.5]], [[0.2]], [0.7])  # mass misses 1
-        with pytest.raises(ValueError):
-            SmoothBump([[0.5]], [[-0.1]], [1.0])
-
-    def test_bump_pdf_mass_and_support(self):
-        model = SmoothBump([[0.4], [0.7]], [[0.2], [0.1]], [0.5, 0.3], background=0.2)
-        xs = np.linspace(0.0, 1.0, 2**14 + 1)[:-1] + 0.5 / 2**14
-        mass = model.pdf(xs[:, None]).mean()
-        assert abs(mass - 1.0) < 1e-6
-        assert model.pdf(np.array([[0.05]]))[0] == pytest.approx(0.2)
-        assert model.sup_bound() >= model.pdf(xs[:, None]).max()
 
     def test_spike_amplitude_guard(self):
         idx = WaveletIndex(3, (2,), (1,))
@@ -912,15 +907,8 @@ class TestSampling:
         # P(first cell) = 0.2; allow 4 sigma
         assert abs(frac - 0.2) < 4 * math.sqrt(0.2 * 0.8 / 20000)
 
-    def test_bump_sample_stays_in_support(self):
-        model = SmoothBump([[0.3, 0.6]], [[0.1, 0.2]], [1.0])
-        pts = model.sample(5000, np.random.default_rng(1))
-        assert np.all(np.abs(pts - [0.3, 0.6]) <= [0.1, 0.2])
-        # the bump is symmetric, so axis means sit at the center
-        assert np.allclose(pts.mean(axis=0), [0.3, 0.6], atol=0.01)
-
     def test_sampling_deterministic_by_seed(self):
-        model = SmoothBump([[0.5]], [[0.25]], [1.0])
+        model = PiecewiseConstant(np.arange(1.0, 9.0) / 4.5, 3)
 
         def draw(seed):
             return model.sample(50, np.random.default_rng(seed))
@@ -928,18 +916,18 @@ class TestSampling:
         np.testing.assert_array_equal(draw(42), draw(42))
         assert not np.array_equal(draw(42), draw(43))
 
+    @pytest.mark.byte_pin
     @pytest.mark.parametrize(
         "model,seed,want",
         [
-            (SmoothBump([[0.5]], [[0.3]], [0.5], background=0.5), 123,
-             "6a3ef7039a2e40813dd133a5eb032593066e518a5f4e9a6ba558800328e6afec"),
-            (SmoothBump([[0.3, 0.6], [0.7, 0.4]], [[0.2, 0.25], [0.15, 0.3]], [0.35, 0.45],
-                        background=0.2), 123,
-             "24cdbe5d08e3ed60585e88cd72f3a3a8135a583278c663ea507fb4786e94bc62"),
             (PiecewiseConstant(np.arange(1.0, 9.0) / 4.5, 3), 9,
              "b8b6f7d83d2d6afa698a9aaf4de6d1f1e2d9e684561bf1efdb064818c75990eb"),
+            (PiecewiseConstant(np.arange(1.0, 17.0).reshape(4, 4) / 8.5, 2), 123,
+             "5d3f51c2f924962715f49414bb65a04b00da5238098b7c2abbdb03094cac6729"),
+            (PiecewiseConstant(np.arange(1.0, 9.0).reshape(2, 2, 2) / 4.5, 1), 123,
+             "01c59ed69f3de01843715004f24052f5d30a1d43e84966500c5769ab943b2a19"),
         ],
-        ids=["bump-1d", "bump-2d", "pwc-8-cells"],
+        ids=["pwc-8-cells", "pwc-2d-16-cells", "pwc-3d-8-cells"],
     )
     def test_golden_bits(self, model, seed, want):
         # SHA-256 of 1000 draws and the next four uniforms of the same
@@ -950,6 +938,7 @@ class TestSampling:
         digest.update(rng.random(4).tobytes())
         assert digest.hexdigest() == want
 
+    @pytest.mark.byte_pin
     @pytest.mark.parametrize("scale,seed,want", [
         (5, 51, "b150406476c41610dd08f7f8778cde17be40fcf2a147f1e04d25aebc56fba288"),
         (7, 71, "8bee6336ca48aa9d5819b5e7f439b739079e677019d5d165c7a022db77909898"),
@@ -1052,12 +1041,12 @@ class TestSampling:
             PiecewiseConstant(np.eye(2) * 2.0, 1),
             PiecewiseConstant(np.arange(1.0, 9.0) / 4.5, 3),
             PiecewiseConstant(np.arange(1.0, 17.0).reshape(4, 4) / 8.5, 2),
-            SmoothBump([[0.5]], [[0.3]], [0.5], background=0.5),
-            SmoothBump([[0.3, 0.6], [0.7, 0.4]], [[0.2, 0.25], [0.15, 0.3]], [0.35, 0.45], background=0.2),
+            PiecewiseConstant(np.arange(1.0, 9.0).reshape(2, 2, 2) / 4.5, 1),
+            random_pwc(np.random.default_rng(7), scale=7, dim=2),
             SpikePerturbation(uniform_density(2), HAAR, WaveletIndex(1, (1, 0), (1, 1)), 0.5),
         ],
         ids=["one-cell-s0-d1", "one-cell-s0-d2", "one-cell-s2-d1", "one-cell-s1-d2", "search-d2-diagonal",
-             "search-d1", "search-d2", "bump-d1", "bump-d2", "spike-d2"],
+             "search-d1", "search-d2", "search-d3", "search-d2-16384-cells", "spike-d2"],
     )
     @pytest.mark.parametrize("n", [0, 1, 1000])
     def test_sample_into_rows_keeps_the_bits(self, model, n):
@@ -1531,6 +1520,7 @@ class TestEmpiricalBitIdentity:
         x = edge_sample(6149, 1, seed=4)
         assert_trees_identical(empirical_coeffs(x, HAAR, 0, 11), reference_empirical_coeffs(x, HAAR, 0, 11))
 
+    @pytest.mark.byte_pin
     @pytest.mark.parametrize("dim,j1", sorted(GOLDEN_HAAR_LEVELS_SHA256))
     def test_haar_levels_golden(self, dim, j1):
         tree = empirical_coeffs(edge_sample(5000, dim, seed=60 + dim), HAAR, 0, j1)
@@ -1720,6 +1710,7 @@ def suite_trees_digest(name: str, dim: int) -> str:
 
 
 class TestExactSuiteTreesFrozen:
+    @pytest.mark.byte_pin
     @pytest.mark.parametrize("name,dim", sorted(GOLDEN_SUITE_TREES_SHA256))
     def test_suite_trees_golden(self, name, dim):
         assert suite_trees_digest(name, dim) == GOLDEN_SUITE_TREES_SHA256[(name, dim)]
@@ -1786,33 +1777,39 @@ class TestExactCoeffsOracle:
                 worst = max(worst, abs(tree.get(idx) - brute_coeff_2d(model, HAAR, idx, 2)))
         assert worst < 1e-10
 
-    def test_bump_db4_vs_oracle(self):
-        model = SmoothBump([[0.33], [0.71]], [[0.21], [0.06]], [0.6, 0.4])
-        tree = exact_coeffs(model, DB4, j_max=4)
-        rng = np.random.default_rng(1)
+    def test_pwc_db4_vs_oracle(self):
+        rng = np.random.default_rng(59)
+        model = random_pwc(rng, scale=3, dim=1)
+        family = wavelet_family("db4", cascade_depth=8)
+        tree = exact_coeffs(model, family, j_max=3)
+        rngc = np.random.default_rng(1)
         items = list(tree.items())
-        picked = [items[i] for i in rng.choice(len(items), size=min(20, len(items)), replace=False)]
-        want = brute_coeffs_1d(model, DB4, [idx for idx, _ in picked], 5)
+        picked = [items[i] for i in rngc.choice(len(items), size=min(20, len(items)), replace=False)]
+        want = brute_coeffs_1d(model, family, [idx for idx, _ in picked], 4)
         assert max(abs(v - w) for (_, v), w in zip(picked, want)) < 1e-10
 
-    def test_bump_haar_vs_oracle(self):
-        model = SmoothBump([[0.5]], [[0.3]], [0.8], background=0.2)
-        tree = exact_coeffs(model, HAAR, j_max=3)
-        ks = {j: sorted({0, 2**j - 1, 2 ** max(j - 1, 0) % 2**j}) for j in (0, 1, 3)}
-        idxs = [WaveletIndex(j, (int(k),), (1,)) for j in ks for k in ks[j]]
-        want = brute_coeffs_1d(model, HAAR, idxs, 4)
-        assert max(abs(tree.get(idx) - w) for idx, w in zip(idxs, want)) < 1e-12
-
-    def test_bump_2d_separable_product(self):
-        # a product bump's 2-d coefficient factors into axis integrals
-        model2 = SmoothBump([[0.4, 0.6]], [[0.25, 0.3]], [1.0])
-        tree2 = exact_coeffs(model2, HAAR, j_max=2)
-        mx = SmoothBump([[0.4]], [[0.25]], [1.0])
-        my = SmoothBump([[0.6]], [[0.3]], [1.0])
-        idx = WaveletIndex(2, (1, 2), (1, 1))
-        (ax,) = brute_coeffs_1d(mx, HAAR, [WaveletIndex(2, (1,), (1,))], 3)
-        (ay,) = brute_coeffs_1d(my, HAAR, [WaveletIndex(2, (2,), (1,))], 3)
-        assert tree2.get(idx) == pytest.approx(ax * ay, abs=1e-12)
+    @pytest.mark.parametrize(
+        "family,dim,j_max",
+        [(HAAR, 2, 2), (DB2, 2, 2), (wavelet_family("db3"), 2, 1), (DB2, 3, 1)],
+        ids=["haar-d2", "db2-d2", "db3-d2", "db2-d3"],
+    )
+    def test_pwc_separable_product(self, family, dim, j_max):
+        # a product of D different axis densities: each all-mother
+        # coefficient of its tree is the product of the axis trees'
+        # coefficients, so the one axis table that the D axes share is read
+        # along the right axis at every level and translate
+        rng = np.random.default_rng(67)
+        axes = [random_pwc(rng, scale=2, dim=1) for _ in range(dim)]
+        values = axes[0].values
+        for ax in axes[1:]:
+            values = np.multiply.outer(values, ax.values)
+        tree = exact_coeffs(PiecewiseConstant(values, 2), family, j_max)
+        axis_trees = [exact_coeffs(ax, family, j_max) for ax in axes]
+        assert tree.alpha == 1.0
+        for j in range(j_max + 1):
+            for k in itertools.product(range(2**j), repeat=dim):
+                want = math.prod(t.get(WaveletIndex(j, (kk,), (1,))) for t, kk in zip(axis_trees, k))
+                assert tree.get(WaveletIndex(j, k, (1,) * dim)) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_spike_tree_haar(self):
         idx = WaveletIndex(2, (1,), (1,))
@@ -1839,6 +1836,9 @@ class TestExactCoeffsOracle:
             exact_coeffs(uniform_density(1), HAAR, j_max=-1)
         with pytest.raises(TypeError):
             exact_coeffs(object(), HAAR, j_max=1)
+        # cells of 2^-6 are finer than the db2 value grid at level 1, 2^-(1+2)
+        with pytest.raises(QuadratureFailure, match=r"cell scale 2\^-6 finer than the value grid at level 1"):
+            exact_coeffs(PiecewiseConstant(np.linspace(0.5, 1.5, 64), 6), wavelet_family("db2", cascade_depth=2), 0)
 
     def test_exact_matches_empirical_in_expectation(self):
         # law of large numbers sanity: empirical coefficients approach exact ones

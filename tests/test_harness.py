@@ -396,6 +396,7 @@ class TestTrialBlocks:
         "haar": "d6d998a04c2eba7bf9fb436490361b842a8e510c79a28e82c66e13ada22af2bc",
     }
 
+    @pytest.mark.byte_pin
     @pytest.mark.parametrize("fam", sorted(D2_RISKS_SHA256))
     def test_d2_estimate_levels_keep_their_sum_order(self, fam):
         cfg, loss = {

@@ -164,6 +164,7 @@ class TestTables:
                 "be926182daf9d9121e7762c67b2264791a8827ba840886d2dd7a98b3d1dd1c15"),
     }
 
+    @pytest.mark.byte_pin
     @pytest.mark.parametrize("name", sorted(TABLE_SHA256))
     def test_tables_keep_their_bits(self, name):
         fam = wavelet_family(name)
@@ -244,7 +245,7 @@ class TestMoments:
         fam = wavelet_family(name)
         assert abs(_pl_moment(fam.phi_values, fam.cascade_depth, 0) - 1.0) < 1e-12
 
-    def test_haar_moments_closed_form(self):
+    def test_haar_mother_moments_closed_form(self):
         # int x^a psi = (2^-a - 1)/(a + 1) for the Haar mother
         fam = wavelet_family("haar")
         got = [_haar_mother_moment(fam, a) for a in range(3)]
