@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .coefficients import CoefficientTree, difference_levels
+from .coefficients import CoefficientTree, axpy_levels
 from .errors import NotSupBounded, RegimeMismatch, ZeroDelta
 from .wavelets import WaveletFamily
 
@@ -194,19 +194,21 @@ def besov_ipm(t1: CoefficientTree, t2: CoefficientTree, disc: BesovParams):
     Equals L * max(|delta alpha|, || {2^{-j sigma_d'} ||delta beta_j||_{p'}}_j ||_{q'})
     with delta the coefficient difference and (p', q') the conjugate exponents.
     Symmetric, zero iff the trees agree on all stored levels. The difference
-    is formed one level at a time (`difference_levels`), so no whole
-    difference tree is held.
+    t2 - t1 is formed one level at a time (`axpy_levels(-1.0, t1, t2)`): no
+    whole difference tree is held, a level of the truth t2 alone is not
+    copied, and |t2 - t1| has the bits of |t1 - t2|.
 
     When either tree is a block of T trials (`CoefficientTree.trials`), the
     result is the array of the T trials' IPMs, each with the bits of its own
     tree's IPM: every reduction runs trial by trial in the one-tree order
     (`_level_lp`, `_kept_lp`). Otherwise it is a float.
     """
+    t2.check_compatible(t1)
     trials = t1.trials or t2.trials
     u, kept = _level_terms(
-        difference_levels(t1, t2), -disc.sigma_prime(t1.dim), conjugate(disc.p), trials or 1
+        axpy_levels(-1.0, t1, t2), -disc.sigma_prime(t1.dim), conjugate(disc.p), trials or 1
     )
-    a_part = abs(-1.0 * t2.alpha + t1.alpha)
+    a_part = abs(-1.0 * t1.alpha + t2.alpha)
     risk = disc.L * np.maximum(a_part, _kept_lp(u, kept, conjugate(disc.q)))
     return risk if trials is not None else float(risk[0])
 

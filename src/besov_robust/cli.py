@@ -34,9 +34,7 @@ import numpy as np
 
 from ._svg import anchored_power_line, log_log_svg
 from .besov import BesovParams, besov_ipm, loss_params
-from .coefficients import (
-    _MAX_DIM, PiecewiseConstant, SpikePerturbation, _indexable, exact_coeffs, uniform_density,
-)
+from .coefficients import _MAX_DIM, PiecewiseConstant, SpikePerturbation, exact_coeffs, uniform_density
 from .contamination import (
     MAX_ENTRIES,
     MODES,
@@ -66,7 +64,7 @@ from .harness import (
     theoretical_exponents,
     truth_level,
 )
-from .wavelets import WaveletIndex, wavelet_family
+from .wavelets import WaveletIndex, _indexable, wavelet_family
 
 COMMANDS = ("estimate", "risk-sweep", "rate-check", "breakdown", "adversary")
 

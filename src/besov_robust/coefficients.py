@@ -21,6 +21,9 @@ address a single tree only and raise ValueError on a block;
 `check_compatible` rejects two blocks of different sizes. Every path of the
 package works on whole levels, the one tree-file reader `from_jsonl` too;
 `set`, `get` and `items` address one coefficient, for tests and by hand.
+`tree_axpy` and `besov.besov_ipm` combine trees level by level through one
+generator, `axpy_levels`. `evaluate` and `wavelets.eval_wavelet` share their
+coordinate, translate and index rules, and `set` checks an index by the same rule.
 
 Density models (`PiecewiseConstant`, `SpikePerturbation`) share a small
 duck-typed protocol: a `dim` attribute, `pdf(points)` and
@@ -49,6 +52,10 @@ from .errors import EmptySample, IncompatibleTrees, MalformedTree, OutOfDomain, 
 from .wavelets import (
     WaveletFamily,
     WaveletIndex,
+    _indexable,
+    _position,
+    _torus_points,
+    _translates,
     eval_wavelet,
     orientations,
     wavelet_family,
@@ -109,17 +116,6 @@ def _record_pattern(dim: int) -> re.Pattern:
     return re.compile(rf'^\{{"e": \[({e})\], "j": ({num}), "k": \[({k})\], "v": ({v})\}}$', re.M)
 
 
-def _is_int(x) -> bool:
-    """Whether x is an integer, and not a bool, which is a mask to numpy."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _indexable(j, dim: int):
-    """Whether level j of a D-dim tree (2^(jD) translates per orientation; j
-    may be an array) can be indexed by int64; checked before 2^j is computed."""
-    return j * dim < 63
-
-
 class CoefficientTree:
     """Periodized wavelet coefficients of a function on [0,1)^D, one array per level."""
 
@@ -132,9 +128,7 @@ class CoefficientTree:
         self.dim = int(dim)
         self.alpha = float(alpha) if trials is None else np.full(trials, alpha, dtype=float)
         self.trials = trials
-        # orientation tuple -> position on a level's first axis
-        self._opos = {e: o for o, e in enumerate(orientations(self.dim))}
-        self._orients = list(self._opos)
+        self._orients = list(orientations(self.dim))
         self._levels: dict[int, np.ndarray] = {}
 
     def _shape(self, j: int) -> tuple[int, ...]:
@@ -156,28 +150,13 @@ class CoefficientTree:
 
     # -- mutation and access ------------------------------------------------
 
-    def _locate(self, index: WaveletIndex) -> tuple[int, ...]:
-        """The position (o, k...) of index in its level array; ValueError if
-        it is not an index of this tree."""
-        j, k = index.j, tuple(index.k)
-        o = self._opos.get(tuple(index.e))
-        if not _is_int(j) or j < 0 or len(k) != self.dim or o is None:
-            raise ValueError(f"bad index {index} for dimension {self.dim}")
-        if not _indexable(j, self.dim):
-            raise ValueError(f"level {j} is too large to index")
-        size = 2**j
-        for kk in k:
-            if not (_is_int(kk) and 0 <= kk < size):
-                raise ValueError(f"translate out of range in {index}")
-        return (o,) + k
-
     def set(self, index: WaveletIndex, value: float) -> None:
         """Store one coefficient; magnitudes below 1e-14 are stored as absent.
 
         `set`, `get` and `items` stay public to build and inspect a tree
         index by index, as tests do; no path of the package calls them."""
         self._single("set")
-        pos = self._locate(index)
+        pos = _position(index, self.dim)
         lev = self._levels.get(index.j)
         if abs(value) < PRUNE_TOL:
             if lev is not None:
@@ -208,7 +187,7 @@ class CoefficientTree:
         self._single("get")
         lev = self._levels.get(index.j)
         try:
-            return 0.0 if lev is None else lev.item(self._locate(index))
+            return 0.0 if lev is None else lev.item(_position(index, self.dim))
         except ValueError:
             return 0.0
 
@@ -262,41 +241,27 @@ class CoefficientTree:
             raise IncompatibleTrees(f"blocks of {self.trials} and {other.trials} trials")
 
     def evaluate(self, x) -> np.ndarray:
-        """Synthesize the series at points x of shape (..., D).
-
-        Coordinates wrap to the torus. Per level, each point meets W^D
-        translates per orientation (W the support width): the ones with
-        k = (c - t) mod 2^j for the cell c holding the point and shifts t in
-        {0..W-1}^D, which also sums the periodization wraps when 2^j < W.
-        """
+        """Synthesize the series at points x of shape (D,) or (m, D)
+        (`wavelets._torus_points`). Per level, each point meets the W^D
+        translates per orientation that `wavelets._translates` gives per axis."""
         self._single("evaluate")
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        if pts.shape[1] != self.dim:
-            raise ValueError(f"points have dimension {pts.shape[1]}, tree has {self.dim}")
-        out = np.full(pts.shape[0], self.alpha)
-        for start in range(0, pts.shape[0], _EVAL_ROWS):
-            block = pts[start : start + _EVAL_ROWS]
-            u = block - np.floor(block)
-            u[u >= 1.0] = 0.0  # -tiny wraps to 1.0, the torus point 0
+        u, single = _torus_points(x, self.dim)
+        out = np.full(u.shape[0], self.alpha)
+        for start in range(0, u.shape[0], _EVAL_ROWS):
+            block = u[start : start + _EVAL_ROWS]
             out[start : start + _EVAL_ROWS] += sum(
-                self._synthesize_level(j, u) for j in self.levels()
+                self._synthesize_level(j, block) for j in self.levels()
             )
         return float(out[0]) if single else out
 
     def _synthesize_level(self, j: int, u: np.ndarray) -> np.ndarray:
         """Level j's part of the series at torus points u of shape (m, D)."""
-        fam, d, two_j = self.family, self.dim, 2**j
-        shifts = np.arange(fam.support_width)
-        scaled = u * two_j
-        c = np.minimum(scaled.astype(np.int64), two_j - 1)
-        frac = scaled - c
+        fam, d = self.family, self.dim
         # per axis: the W translates each point meets and the factor values there
-        kb = [(c[:, i, None] - shifts) & (two_j - 1) for i in range(d)]
+        kb, pos = zip(*(_translates(u[:, i], j, fam.support_width) for i in range(d)))
         factors = (fam.father_values, fam.mother_values)
         needed = {(e[i], i) for e in self._orients for i in range(d)}
-        vals = {(m, i): factors[m](frac[:, i, None] + shifts) for m, i in needed}
+        vals = {(m, i): factors[m](pos[i]) for m, i in needed}
         lev = self._levels[j]
         total = np.zeros(u.shape[0])
         for o, e in enumerate(self._orients):
@@ -430,7 +395,7 @@ class CoefficientTree:
             v = rec["v"]
             if any(isinstance(x, bool) for x in (index.j, *index.k, *index.e, v)):
                 raise ValueError("a JSON boolean is not a number")
-            o, *k = self._locate(index)
+            o, *k = _position(index, self.dim)
             return o, index.j, k, 0.0 if abs(v) < PRUNE_TOL else float(v)
         except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as err:
             raise _malformed(line, err) from None
@@ -444,11 +409,8 @@ def _malformed(line: str, err: Exception) -> MalformedTree:
 
 
 def tree_axpy(a: float, x: CoefficientTree, y: CoefficientTree) -> CoefficientTree:
-    """a*x + y as a new tree. Trees must share family, depth and dimension.
-
-    Every stored entry is the single IEEE result a*x_i + y_i (absent entries
-    are 0.0), and results below PRUNE_TOL are dropped. `a` must be finite,
-    so that absent entries stay absent.
+    """a*x + y as a new tree (`axpy_levels`). Trees must share family, depth
+    and dimension. `a` must be finite, so that absent entries stay absent.
     """
     x._single("tree_axpy")
     y._single("tree_axpy")
@@ -456,38 +418,31 @@ def tree_axpy(a: float, x: CoefficientTree, y: CoefficientTree) -> CoefficientTr
     if not math.isfinite(a):
         raise ValueError(f"axpy needs a finite scalar, got {a}")
     out = CoefficientTree(x.family, x.dim, a * x.alpha + y.alpha)
-    for j in sorted(set(x._levels) | set(y._levels)):
-        xs, ys = x._levels.get(j), y._levels.get(j)
-        if xs is None:
-            lev = ys.copy()
-        elif ys is None:
-            lev = a * xs
-        else:
-            lev = a * xs
-            lev += ys
-        out._adopt(j, lev)
+    for j, lev in axpy_levels(a, x, y):
+        if lev.any():
+            out._levels[j] = lev[0] if j in x._levels else lev[0].copy()
     return out
 
 
-def difference_levels(x: CoefficientTree, y: CoefficientTree) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (j, level j of x - y) in increasing j, one level at a time,
-    with a leading trial axis (`CoefficientTree._trial_levels`), so a block
-    x is measured against one tree y trial by trial.
+def axpy_levels(a: float, x: CoefficientTree, y: CoefficientTree) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (j, level j of a*x + y) in increasing j, with a leading trial
+    axis (`CoefficientTree._trial_levels`), for trees the caller has checked.
 
-    Entries are those of `tree_axpy(-1.0, y, x)`, with results below
-    PRUNE_TOL zeroed; all-zero levels are yielded too. A level stored in one
-    tree only is yielded as that tree's array, without the sign flip for y,
-    so use the levels where the sign does not matter, as in a norm.
+    Every entry is the single IEEE result a*x_i + y_i (absent entries are
+    0.0), with results below PRUNE_TOL zeroed; all-zero levels are yielded
+    too. A level stored in y alone is y's own array, not a copy: never write
+    into it.
     """
-    y.check_compatible(x)
     for j in sorted(set(x._levels) | set(y._levels)):
-        a, b = x._trial_levels(j), y._trial_levels(j)
-        if a is None or b is None:
-            yield j, b if a is None else a
+        xs, ys = x._trial_levels(j), y._trial_levels(j)
+        if xs is None:
+            yield j, ys
             continue
-        d = a - b
-        _prune_level(d)
-        yield j, d
+        lev = a * xs
+        if ys is not None:
+            lev = np.add(lev, ys, out=lev if lev.shape == ys.shape else None)
+        _prune_level(lev)
+        yield j, lev
 
 
 # -- density models ---------------------------------------------------------
@@ -637,7 +592,8 @@ class SpikePerturbation:
 
     Both lower-bound constructions perturb the uniform density this way, so
     every spike is exactly piecewise constant. Nonnegativity is enforced
-    with the conservative bound min(base) >= |coeff| * sup|daughter|.
+    with the conservative bound min(base) >= |coeff| * sup|daughter|. The
+    flat model that `sample` draws from is built once, at construction.
     """
 
     def __init__(self, base, family: WaveletFamily, index: WaveletIndex, coeff: float):
@@ -657,21 +613,21 @@ class SpikePerturbation:
         self.index = index
         self.coeff = float(coeff)
         self.dim = base.dim
+        # exact on the finer of the base grid and the daughter's half-cells
+        s = max(base.scale_level, index.j + 1)
+        vals = self.pdf(_midpoints(2**s, self.dim)).reshape((2**s,) * self.dim)
+        self._flat = PiecewiseConstant(np.maximum(vals, 0.0), s)  # clip float dust at exact zeros
 
     def pdf(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self.base.pdf(x) + self.coeff * eval_wavelet(self.family, self.index, x)
 
     def as_piecewise_constant(self) -> PiecewiseConstant:
-        """Exact flat representation on the finer of the base grid and the
-        daughter's half-cells."""
-        s = max(self.base.scale_level, self.index.j + 1)
-        vals = self.pdf(_midpoints(2**s, self.dim)).reshape((2**s,) * self.dim)
-        vals = np.maximum(vals, 0.0)  # clip float dust at exact zeros
-        return PiecewiseConstant(vals, s)
+        """The exact flat representation, built at construction; not to be changed."""
+        return self._flat
 
     def sample(self, n: int, rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-        return self.as_piecewise_constant().sample(n, rng, out)
+        return self._flat.sample(n, rng, out)
 
     def sup_bound(self) -> float:
         return float(self.base.sup_bound() + abs(self.coeff) * self.family.daughter_sup(self.index))
@@ -981,7 +937,7 @@ def exact_coeffs(model, family: WaveletFamily, j_max: int) -> CoefficientTree:
         if j <= j_max:
             lev = base.level_array(j)
             lev = np.zeros(base._shape(j)) if lev is None else lev.copy()
-            lev[base._locate(model.index)] += model.coeff
+            lev[_position(model.index, base.dim)] += model.coeff
             base.set_level_array(j, lev)
         return base
     raise TypeError(f"no exact coefficient rule for {type(model).__name__}")

@@ -24,7 +24,9 @@ Point evaluation (`eval_wavelet`, `CoefficientTree.evaluate`) uses the
 depth-m interpolant at every level. Against the depth-20 interpolant, the
 unit-scale mother at depth 14 is off by up to 6.7e-3 (db2), 2.8e-5 (db3)
 and 7.5e-7 (db4), at depth 15 by 4.3e-3, 9.4e-6 and 2.1e-7. Haar has no
-depth: its basis is exact at every level.
+depth: its basis is exact at every level. Both evaluations share one
+coordinate rule (`_torus_points`), one translate rule (`_translates`) and
+one index rule (`_position`, which `CoefficientTree.set` applies too).
 
 Basis layout on the torus [0,1)^D: periodization turns the level-0 father
 into the constant function 1 (a single index), and every detail level j >= 0
@@ -43,7 +45,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import UnstableFilter
+from .errors import OutOfDomain, UnstableFilter
 
 _SQRT2 = math.sqrt(2.0)
 # Largest accepted max_l |sum_k h_k h_{k+2l} - delta_l| of a built filter.
@@ -206,7 +208,7 @@ class WaveletFamily:
     `h`/`g` the low/high-pass filters, `taps` the filter bank's unnormalized
     taps [sqrt(2) h, sqrt(2) g], `phi_values`/`psi_values` the exact
     values on the dyadic grid of spacing 2^-cascade_depth over [0, W]
-    (None for Haar; views of the padded tables `grid_values` reads),
+    (None for Haar; views of the padded tables `pl_lookup` reads),
     `phi_cum` the trapezoid integrals of phi_values from 0 to each grid
     point (None for Haar; the exact truth's cell integrals read it),
     `phi_sup`/`psi_sup`, and the periodization bounds
@@ -268,14 +270,14 @@ class WaveletFamily:
             sup *= self.psi_sup if ei else self.phi_sup
         return sup
 
-    # raw (non-periodized) evaluation at unit scale, vectorized
+    # raw (non-periodized) evaluation at unit scale, vectorized; +0.0
+    # outside the open support (Haar: outside [0, 1)), NaN included
 
     def father_values(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if self.is_haar:
             return ((u >= 0.0) & (u < 1.0)).astype(float)
-        t = np.multiply(u, 2**self.cascade_depth, out=np.empty_like(u))
-        return self.grid_values(t, False)
+        return pl_lookup(self._phi_padded, np.multiply(u, 2**self.cascade_depth, out=np.empty_like(u)))
 
     def mother_values(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
@@ -284,31 +286,7 @@ class WaveletFamily:
             out[(u >= 0.0) & (u < 0.5)] = 1.0
             out[(u >= 0.5) & (u < 1.0)] = -1.0
             return out
-        t = np.multiply(u, 2**self.cascade_depth, out=np.empty_like(u))
-        return self.grid_values(t, True)
-
-    def grid_values(self, t: np.ndarray, mother: bool) -> np.ndarray:
-        """Father or mother values at positions t in grid units (u * 2^cascade_depth,
-        an exact scaling), computed in place by `pl_lookup` over the padded
-        table; +0.0 outside the open support. Not for Haar."""
-        return pl_lookup(self._psi_padded if mother else self._phi_padded, t)
-
-    def periodized_factor(self, mother: bool, j: int, k: int, x) -> np.ndarray:
-        """One axis factor f((2^j x - k) mod-wrapped to the torus), unit normalization."""
-        x = np.asarray(x, dtype=float)
-        u = x - np.floor(x)
-        s = (2**j) * u - k
-        w = self.support_width
-        f = self.mother_values if mother else self.father_values
-        # wraps t with s + t*2^j intersecting [0, W]; s ranges over [-k, 2^j - k]
-        t_lo = int(math.floor((0.0 - (2**j - k)) / 2**j))
-        t_hi = int(math.ceil((w + k) / 2**j))
-        out = np.zeros_like(u)
-        for t in range(t_lo, t_hi + 1):
-            shifted = s + t * 2**j
-            if np.any((shifted > 0.0 if not self.is_haar else shifted >= 0.0) & (shifted < w + 1e-12)):
-                out += f(shifted)
-        return out
+        return pl_lookup(self._psi_padded, np.multiply(u, 2**self.cascade_depth, out=np.empty_like(u)))
 
 
 _CACHE: dict[tuple[str, int], WaveletFamily] = {}
@@ -328,23 +306,74 @@ def wavelet_family(name: str, cascade_depth: int = 14) -> WaveletFamily:
     return _CACHE[key]
 
 
-def eval_wavelet(family: WaveletFamily, index: WaveletIndex, x) -> np.ndarray:
-    """Periodized daughter at `index`, evaluated at points x of shape (..., D).
+def _is_int(x) -> bool:
+    """Whether x is an integer, and not a bool, which is a mask to numpy."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
-    Coordinates are wrapped to the torus, so x = 1.0 is the same point as 0.0.
-    """
+
+def _indexable(j, dim: int):
+    """Whether level j of a D-dim basis (2^(jD) translates per orientation;
+    j may be an array) can be indexed by int64; checked before 2^j is computed."""
+    return j * dim < 63
+
+
+def _position(index: WaveletIndex, dim: int) -> tuple[int, ...]:
+    """The position (o, k...) of index in a D-dim level array, o = (e read in
+    binary) - 1 in `orientations` order; ValueError unless j is an integer
+    (not a bool) that int64 can index, e nonzero 0/1 and k in 0..2^j - 1."""
+    j, k, e = index.j, tuple(index.k), tuple(index.e)
+    if not _is_int(j) or j < 0 or len(k) != dim or len(e) != dim or not any(e) or not all(b in (0, 1) for b in e):
+        raise ValueError(f"bad index {index} for dimension {dim}")
+    if not _indexable(j, dim):
+        raise ValueError(f"level {j} is too large to index")
+    size = 2**j
+    for kk in k:
+        if not (_is_int(kk) and 0 <= kk < size):
+            raise ValueError(f"translate out of range in {index}")
+    return (sum(int(b) << (dim - 1 - i) for i, b in enumerate(e)) - 1,) + k
+
+
+def _torus_points(x, dim: int) -> tuple[np.ndarray, bool]:
+    """Points x of shape (D,) or (m, D) as torus coordinates u in [0, 1)^D,
+    shape (m, D), and whether x was one point; ValueError for another D,
+    OutOfDomain for a NaN or infinite coordinate. u = x - floor(x), and a u
+    that rounds up to 1.0 (x = -tiny) is its torus point 0.0."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     pts = np.atleast_2d(x)
-    dim = len(index.k)
     if pts.shape[1] != dim:
-        raise ValueError(f"points have dimension {pts.shape[1]}, index has {dim}")
-    if len(index.e) != dim or not any(index.e):
-        raise ValueError("orientation must be a nonzero 0/1 tuple matching the dimension")
-    if index.j < 0 or not all(0 <= kk < 2**index.j for kk in index.k):
-        raise ValueError("need j >= 0 and 0 <= k < 2^j in every axis")
-    out = np.full(pts.shape[0], 2.0 ** (dim * index.j / 2.0))
-    for i in range(dim):
-        out *= family.periodized_factor(bool(index.e[i]), index.j, index.k[i], pts[:, i])
-    return float(out[0]) if single else out
+        raise ValueError(f"points have dimension {pts.shape[1]}, need {dim}")
+    if not np.isfinite(pts).all():
+        raise OutOfDomain("points contain non-finite values")
+    u = pts - np.floor(pts)
+    u[u >= 1.0] = 0.0
+    return u, x.ndim == 1
 
+
+def _translates(u: np.ndarray, j: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level-j translates k = (c - t) mod 2^j that the torus coordinates
+    u of one axis, shape (m,), meet, and the unit-scale positions frac + t
+    where they meet them, both shape (m, W): c = floor(2^j u) < 2^j, frac =
+    2^j u - c, shifts t in {0..W-1}, the periodization wraps included when
+    2^j < W."""
+    two_j = 2**j
+    scaled = u * two_j
+    c = scaled.astype(np.int64)
+    shifts = np.arange(width)[:, None]
+    # built (W, m) and handed out transposed: numpy's passes over a short last axis are slow
+    return ((c - shifts) & (two_j - 1)).T, ((scaled - c) + shifts).T
+
+
+def eval_wavelet(family: WaveletFamily, index: WaveletIndex, x) -> np.ndarray:
+    """Periodized daughter at `index` (checked by `_position`, D = len(index.k)),
+    evaluated at points x of shape (D,) or (m, D) (`_torus_points`). An axis
+    factor sums, in shift order, the father or mother at the `_translates`
+    positions whose translate is k_i: one term for Haar."""
+    dim = len(index.k)
+    k = _position(index, dim)[1:]
+    u, single = _torus_points(x, dim)
+    out = np.full(u.shape[0], 2.0 ** (dim * index.j / 2.0))
+    for i in range(dim):
+        ks, pos = _translates(u[:, i], index.j, family.support_width)
+        f = family.mother_values if index.e[i] else family.father_values
+        out *= np.where(ks == k[i], f(pos), 0.0).sum(axis=1)
+    return float(out[0]) if single else out

@@ -228,13 +228,24 @@ def per_coefficient_methods_refused():
     return mock.patch.multiple(CoefficientTree, set=refuse, get=refuse, items=refuse)
 
 
-@pytest.mark.byte_pin
-@pytest.mark.parametrize("preset", ["sparse", "structured"])
-def test_adversary_calls_no_per_coefficient_method(capsys, tmp_path, preset):
-    out = tmp_path / preset
+def run_adversary_refusing_per_coefficient_methods(capsys, out, preset):
     with per_coefficient_methods_refused():
         rc, _ = run_cli(["adversary", "--preset", preset, "--out", str(out), "--samples", "20000"], capsys)
     assert rc == 0
+
+
+@pytest.mark.parametrize("preset", ["sparse", "structured"])
+def test_adversary_calls_no_per_coefficient_method(capsys, tmp_path, preset):
+    out = tmp_path / preset
+    run_adversary_refusing_per_coefficient_methods(capsys, out, preset)
+    assert all((out / name).is_file() for name in GOLDEN_PAIR_AND_BREAKDOWN_SHA256[("adversary", preset)])
+
+
+@pytest.mark.byte_pin
+@pytest.mark.parametrize("preset", ["sparse", "structured"])
+def test_adversary_without_per_coefficient_methods_byte_identical(capsys, tmp_path, preset):
+    out = tmp_path / preset
+    run_adversary_refusing_per_coefficient_methods(capsys, out, preset)
     want = GOLDEN_PAIR_AND_BREAKDOWN_SHA256[("adversary", preset)]
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in want} == want
 

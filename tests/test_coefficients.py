@@ -417,8 +417,27 @@ class TestTreeBasics:
         assert out.get(i0) == 0.0  # exact cancellation prunes the entry
         assert out.get(i1) == 0.5
         assert out.n_coefficients == 1
-        with pytest.raises(IncompatibleTrees):
+        with pytest.raises(IncompatibleTrees, match=r"^\(haar@14, D=1\) vs \(db2@14, D=1\)$"):
             tree_axpy(1.0, x, CoefficientTree(DB2, 1))
+
+    def test_ipm_names_its_second_tree_first(self):
+        # tree_axpy(a, x, y) names x first (above), besov_ipm(t1, t2) names t2 first
+        x, y = CoefficientTree(HAAR, 1, alpha=1.0), CoefficientTree(DB2, 1, alpha=1.0)
+        with pytest.raises(IncompatibleTrees, match=r"^\(db2@14, D=1\) vs \(haar@14, D=1\)$"):
+            besov_ipm(x, y, BesovParams(1.0, 2.0, 2.0))
+
+    def test_axpy_keeps_y_alone_levels_as_copies(self):
+        # a level stored in y only is copied into the sum, not shared
+        x = CoefficientTree(HAAR, 1, alpha=1.0)
+        y = CoefficientTree(HAAR, 1, alpha=0.5)
+        x.set(WaveletIndex(0, (0,), (1,)), 2.0)
+        y.set(WaveletIndex(1, (1,), (1,)), 0.25)
+        out = tree_axpy(-1.0, x, y)
+        assert out.levels() == [0, 1]
+        assert out.get(WaveletIndex(0, (0,), (1,))) == -2.0
+        assert not np.shares_memory(out.level_array(1), y.level_array(1))
+        out.level_array(1)[...] = 0.0
+        assert y.get(WaveletIndex(1, (1,), (1,))) == 0.25
 
     def test_evaluate_reconstructs_flat_density(self):
         # a complete Haar tree at the grid scale reproduces the density
@@ -451,6 +470,14 @@ class TestTreeBasics:
         for idx, v in tree.items():
             want += v * eval_wavelet(fam, idx, pts)
         np.testing.assert_allclose(tree.evaluate(pts), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_evaluate_refuses_non_finite_points(self, bad):
+        # the one coordinate rule: no non-finite point ends as the tree's alpha
+        tree = exact_coeffs(random_pwc(np.random.default_rng(13), scale=2, dim=1), wavelet_family("db3"), 2)
+        for pts in (np.array([[0.25], [bad]]), np.array([bad])):
+            with pytest.raises(OutOfDomain, match="points contain non-finite values"):
+                tree.evaluate(pts)
 
 
 class TestSerialization:
@@ -878,6 +905,29 @@ class TestDensityModels:
         np.testing.assert_allclose(flat.pdf(xs), spike.pdf(xs), atol=1e-12)
         with pytest.raises(ValueError):
             SpikePerturbation(uniform_density(1), DB2, WaveletIndex(2, (1,), (1,)), 1e-3)
+
+    def test_spike_builds_its_flat_model_once(self):
+        # construction builds the one flat model; sampling builds none, and
+        # draws the bits a freshly built flat model of the same cells draws
+        base = uniform_density(2)
+        idx = WaveletIndex(2, (1, 3), (1, 0))
+        built = []
+        init = PiecewiseConstant.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        with mock.patch.object(PiecewiseConstant, "__init__", counted):
+            spike = SpikePerturbation(base, HAAR, idx, 0.2)
+            assert len(built) == 1
+            a = spike.sample(500, np.random.default_rng(4))
+            b = spike.sample(300, np.random.default_rng(5))
+            assert len(built) == 1 and spike.as_piecewise_constant() is built[0]
+        # a flat model built from the pdf at the 8 x 8 cell midpoints
+        fresh = PiecewiseConstant(np.maximum(spike.pdf(coefficients._midpoints(8, 2)), 0.0).reshape(8, 8), 3)
+        assert np.array_equal(a, fresh.sample(500, np.random.default_rng(4)))
+        assert np.array_equal(b, fresh.sample(300, np.random.default_rng(5)))
 
 
 def bit_stream(bits: str, seed: int) -> np.random.Generator:

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from besov_robust import wavelets
-from besov_robust.errors import BesovRobustError, UnstableFilter
+from besov_robust.coefficients import CoefficientTree
+from besov_robust.errors import BesovRobustError, OutOfDomain, UnstableFilter
 from besov_robust.wavelets import (
     MAX_ORDER,
     ORTHONORMALITY_TOL,
     WaveletFamily,
     WaveletIndex,
+    _torus_points,
+    _translates,
     daubechies_filter,
     eval_wavelet,
     orientations,
@@ -295,13 +298,9 @@ class TestLookup:
     def test_clamped_lookup_matches_masked_bitwise(self, name):
         fam = wavelet_family(name)
         u = lookup_edge_points(fam)
-        for mother, table in ((False, fam.phi_values), (True, fam.psi_values)):
-            want = masked_pl_lookup(table, u.copy(), fam.cascade_depth)
-            got = fam.grid_values(u * 2**fam.cascade_depth, mother)
-            # int64 views tell +0.0 from -0.0
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
         for f, table in ((fam.father_values, fam.phi_values), (fam.mother_values, fam.psi_values)):
             want = masked_pl_lookup(table, u.copy(), fam.cascade_depth)
+            # int64 views tell +0.0 from -0.0
             assert np.array_equal(f(u).view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("name", [f"db{n}" for n in range(2, 9)])
@@ -325,10 +324,14 @@ class TestEvaluation:
         assert val == 2.0
 
     def test_periodized_father_is_one(self):
+        # at level 0 every translate is k = 0: the sum of the father at the
+        # W positions the translate rule gives is the periodized father
         for name in ("haar", "db2", "db4"):
             fam = wavelet_family(name)
-            x = np.linspace(0.0, 1.0, 617)
-            vals = fam.periodized_factor(False, 0, 0, x)
+            u, _ = _torus_points(np.linspace(0.0, 1.0, 617)[:, None], 1)
+            ks, pos = _translates(u[:, 0], 0, fam.support_width)
+            assert not ks.any()
+            vals = fam.father_values(pos).sum(axis=1)
             assert np.max(np.abs(vals - 1.0)) < 1e-12
 
     def test_torus_wrap(self):
@@ -354,6 +357,31 @@ class TestEvaluation:
             eval_wavelet(fam, WaveletIndex(1, (0,), (0,)), np.array([0.5]))
         with pytest.raises(ValueError):
             eval_wavelet(fam, WaveletIndex(1, (0, 0), (1, 1)), np.array([0.5]))
+
+    @pytest.mark.parametrize(
+        "index",
+        [WaveletIndex(1, (0,), (2,)), WaveletIndex(1.5, (0,), (1,)), WaveletIndex(True, (0,), (1,))],
+        ids=["e=2", "j=1.5", "j=True"],
+    )
+    @pytest.mark.parametrize("name", ["haar", "db2"])
+    def test_eval_refuses_what_a_tree_refuses(self, name, index):
+        # the one index rule: what `CoefficientTree.set` refuses is no daughter
+        fam = wavelet_family(name)
+        with pytest.raises(ValueError, match="bad index"):
+            eval_wavelet(fam, index, np.array([0.3]))
+        with pytest.raises(ValueError, match="bad index"):
+            CoefficientTree(fam, 1).set(index, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["haar", "db3"])
+    def test_eval_refuses_non_finite_points(self, name, bad):
+        fam = wavelet_family(name)
+        for idx, pts in (
+            (WaveletIndex(1, (0,), (1,)), np.array([[0.25], [bad]])),
+            (WaveletIndex(1, (0, 1), (1, 0)), np.array([0.25, bad])),
+        ):
+            with pytest.raises(OutOfDomain, match="points contain non-finite values"):
+                eval_wavelet(fam, idx, pts)
 
     def test_tensor_orientation_haar(self):
         fam = wavelet_family("haar")
