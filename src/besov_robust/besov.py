@@ -44,8 +44,8 @@ class BesovParams:
     L: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma >= 0.0:  # also rejects NaN
-            raise ValueError(f"smoothness must be nonnegative, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:  # also rejects NaN
+            raise ValueError(f"smoothness must be nonnegative and finite, got {self.sigma}")
         for name, v in (("p", self.p), ("q", self.q)):
             if not (1.0 <= v):
                 raise ValueError(f"{name} must lie in [1, inf], got {v}")

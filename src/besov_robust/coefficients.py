@@ -178,8 +178,9 @@ class CoefficientTree:
         self._adopt(j, arr)
 
     def level_array(self, j: int) -> np.ndarray | None:
-        """The stored level j (zeros are absent entries), or None. This is the
-        tree's own array, not a copy: read it, never write into it."""
+        """The stored level j (zeros are absent entries), or None: the tree's own
+        array. Only whoever built the tree may edit it, then hand it back to
+        `set_level_array`."""
         return self._levels.get(j)
 
     def get(self, index: WaveletIndex) -> float:

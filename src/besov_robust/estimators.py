@@ -1,8 +1,9 @@
 """Wavelet density estimators: linear, hard-thresholded, and adaptive.
 
-All estimators share the same pipeline: empirical coefficients up to a top
-level, optional hard thresholding of the fine levels, optional rescaling by
-1/(1-eps) when the contamination proportion is known. The resolution
+All estimators share one body (`_estimate`): the empirical block up to a top
+level, then one pass over its levels that hard-thresholds the fine ones and,
+when the contamination proportion is known, rescales every level by
+1/(1-eps), both in place on that fresh block. The resolution
 schedules take a sample size, a contamination level, and the smoothness
 parameters of the generator and discriminator classes, and return integer
 levels; the four schedules differ in which regime of the rate they target.
@@ -118,28 +119,24 @@ def choose_resolutions(
     return j1, j1
 
 
-def _rescaled(tree: CoefficientTree, eps: float | None) -> CoefficientTree:
-    if not eps:
-        return tree
-    factor = 1.0 / (1.0 - eps)
-    out = CoefficientTree(tree.family, tree.dim, tree.alpha * factor, tree.trials)
+def _estimate(samples, family: WaveletFamily, config: EstimatorConfig, trials: int | None) -> CoefficientTree:
+    """The empirical block up to j1, its levels above j0 hard-thresholded
+    at t = K sqrt(j/n) (n the size of one trial), then rescaled by
+    1/(1-eps) when eps is set: both in place, on a block no caller holds,
+    with one prune per level touched (README, "Coefficient trees")."""
+    tree = empirical_coeffs(samples, family, config.j0, config.j1, trials)
+    factor = 1.0 / (1.0 - config.rescale_epsilon) if config.rescale_epsilon else 1.0
+    tree.alpha *= factor
+    n = _trial_size(samples, trials)
     for j in tree.levels():
-        out.set_level_array(j, tree.level_array(j) * factor)
-    return out
-
-
-def apply_threshold(tree: CoefficientTree, j0: int, K: float, n: int) -> CoefficientTree:
-    """Hard-threshold levels above j0 at t = K sqrt(j/n), two-sided; n is
-    the sample size of one trial."""
-    out = CoefficientTree(tree.family, tree.dim, tree.alpha, tree.trials)
-    for j in tree.levels():
+        if j <= config.j0 and factor == 1.0:
+            continue  # a kept level that no rescaling touches
         lev = tree.level_array(j)
-        if j > j0:
-            lev = np.where(np.abs(lev) <= K * math.sqrt(j / n), 0.0, lev)
-        else:
-            lev = lev.copy()
-        out.set_level_array(j, lev)
-    return out
+        if j > config.j0:
+            lev[np.abs(lev) <= config.K * math.sqrt(j / n)] = 0.0
+        lev *= factor
+        tree.set_level_array(j, lev)
+    return tree
 
 
 def estimate_linear(
@@ -148,8 +145,7 @@ def estimate_linear(
     """Empirical coefficients truncated at j0, optionally rescaled."""
     if config.kind != "linear":
         raise ValueError(f"linear estimator called with kind={config.kind!r}")
-    tree = empirical_coeffs(samples, family, config.j0, config.j0, trials)
-    return _rescaled(tree, config.rescale_epsilon)
+    return _estimate(samples, family, config, trials)
 
 
 def estimate_thresholded(
@@ -158,9 +154,7 @@ def estimate_thresholded(
     """Keep levels up to j0, hard-threshold (j0, j1], then rescale."""
     if config.kind not in ("thresholded", "adaptive"):
         raise ValueError(f"thresholded estimator called with kind={config.kind!r}")
-    tree = empirical_coeffs(samples, family, config.j0, config.j1, trials)
-    tree = apply_threshold(tree, config.j0, config.K, _trial_size(samples, trials))
-    return _rescaled(tree, config.rescale_epsilon)
+    return _estimate(samples, family, config, trials)
 
 
 def estimate(

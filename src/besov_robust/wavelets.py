@@ -320,9 +320,11 @@ def _indexable(j, dim: int):
 def _position(index: WaveletIndex, dim: int) -> tuple[int, ...]:
     """The position (o, k...) of index in a D-dim level array, o = (e read in
     binary) - 1 in `orientations` order; ValueError unless j is an integer
-    (not a bool) that int64 can index, e nonzero 0/1 and k in 0..2^j - 1."""
+    (not a bool) that int64 can index, e nonzero integers 0/1 and k in
+    0..2^j - 1."""
     j, k, e = index.j, tuple(index.k), tuple(index.e)
-    if not _is_int(j) or j < 0 or len(k) != dim or len(e) != dim or not any(e) or not all(b in (0, 1) for b in e):
+    bits = len(e) == dim and any(e) and all(_is_int(b) and b in (0, 1) for b in e)
+    if not _is_int(j) or j < 0 or len(k) != dim or not bits:
         raise ValueError(f"bad index {index} for dimension {dim}")
     if not _indexable(j, dim):
         raise ValueError(f"level {j} is too large to index")

@@ -84,6 +84,11 @@ class TestParams:
         with pytest.raises(ValueError):
             BesovParams(1.0, 2.0, 2.0, L=math.nan)
 
+    def test_infinite_smoothness_refused(self):
+        # sigma = inf made 0 * inf, a NaN, in the level-0 weight of the IPM
+        with pytest.raises(ValueError, match="finite"):
+            BesovParams(INF, INF, INF, 1.0)
+
     def test_sigma_prime(self):
         assert BesovParams(1.0, 2.0, 2.0).sigma_prime(2) == pytest.approx(1.0)
         assert BesovParams(1.0, INF, INF).sigma_prime(2) == pytest.approx(2.0)

@@ -708,6 +708,43 @@ class TestConfigErrors:
         assert json.loads(text)["error"]["precondition"] == precondition
         assert not out.exists()
 
+    # each ended in a NaN traceback after OUT held an artifact, or measured
+    # an infinite separation and passed
+    @pytest.mark.parametrize(
+        "preset,patch,precondition",
+        [
+            ("dyadic-demo", {"disc": ["inf", "inf", "inf", 1.0]}, "disc"),
+            ("adaptive-vs-oracle-holder1", {"disc": ["inf", "inf", "inf", 1.0], "trials": 2}, "disc"),
+            ("sparse", {"disc": [0.0, "inf", "inf", "inf"]}, "disc"),
+            ("structured", {"disc": [0.0, "inf", "inf", "inf"]}, "disc"),
+            ("structured-eps-rate", {"gen": ["inf", "inf", "inf", 2.0]}, "gen"),
+        ],
+        ids=["estimate-sigma", "risk-sweep-sigma", "sparse-radius", "structured-radius", "gen-sigma"],
+    )
+    def test_non_finite_ball_exit_2(self, capsys, tmp_path, preset, patch, precondition):
+        command = PRESETS[preset]["command"]
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": command, **patch}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            [command, "--preset", preset, "--config", str(cfgfile), "--out", str(out)], capsys
+        )
+        assert rc == 2
+        assert text.count("\n") == 1
+        assert json.loads(text)["error"]["precondition"] == precondition
+        assert not out.exists()
+
+    def test_infinite_generator_radius_still_runs(self, capsys, tmp_path):
+        # only the discriminator's radius scales a measured IPM
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": "rate-check", "gen": [1.0, "inf", "inf", "inf"]}))
+        rc, text = run_cli(
+            ["rate-check", "--preset", "holder1-tv-uncontaminated", "--config", str(cfgfile),
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert rc == 0 and "rate-check PASS" in text
+
     def test_error_json_is_single_line(self, capsys, tmp_path):
         rc, text = run_cli(["rate-check", "--preset", "nope"], capsys)
         assert rc == 2
@@ -751,6 +788,24 @@ class TestRateCheck:
         # a failed verdict still leaves the full artifact set behind
         assert (out / "risk.json").exists()
         assert (out / "rate.svg").exists()
+
+    def test_no_fit_is_a_fail_verdict(self, capsys, tmp_path):
+        # at n = 3 every eps cell sits on the eps = 0 plateau: no fit; this
+        # exited 2 with config.json, risk.json and both CSVs behind
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": "rate-check", "trials": 2, "n_grid": [3]}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            ["rate-check", "--preset", "structured-eps-rate", "--config", str(cfgfile), "--out", str(out)],
+            capsys,
+        )
+        assert rc == 1
+        assert text.startswith("rate-check FAIL: no eps-axis fit") and text.count("\n") == 1
+        verdict = json.loads((out / "verdict.json").read_text())
+        assert verdict["schema"] == "besov-robust-verdict/1"
+        assert verdict["verdict"] == "FAIL"
+        assert verdict["fitted"] is verdict["fitted_stderr"] is verdict["delta"] is None
+        xml.dom.minidom.parse(str(out / "rate.svg"))
 
     def test_risk_json_schema(self, capsys, tmp_path):
         out = tmp_path / "o"
@@ -918,6 +973,18 @@ class TestAdversary:
         assert pair["pair"] == "structured"
         report = json.loads((out / "indistinguishability.json").read_text())
         assert report["passed"] is True
+
+    def test_zero_predicted_separation_has_no_ratio(self, capsys, tmp_path):
+        # a huge discriminator smoothness underflows the predicted separation
+        # to 0.0, which the ratio divided by
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": "adversary", "disc": [1e308, 1.0, 1.0, 1.0]}))
+        out = tmp_path / "o"
+        rc, _ = run_cli(FAST_ADV_ARGS + ["--config", str(cfgfile), "--out", str(out)], capsys)
+        assert rc in (0, 1)
+        pair = json.loads((out / "pair.json").read_text())
+        assert pair["predicted_separation"] == 0.0
+        assert pair["ratio"] is None
 
     def test_eps_override(self, capsys, tmp_path):
         out = tmp_path / "o"
@@ -1306,3 +1373,30 @@ def test_single_field_swap_raises_only_config_error(tmp_path_factory, preset, da
         validate(build_config(PRESETS[preset]["command"], config_path=str(cfgfile)))
     except ConfigError:
         pass
+
+
+BALL_SIGMAS = [0.0, 1e-300, 0.5, 1.0, 2.0, 1e308, math.inf]
+BALL_EXPONENTS = [1.0, 2.0, math.inf]
+BALL_RADII = [1e-300, 0.5, 1.0, 2.0, 1e308, math.inf]
+
+
+@pytest.mark.parametrize("preset", ["dyadic-demo", "sparse", "structured"])
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_ball_swap_ends_in_an_exit_code(tmp_path_factory, preset, data):
+    # any (sigma, p, q, L) in gen or disc runs to 0 or 1, or exits 2 before
+    # OUT exists; a traceback or a numpy RuntimeWarning fails the test
+    field = data.draw(st.sampled_from(["gen", "disc"]), label="field")
+    ball = [data.draw(st.sampled_from(vals)) for vals in (BALL_SIGMAS, BALL_EXPONENTS, BALL_EXPONENTS, BALL_RADII)]
+    command = PRESETS[preset]["command"]
+    patch = {"command": command, field: ["inf" if v == math.inf else v for v in ball]}
+    if command == "adversary":
+        patch["samples"] = 2000
+    base = tmp_path_factory.mktemp("ball")
+    cfgfile = base / "c.json"
+    cfgfile.write_text(json.dumps(patch))
+    out = base / "o"
+    rc = main([command, "--preset", preset, "--config", str(cfgfile), "--out", str(out)])
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert not out.exists()

@@ -51,7 +51,7 @@ from besov_robust.errors import (
     OutOfDomain,
     QuadratureFailure,
 )
-from besov_robust.estimators import EstimatorConfig, _rescaled, apply_threshold, estimate
+from besov_robust.estimators import EstimatorConfig, estimate
 from besov_robust.harness import benchmark_suite
 from besov_robust.wavelets import WaveletIndex, eval_wavelet, orientations, wavelet_family
 
@@ -286,9 +286,9 @@ def reference_tree(text):
             v = float(v) if isinstance(v, (int, float)) else None
         except (ValueError, KeyError, TypeError, OverflowError):
             return line
-        ints = (j, *k)
+        ints = (j, *k, *e)
         if (
-            any(isinstance(x, bool) for x in (*ints, *e, rec["v"])) or v is None
+            any(isinstance(x, bool) for x in (*ints, rec["v"])) or v is None
             or not all(isinstance(x, int) for x in ints) or e not in orients
             or len(k) != dim or not 0 <= j < 63 / dim or not all(0 <= x < 2**j for x in k)
         ):
@@ -607,6 +607,7 @@ class TestSerialization:
             ('{"e": [1, 1], "j": 1, "k": [0, 2], "v": 0.5}', "translate out of range"),
             ('{"e": [1, 1], "j": 1, "k": [0, 0.5], "v": 0.5}', "translate out of range"),
             ('{"e": [0, 0], "j": 1, "k": [0, 1], "v": 0.5}', "bad"),
+            ('{"e": [1.0, 1], "j": 1, "k": [0, 1], "v": 0.5}', "bad index"),
             ('{"e": [1, 1], "j": 1, "k": [0], "v": 0.5}', "bad"),
             ('{"e": [1, 1], "j": 1, "k": [0, 1], "v": 0.5', "bad record"),
         ],
@@ -650,6 +651,8 @@ class TestSerialization:
             WaveletIndex(1, (True, 0), (1, 1)),
             WaveletIndex(1, (0, np.True_), (1, 1)),
             WaveletIndex(1.0, (0, 1), (1, 1)),
+            WaveletIndex(1, (0, 1), (True, 1)),
+            WaveletIndex(1, (0, 1), (1.0, 1)),
         ):
             with pytest.raises(ValueError):
                 tree.set(index, 0.5)
@@ -2012,15 +2015,33 @@ class TestAgainstDictReference:
             out, rout = tree_axpy(a, x, y), ref_axpy(a, rx, ry)
             assert out.alpha == rout.alpha
             assert stored(out) == rout.stored()
-            j0, K, n = int(rng.integers(0, 3)), float(rng.choice([0.0, 0.5, 2.0])), 50
-            assert stored(apply_threshold(x, j0, K, n)) == ref_threshold(rx, j0, K, n).stored()
-            eps = float(rng.choice([0.05, 0.3]))
-            factor = 1.0 / (1.0 - eps)
-            scaled = _rescaled(x, eps)
-            assert scaled.alpha == x.alpha * factor
-            assert stored(scaled) == {
-                idx: (float.fromhex(h) * factor).hex() for idx, h in rx.stored().items()
-            }
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("trials", [None, 3])
+    def test_threshold_and_rescale_bitwise(self, dim, trials):
+        # each trial of an estimate is the dict reference of its own
+        # empirical tree, thresholded and then scaled entry by entry
+        rng = np.random.default_rng(400 + dim)
+        n = 50
+        for _ in range(40):
+            family = HAAR if rng.random() < 0.5 else DB2
+            j0 = int(rng.integers(0, 3))
+            j1 = j0 + int(rng.integers(0, 2))
+            K = float(rng.choice([0.0, 0.5, 2.0]))
+            eps = [None, 0.05, 0.3][int(rng.integers(3))]
+            factor = 1.0 / (1.0 - eps) if eps else 1.0
+            x = rng.random((n * (trials or 1), dim))
+            est = estimate(x, family, EstimatorConfig("thresholded", j0, j1, K=K, rescale_epsilon=eps), trials)
+            for t in range(trials or 1):
+                single = empirical_coeffs(x[t * n:(t + 1) * n], family, j0, j1)
+                ref = DictTree(single.alpha)
+                for idx, v in single.items():
+                    ref.set(idx.j, idx.k, idx.e, v)
+                cut = ref_threshold(ref, j0, K, n).stored()
+                want = {idx: (float.fromhex(h) * factor).hex() for idx, h in cut.items()}
+                row = est if trials is None else TestEmpiricalCoeffs._row_tree(est, t)
+                assert row.alpha == factor
+                assert stored(row) == want
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_norms_ipm_pairing_close(self, dim):

@@ -17,7 +17,6 @@ from besov_robust.errors import RegimeMismatch
 from besov_robust.estimators import (
     EstimatorConfig,
     adaptive_config,
-    apply_threshold,
     choose_resolutions,
     estimate,
     estimate_linear,
@@ -32,6 +31,14 @@ TV = LOSS_PRESETS["tv"]
 
 GEN_HOLDER = BesovParams(1.0, INF, INF, 2.0)
 GEN_P1 = BesovParams(1.0, 1.0, INF, 2.0)
+
+
+# n = 16 Haar points in D = 2: a level-1 coefficient is a signed count over
+# 8, and the level-1 threshold K sqrt(1/16) = K/4, both exact
+EXACT_X = np.array([[0.1, 0.1]] * 2 + [[0.6, 0.1]] * 3 + [[0.4, 0.6]] * 4 + [[0.7, 0.7]] * 7)
+AT = WaveletIndex(1, (0, 0), (1, 0))  # 2/8
+ABOVE = WaveletIndex(1, (1, 0), (1, 0))  # 3/8
+NEG = WaveletIndex(1, (0, 1), (1, 0))  # -4/8
 
 
 def trees_equal(a, b):
@@ -201,28 +208,37 @@ class TestThresholdedEstimator:
         assert trees_equal(th, lin)
 
     def test_threshold_is_two_sided_and_strict(self):
-        n = 100
-        tree = CoefficientTree(HAAR, 1, alpha=1.0)
-        t = 1.0 * math.sqrt(2 / n)
-        at = WaveletIndex(2, (0,), (1,))
-        above = WaveletIndex(2, (1,), (1,))
-        neg = WaveletIndex(2, (2,), (1,))
-        tree.set(at, t)
-        tree.set(above, t * 1.01)
-        tree.set(neg, -t * 1.5)
-        out = apply_threshold(tree, 0, 1.0, n)
-        assert out.get(at) == 0.0  # boundary value does not survive
-        assert out.get(above) != 0.0
-        assert out.get(neg) != 0.0  # negative coefficients kept by magnitude
+        full = estimate_thresholded(EXACT_X, HAAR, EstimatorConfig("thresholded", 0, 1, K=0.0))
+        assert (full.get(AT), full.get(ABOVE), full.get(NEG)) == (0.25, 0.375, -0.5)
+        out = estimate_thresholded(EXACT_X, HAAR, EstimatorConfig("thresholded", 0, 1, K=1.0))
+        assert out.get(AT) == 0.0  # boundary value t = 1/4 does not survive
+        assert out.get(ABOVE) == 0.375
+        assert out.get(NEG) == -0.5  # negative coefficients kept by magnitude
 
     def test_low_levels_never_thresholded(self):
-        tree = CoefficientTree(HAAR, 1, alpha=1.0)
-        tiny = WaveletIndex(1, (0,), (1,))
-        tree.set(tiny, 1e-8)
-        out = apply_threshold(tree, 1, 5.0, 10)
-        assert out.get(tiny) == 1e-8
-        out.set(tiny, 2.0)  # the kept level is the result's own copy
-        assert tree.get(tiny) == 1e-8
+        full = estimate_thresholded(EXACT_X, HAAR, EstimatorConfig("thresholded", 1, 2, K=0.0))
+        out = estimate_thresholded(EXACT_X, HAAR, EstimatorConfig("thresholded", 1, 2, K=1e6))
+        assert out.levels() == [0, 1] and 2 in full.levels()
+        assert out.get(AT) == 0.25
+        assert [(i, v) for i, v in full.items() if i.j <= 1] == list(out.items())
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            EstimatorConfig("thresholded", 0, 2, K=1.0, rescale_epsilon=0.2),
+            EstimatorConfig("linear", 2, 2, rescale_epsilon=0.2),
+            EstimatorConfig("linear", 2, 2),
+        ],
+    )
+    def test_estimate_writes_into_no_caller_array(self, cfg):
+        x = np.vstack([EXACT_X, EXACT_X[::-1] * 0.5])
+        before = x.tobytes()
+        first = estimate(x, HAAR, cfg, trials=2)
+        assert x.tobytes() == before
+        again = estimate(x, HAAR, cfg, trials=2)
+        for j in first.levels():
+            assert not np.shares_memory(first.level_array(j), again.level_array(j))
+            assert np.array_equal(first.level_array(j), again.level_array(j))
 
     def test_rescale_applied_after_thresholding(self):
         # a coefficient just below t must be cut even though rescaling

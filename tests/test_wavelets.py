@@ -360,8 +360,11 @@ class TestEvaluation:
 
     @pytest.mark.parametrize(
         "index",
-        [WaveletIndex(1, (0,), (2,)), WaveletIndex(1.5, (0,), (1,)), WaveletIndex(True, (0,), (1,))],
-        ids=["e=2", "j=1.5", "j=True"],
+        [
+            WaveletIndex(1, (0,), (2,)), WaveletIndex(1.5, (0,), (1,)), WaveletIndex(True, (0,), (1,)),
+            WaveletIndex(1, (0,), (True,)), WaveletIndex(1, (0,), (1.0,)),
+        ],
+        ids=["e=2", "j=1.5", "j=True", "e=True", "e=1.0"],
     )
     @pytest.mark.parametrize("name", ["haar", "db2"])
     def test_eval_refuses_what_a_tree_refuses(self, name, index):
