@@ -71,6 +71,10 @@ _PARSE_ROWS = 2048
 # 2^D - 1 orientations before any record is read (0.1 s and 16 MB at D = 16;
 # memory runs out near D = 30); no command writes a tree above D of about 9.
 _MAX_DIM = 16
+# The most float64 entries of a tree file's level, a truth tree's top level,
+# a pair level or a sample: at it `adversary` peaks at 0.57 GB (pair level 11)
+# and 0.49 GB (2^23 samples); the largest preset level holds 4,096.
+MAX_ENTRIES = 2**24
 # The most bins a D = 1 Haar chunk counts by comparing its points with the
 # cell edges, one pass per inner edge, not by building cells for
 # `np.bincount`: for 2^14 points, 2 and 4 bins take 14 and 25 us against
@@ -320,7 +324,8 @@ class CoefficientTree:
         Then each level is filled once; a repeated index keeps its last
         record. A bad header (its form, a field's type, a `dim` above
         _MAX_DIM), the first bad record and the first record that stores a
-        value in a level too large to hold raise MalformedTree naming the line.
+        value in a level above MAX_ENTRIES entries raise MalformedTree naming
+        the line, before the level is allocated.
         """
         if hasattr(path_or_fp, "read"):
             text = path_or_fp.read()
@@ -373,10 +378,11 @@ class CoefficientTree:
             rows = np.flatnonzero(js == j)
             if not stored[rows].any():
                 continue  # as with `set`, records that all prune allocate nothing
-            try:
-                lev = np.zeros(out._shape(j))
-            except (ValueError, MemoryError) as err:  # a level too large to hold
-                raise _malformed(lines[rows[stored[rows]][0]], err) from None
+            bits = level_bits(j, d)
+            if bits > math.log2(MAX_ENTRIES):
+                err = ValueError(f"level {j} holds 2^{bits:.4g} entries, over the cap of {MAX_ENTRIES}")
+                raise _malformed(lines[rows[stored[rows]][0]], err)
+            lev = np.zeros(out._shape(j))
             flat = np.ravel_multi_index((o[rows],) + tuple(ks[rows].T), lev.shape)
             # a repeated index keeps its last record, as a loop of `set` would
             order = np.argsort(flat, kind="stable")
@@ -400,6 +406,12 @@ class CoefficientTree:
             return o, index.j, k, 0.0 if abs(v) < PRUNE_TOL else float(v)
         except (KeyError, AttributeError, TypeError, ValueError, OverflowError) as err:
             raise _malformed(line, err) from None
+
+
+def level_bits(j: int, dim: int) -> float:
+    """log2 of the entries of level j of a D-dim tree, (2^D - 1) 2^(jD),
+    computed without building 2^(jD)."""
+    return j * dim + math.log2((1 << dim) - 1)
 
 
 def _malformed(line: str, err: Exception) -> MalformedTree:

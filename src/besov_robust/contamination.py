@@ -24,6 +24,7 @@ import numpy as np
 
 from .besov import BesovParams, besov_norm
 from .coefficients import (
+    MAX_ENTRIES,
     PiecewiseConstant,
     SpikePerturbation,
     _midpoints,
@@ -38,9 +39,6 @@ MODES = ("structured", "unstructured")
 # Level of the per-axis KS test in `verify_indistinguishable`, before the
 # Bonferroni split over the D axes
 _KS_ALPHA = 0.01
-# The largest array, in float64 entries, a pair level or sample size may ask for:
-# at it `adversary` peaks at 0.57 GB (pair level 11) and 0.49 GB (2^23 samples).
-MAX_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)

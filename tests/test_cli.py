@@ -6,6 +6,7 @@ directory.  Runs are kept small (few trials, modest sample sizes) so the
 whole file stays fast; determinism checks compare raw bytes.
 """
 
+import ctypes
 import dataclasses
 import hashlib
 import itertools
@@ -90,6 +91,24 @@ DEMO_CONTAMINATION = PRESETS["dyadic-demo"]["contamination"]
 # move its 10-20 ms from the run into the setup
 LAZY_MODULES = ("scipy.stats", "besov_robust._ks", "concurrent.futures.process", "numpy.random")
 SRC = os.path.dirname(os.path.dirname(besov_robust.__file__))
+
+
+def main_under_memory_cap(args):
+    """Run `cli.main(args)` in a fresh process under a 2 GiB address-space
+    cap, check that it exits 2 within a second, and return the precondition
+    it names."""
+    code = (
+        "import resource, sys, time; "
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+        "import besov_robust.cli as cli; t = time.perf_counter(); rc = cli.main(sys.argv[1:]); "
+        "print(time.perf_counter() - t); sys.exit(rc)"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    res = subprocess.run([sys.executable, "-c", code] + list(args), capture_output=True, text=True, env=env)
+    error_line, seconds = res.stdout.splitlines()
+    assert res.returncode == 2 and res.stderr == ""
+    assert float(seconds) < 1.0
+    return json.loads(error_line)["error"]["precondition"]
 
 
 def test_cli_import_leaves_lazy_modules_unloaded():
@@ -986,6 +1005,24 @@ class TestAdversary:
         assert pair["predicted_separation"] == 0.0
         assert pair["ratio"] is None
 
+    @pytest.mark.parametrize("preset", ["sparse", "structured"])
+    def test_unseparated_truths_fail(self, capsys, tmp_path, preset):
+        # a disc sigma of 1e308 weighs every level by 0: the mixtures pass
+        # the KS test, but truths 0 apart show nothing, so the verdict fails
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({"command": "adversary", "disc": [1e308, 1.0, 1.0, 1.0]}))
+        out = tmp_path / "o"
+        rc, text = run_cli(
+            ["adversary", "--preset", preset, "--samples", "20000", "--config", str(cfgfile), "--out", str(out)],
+            capsys,
+        )
+        assert rc == 1
+        assert text.startswith("adversary FAIL: measured separation 0")
+        assert text.rstrip().endswith("the truths are not separated under this loss")
+        assert json.loads((out / "pair.json").read_text())["measured_ipm"] == 0.0
+        report = json.loads((out / "indistinguishability.json").read_text())
+        assert report["ks_passed"] is True and report["passed"] is True
+
     def test_eps_override(self, capsys, tmp_path):
         out = tmp_path / "o"
         rc, _ = run_cli(
@@ -1113,6 +1150,93 @@ class TestEstimate:
         first = read_bytes_map(out)
         run_cli(["estimate", "--preset", "dyadic-demo", "--out", str(out)], capsys)
         assert first == read_bytes_map(out)
+
+
+class FakeLibc:
+    """A libc whose `mallopt` records its calls, and whether `out` existed then."""
+
+    def __init__(self, out):
+        self.out, self.calls = out, []
+
+        def mallopt(param, value):  # a plain function takes argtypes as a foreign one does
+            self.calls.append((param, value, self.out.exists()))
+            return 1
+
+        self.mallopt = mallopt
+
+
+# a fresh process that runs one small command through `main` (or none), then
+# counts the page faults of four db2, D = 2 transforms of 2^16 points after a
+# first one has grown the heap
+FAULTS_AFTER_MAIN = """
+import resource, sys
+import numpy as np
+import besov_robust.cli as cli
+from besov_robust.coefficients import empirical_coeffs
+from besov_robust.wavelets import wavelet_family
+if sys.argv[1] != "none":
+    assert cli.main(["estimate", "--preset", "dyadic-demo", "--out", sys.argv[1]]) == 0
+x = np.random.default_rng(0).random((2**16, 2))
+db2 = wavelet_family("db2")
+empirical_coeffs(x, db2, 3, 7)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(4):
+    empirical_coeffs(x, db2, 3, 7)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocatorPolicy:
+    DEMO = ["estimate", "--preset", "dyadic-demo"]
+
+    def test_main_sets_both_thresholds_before_the_command(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "o"
+        libc = FakeLibc(out)
+        names = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: names.append(name) or libc)
+        rc, _ = run_cli(self.DEMO + ["--out", str(out)], capsys)
+        assert rc == 0
+        assert names == [None]
+        assert libc.calls == [(-1, 64 << 20, False), (-3, 32 << 20, False)]
+
+    def test_import_sets_nothing(self):
+        code = (
+            "import ctypes, numpy; calls = []; "
+            "ctypes.CDLL = lambda *args, **kw: calls.append(args); "
+            "import besov_robust.cli; print(calls)"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert res.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("libc", ["no-mallopt", "oserror"])
+    def test_without_mallopt_the_command_runs_unchanged(self, capsys, tmp_path, monkeypatch, libc):
+        rc, text = run_cli(self.DEMO + ["--out", str(tmp_path / "ref")], capsys)
+
+        def no_libc(name):
+            if libc == "oserror":
+                raise OSError("no libc")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        out = tmp_path / "o"
+        assert run_cli(self.DEMO + ["--out", str(out)], capsys) == (rc, text.replace(str(tmp_path / "ref"), str(out)))
+        for name in ("coeffs.jsonl", "estimate.json"):
+            assert (out / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+    def test_transforms_after_main_reuse_freed_memory(self, tmp_path):
+        # the default allocator unmaps or trims the transform's freed
+        # temporaries, and faults them back in at every call
+        env = dict(os.environ, PYTHONPATH=SRC)
+        faults = {}
+        for run in ("main", "none"):
+            argv = [str(tmp_path / "o") if run == "main" else "none"]
+            res = subprocess.run([sys.executable, "-c", FAULTS_AFTER_MAIN] + argv,
+                                 capture_output=True, text=True, env=env, check=True)
+            faults[run] = int(res.stdout.splitlines()[-1])
+        assert faults["main"] < 64
+        assert faults["none"] > 1000
 
 
 class TestRiskSweepBaseline:
@@ -1300,20 +1424,36 @@ class TestFieldTable:
         cfgfile = tmp_path / "c.json"
         cfgfile.write_text(json.dumps(dict(fields, command="adversary")))
         out = tmp_path / "o"
-        code = (
-            "import resource, sys, time; "
-            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
-            "import besov_robust.cli as cli; t = time.perf_counter(); rc = cli.main(sys.argv[1:]); "
-            "print(time.perf_counter() - t); sys.exit(rc)"
-        )
-        args = ["adversary", "--preset", preset, "--config", str(cfgfile), "--out", str(out)]
-        env = dict(os.environ, PYTHONPATH=SRC)
-        res = subprocess.run([sys.executable, "-c", code] + args, capture_output=True, text=True, env=env)
-        error_line, seconds = res.stdout.splitlines()
-        assert res.returncode == 2 and res.stderr == ""
-        assert json.loads(error_line)["error"]["precondition"] == ("samples" if "samples" in fields else "pair")
-        assert float(seconds) < 1.0
+        precondition = main_under_memory_cap(["adversary", "--preset", preset, "--config", str(cfgfile), "--out", str(out)])
+        assert precondition == ("samples" if "samples" in fields else "pair")
         assert not out.exists()
+
+    def test_truth_level_over_the_cap_refused_under_memory_cap(self, tmp_path):
+        # truth level 32 (2^32 entries) passed the int64 rule, then asked for
+        # 64 GiB after OUT existed
+        cfgfile = tmp_path / "c.json"
+        cfgfile.write_text(json.dumps({
+            "command": "rate-check", "estimator": {"kind": "linear", "schedule": "fixed", "j0": 30, "j1": 30},
+        }))
+        out = tmp_path / "o"
+        args = ["rate-check", "--preset", "holder1-tv-uncontaminated", "--config", str(cfgfile), "--out", str(out)]
+        assert main_under_memory_cap(args) == "estimator"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dim,j1,refused", [(1, 22, False), (1, 23, True), (2, 9, False), (2, 10, True)])
+    def test_truth_level_cap_edge(self, tmp_path, dim, j1, refused):
+        # the truth's top level j1 + 2 holds (2^D - 1) 2^(D (j1 + 2)) entries:
+        # 2^24 at D = 1, j1 = 22 and 3 2^22 at D = 2, j1 = 9 are inside the cap
+        cfg = build_config("estimate", preset="dyadic-demo", overrides={
+            "dim": dim, "contamination": {"mode": "unstructured", "g": {"kind": "uniform"}}, "out": str(tmp_path / "o"),
+            "estimator": {"kind": "linear", "schedule": "fixed", "j0": j1, "j1": j1},
+        })
+        if refused:
+            with pytest.raises(ConfigError, match="over the cap of 16777216") as info:
+                validate(cfg)
+            assert info.value.precondition == "estimator"
+        else:
+            validate(cfg)
 
     def test_structured_pair_level_overflow_exit_2(self, capsys, tmp_path):
         cfgfile = tmp_path / "c.json"

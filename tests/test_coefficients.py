@@ -12,7 +12,10 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from unittest import mock
@@ -40,6 +43,7 @@ from besov_robust.coefficients import (
     SpikePerturbation,
     empirical_coeffs,
     exact_coeffs,
+    level_bits,
     tree_axpy,
     uniform_density,
 )
@@ -675,7 +679,7 @@ class TestSerialization:
         assert header[:60] in str(info.value)
 
     ABSURD_RECORDS = {
-        # a level of 2^40 floats: a MemoryError from the allocation
+        # a level of 2^40 floats, past MAX_ENTRIES
         "unholdable-level": '{"e": [1], "j": 40, "k": [5], "v": 0.5}',
         # an int beyond the float range: an OverflowError from the store
         "huge-int-value": '{"e": [1], "j": 1, "k": [1], "v": ' + "9" * 401 + "}",
@@ -702,9 +706,41 @@ class TestSerialization:
         assert time.perf_counter() - start < 0.5
         assert line[:40] in str(info.value)
 
+    @pytest.mark.parametrize("dim,j", [(13, 1), (1, 25), (2, 12)])
+    def test_level_over_the_entry_cap_refused_under_memory_cap(self, tmp_path, dim, j):
+        # a dim-13 header and one level-1 record (221 bytes) loaded in 0.75 s
+        # at a 542 MB peak; D = 1 at j = 25 and D = 2 at j = 12 are the first
+        # levels past MAX_ENTRIES = 2^24 entries
+        header = json.dumps(
+            {"alpha": 1.0, "cascade_depth": 14, "dim": dim, "family": "haar",
+             "format": "besov-robust-tree", "version": 1}, sort_keys=True,
+        )
+        record = json.dumps({"e": [0] * (dim - 1) + [1], "j": j, "k": [0] * dim, "v": 0.5}, sort_keys=True)
+        path = tmp_path / "t.jsonl"
+        path.write_text(header + "\n" + record + "\n")
+        code = (
+            "import resource, sys, time; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from besov_robust.coefficients import CoefficientTree; from besov_robust.errors import MalformedTree\n"
+            "t = time.perf_counter()\n"
+            "try:\n    CoefficientTree.from_jsonl(sys.argv[1])\n"
+            "except MalformedTree as err:\n    print(time.perf_counter() - t); print(err)"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(coefficients.__file__)))
+        res = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env)
+        assert res.returncode == 0 and res.stderr == ""
+        seconds, message = res.stdout.splitlines()
+        assert float(seconds) < 1.0
+        assert "over the cap of 16777216" in message and record[:40] in message
+
+    def test_level_bits_counts_the_level_entries(self):
+        for dim in (1, 2, 3, 16):
+            for j in range(4):
+                assert 2 ** level_bits(j, dim) == pytest.approx(((1 << dim) - 1) << (j * dim), rel=1e-12)
+
     def test_pruned_records_allocate_no_level(self):
         # as with `set`, values stored as absent allocate nothing, even in a
-        # level of 2^40 floats, which would raise MemoryError
+        # level of 2^40 floats, past MAX_ENTRIES
         header = json.dumps(
             {"alpha": 1.0, "cascade_depth": 14, "dim": 1, "family": "haar",
              "format": "besov-robust-tree", "version": 1}, sort_keys=True,
